@@ -63,7 +63,6 @@ class CliConfig:
     word_cap: int
     output: str
     witness: bool
-    parallel: int
     domains: DomainSpec | None
 
     @classmethod
@@ -76,7 +75,6 @@ class CliConfig:
         max_words: int,
         output: str,
         witness: bool,
-        parallel: int,
         domains: str | None,
     ) -> "CliConfig":
         alpha = Alphabet(alphabet)
@@ -95,7 +93,6 @@ class CliConfig:
             word_cap=max_words,
             output=output,
             witness=witness,
-            parallel=parallel,
             domains=spec,
         )
 
@@ -147,13 +144,6 @@ def _decision_options(f):
             show_default=True,
             help="text prints true/false; json prints the full decision report.",
         ),
-        click.option(
-            "--parallel",
-            type=click.IntRange(min=0),
-            default=0,
-            show_default=True,
-            help="Worker threads for the valuation scans (0 = sequential; results identical).",
-        ),
     ]
     for option in reversed(options):
         f = option(f)
@@ -182,10 +172,6 @@ def _fail(message: str) -> "sys.NoReturn":
     sys.exit(2)
 
 
-def _parse_expr(text: str, alphabet: Alphabet) -> ParamRegex:
-    return parse(text, alphabet)
-
-
 @click.group()
 def main():
     """Decide properties of parameterized regular expressions.
@@ -206,7 +192,7 @@ def member(expr, word, **raw):
     fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
-        e = _parse_expr(expr, cfg.alphabet)
+        e = parse(expr, cfg.alphabet)
         w = _word_arg(word)
         if fast:
             report = _member_fast(e, w, cfg)
@@ -218,7 +204,7 @@ def member(expr, word, **raw):
         else:
             report = membership(
                 e, w, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, parallel=cfg.parallel,
+                valuation_cap=cfg.valuation_cap,
             )
     except (PrxError, ValueError) as err:
         _fail(str(err))
@@ -244,7 +230,7 @@ def nonempty(expr, **raw):
     fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
-        e = _parse_expr(expr, cfg.alphabet)
+        e = parse(expr, cfg.alphabet)
         if fast:
             if cfg.domains is not None:
                 raise PrxError("--fast supports the base semantics only, not --domains")
@@ -275,7 +261,7 @@ def universal(expr, **raw):
     fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
-        e = _parse_expr(expr, cfg.alphabet)
+        e = parse(expr, cfg.alphabet)
         if fast:
             raise PrxError("no fast path for universality")
         if cfg.domains is not None:
@@ -286,7 +272,7 @@ def universal(expr, **raw):
         else:
             report = universality(
                 e, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap, parallel=cfg.parallel,
+                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap,
             )
     except (PrxError, ValueError) as err:
         _fail(str(err))
@@ -302,8 +288,8 @@ def contains(lhs, rhs, **raw):
     fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
-        e1 = _parse_expr(lhs, cfg.alphabet)
-        e2 = _parse_expr(rhs, cfg.alphabet)
+        e1 = parse(lhs, cfg.alphabet)
+        e2 = parse(rhs, cfg.alphabet)
         if fast:
             raise PrxError("no fast path for containment")
         if cfg.domains is not None:
@@ -330,8 +316,8 @@ def intersect(expr, regular, **raw):
     fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
-        e = _parse_expr(expr, cfg.alphabet)
-        r = _parse_expr(regular, cfg.alphabet)
+        e = parse(expr, cfg.alphabet)
+        r = parse(regular, cfg.alphabet)
         if fast:
             raise PrxError("no fast path for regular intersection")
         if cfg.domains is not None:
@@ -367,7 +353,7 @@ def build_nfa(expr, fmt, out, **raw):
     fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
-        e = _parse_expr(expr, cfg.alphabet)
+        e = parse(expr, cfg.alphabet)
         if fast:
             raise PrxError("no fast path for NFA construction")
         if cfg.domains is not None:

@@ -287,7 +287,13 @@ def check_simple_memb_box(e: ParamRegex, ws: WordSet) -> bool:
             return any(check(node.inner, w1) for w1 in combined)
         raise TypeError(f"unexpected node {node!r}")
 
-    return check(root, frozenset(ws.words))
+    # check and _check_cases refer to each other, a cycle that would keep the
+    # tables alive until the cyclic collector runs: empty them on the way out.
+    try:
+        return check(root, frozenset(ws.words))
+    finally:
+        memo.clear()
+        hit_memo.clear()
 
 
 def membership_box_fixed_word(e: ParamRegex, w: str, alphabet: Alphabet) -> bool:

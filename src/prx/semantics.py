@@ -2,22 +2,23 @@
 
 The certainty language of an expression is the intersection of the languages
 of all its substitution instances; the possibility language is their union.
-Every operation here works by enumerating valuations in the fixed
-deterministic order and either simulating, unioning, or intersecting the
-substituted automata.  Nothing is approximated: caps make the exponential
-cases fail loudly instead.
+Membership simulates the variable-labelled automaton once over the word,
+carrying a set of valuations per state, so it never builds an instance.  The
+other problems enumerate valuations in the fixed deterministic order and
+check, union, or intersect the substituted automata.  Either way a reported
+valuation is the first one in enumeration order.  Nothing is approximated:
+caps make the exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
 
 from .automata import (
     DEFAULT_STATE_CAP,
     Nfa,
+    VarLabel,
     accepts,
     complement,
     determinize,
@@ -45,6 +46,8 @@ from .valuations import (
     enumerate_finitary_valuations,
     enumerate_valuations,
     enumerate_word_valuations,
+    letter_masks,
+    valuation_at,
 )
 
 
@@ -91,32 +94,6 @@ def _compiled(e: ParamRegex, alphabet: Alphabet) -> Nfa:
     return remove_epsilon(regex_to_nfa(e, alphabet))
 
 
-def _scan_valuations(
-    valuations: Iterable[Valuation],
-    hit: Callable[[Valuation], bool],
-    parallel: int = 0,
-):
-    """First valuation satisfying ``hit`` (with its index), else (count, None).
-
-    With ``parallel`` > 1 the predicate is mapped over the valuations by a
-    thread pool; results are reduced in enumeration order, so the answer and
-    the reported valuation are identical to the sequential scan.
-    """
-    if parallel and parallel > 1:
-        valuations = list(valuations)
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            for i, (nu, got) in enumerate(zip(valuations, pool.map(hit, valuations))):
-                if got:
-                    return i + 1, nu
-        return len(valuations), None
-    count = 0
-    for nu in valuations:
-        count += 1
-        if hit(nu):
-            return count, nu
-    return count, None
-
-
 # ---------------------------------------------------------------------------
 # CONSTRUCT
 
@@ -154,28 +131,57 @@ def membership(
     alphabet: Alphabet,
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
-    parallel: int = 0,
 ) -> DecisionReport:
-    """Decide w ∈ L(e) under the chosen semantics by per-valuation simulation.
+    """Decide w ∈ L(e) under the chosen semantics in one pass over the word.
 
-    No certainty/possibility automaton is ever built: possibility succeeds on
-    the first accepting valuation, certainty fails on the first rejecting one
-    (which is reported as the counterexample valuation).
+    The variable-labelled automaton is simulated once, every state carrying
+    the set of valuations (a bitset, see :func:`letter_masks`) under which
+    it is reachable on the prefix read so far: a letter edge passes the set
+    on, an edge ``$x`` read on letter c keeps the valuations with x = c.
+    The sets on the final states hold the valuations that accept w.
+    Possibility needs one of them, certainty needs all; the reported
+    valuation is the first accepting (possibility) or rejecting (certainty)
+    one in enumeration order, and ``valuations`` counts the enumeration up
+    to it, or all of it when there is none.
     """
     base = _compiled(e, alphabet)
-    vals = enumerate_valuations(variables(e), alphabet, valuation_cap)
-    if sem is DIAMOND:
-        count, nu = _scan_valuations(vals, lambda v: accepts(apply_to_nfa(v, base), w), parallel)
+    names = variables(e)
+    total, masks = letter_masks(names, alphabet, valuation_cap)
+    # Every letter is checked here, also those after the run dies out.
+    letter_ids = [alphabet.index(ch) for ch in w]
+    adj = base.adjacency()
+    full = (1 << total) - 1
+    reach = {base.initial: full}
+    for ch, i in zip(w, letter_ids):
+        nxt: dict[int, int] = {}
+        for q, have in reach.items():
+            for label, dst in adj[q]:
+                if isinstance(label, VarLabel):
+                    keep = have & masks[label.name][i]
+                elif label == ch:
+                    keep = have
+                else:
+                    continue
+                if keep:
+                    nxt[dst] = nxt.get(dst, 0) | keep
+        reach = nxt
+        if not reach:
+            break
+    accepted = 0
+    for q, have in reach.items():
+        if q in base.finals:
+            accepted |= have
+    want = sem is DIAMOND
+    found = accepted if want else full ^ accepted
+    if not found:
         return DecisionReport(
-            answer=nu is not None,
-            valuation=nu.as_dict() if nu is not None else None,
-            stats={"valuations": count, "states": base.n_states},
+            answer=not want, stats={"valuations": total, "states": base.n_states}
         )
-    count, nu = _scan_valuations(vals, lambda v: not accepts(apply_to_nfa(v, base), w), parallel)
+    index = (found & -found).bit_length() - 1
     return DecisionReport(
-        answer=nu is None,
-        valuation=nu.as_dict() if nu is not None else None,
-        stats={"valuations": count, "states": base.n_states},
+        answer=want,
+        valuation=valuation_at(names, alphabet, index).as_dict(),
+        stats={"valuations": index + 1, "states": base.n_states},
     )
 
 
@@ -231,38 +237,30 @@ def universality(
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-    parallel: int = 0,
 ) -> DecisionReport:
     """Is every word over the alphabet in the language?
 
     Certainty-universality holds iff every substituted instance is universal,
-    so instances are checked one valuation at a time; possibility determinizes
-    the union automaton.  Counterexample words come from the shortest-reject
-    search and are therefore deterministic.
+    so instances are checked one valuation at a time up to the first that is
+    not; possibility determinizes the union automaton.  Counterexample words
+    come from the shortest-reject search and are therefore deterministic.
     """
-    base = _compiled(e, alphabet)
     if sem is BOX:
-        failure: dict = {}
-
-        def rejects(nu: Valuation) -> bool:
+        base = _compiled(e, alphabet)
+        count = 0
+        for nu in enumerate_valuations(variables(e), alphabet, valuation_cap):
+            count += 1
             d = determinize(apply_to_nfa(nu, base), state_cap)
             ok, cex = is_universal(d)
             if not ok:
-                failure[id(nu)] = (cex, d.n_states)
-            return not ok
-
-        vals = enumerate_valuations(variables(e), alphabet, valuation_cap)
-        count, nu = _scan_valuations(vals, rejects, parallel)
-        if nu is None:
-            return DecisionReport(
-                answer=True, stats={"valuations": count, "states": base.n_states}
-            )
-        cex, states = failure[id(nu)]
+                return DecisionReport(
+                    answer=False,
+                    witness=cex,
+                    valuation=nu.as_dict(),
+                    stats={"valuations": count, "states": d.n_states},
+                )
         return DecisionReport(
-            answer=False,
-            witness=cex,
-            valuation=nu.as_dict(),
-            stats={"valuations": count, "states": states},
+            answer=True, stats={"valuations": count, "states": base.n_states}
         )
     union = construct_nfa(e, alphabet, DIAMOND, valuation_cap, state_cap)
     d = determinize(union, state_cap)

@@ -3,7 +3,8 @@
 A valuation maps every variable to a single letter (the base setting) or to
 a word from the variable's regular domain.  Enumeration orders are fixed —
 variable declaration order, then alphabet order, then shortlex — so that
-witnesses, counterexamples, and failures are reproducible run to run.
+witnesses, counterexamples, and failures are reproducible run to run.  Sets
+of letter-valuations are bitsets over that order (:func:`letter_masks`).
 """
 
 from __future__ import annotations
@@ -108,6 +109,17 @@ class FinitaryValuation:
 # Enumeration (base setting)
 
 
+def _count_letter_valuations(
+    names: list[str], alphabet: Alphabet, valuation_cap: int
+) -> int:
+    total = len(alphabet) ** len(names)
+    if total > valuation_cap:
+        raise CountCapExceeded(
+            f"{total} valuations exceed the cap of {valuation_cap}"
+        )
+    return total
+
+
 def enumerate_valuations(
     var_names: Iterable[str],
     alphabet: Alphabet,
@@ -116,17 +128,61 @@ def enumerate_valuations(
     """All |alphabet|^n letter-valuations, lexicographic by variable order
     then alphabet order; streamed, never materialized."""
     names = list(var_names)
-    total = len(alphabet) ** len(names)
-    if total > valuation_cap:
-        raise CountCapExceeded(
-            f"{total} valuations exceed the cap of {valuation_cap}"
-        )
+    _count_letter_valuations(names, alphabet, valuation_cap)
     for images in itertools.product(alphabet.letters, repeat=len(names)):
         yield Valuation(dict(zip(names, images)))
 
 
-def count_valuations(var_names: Iterable[str], alphabet: Alphabet) -> int:
-    return len(alphabet) ** len(list(var_names))
+def _tile(pattern: int, width: int, times: int) -> int:
+    """``times`` copies of a ``width``-bit pattern side by side, built by
+    shift-and-OR doubling (no big-int multiplication)."""
+    out = 0
+    shift = 0
+    while times:
+        if times & 1:
+            out |= pattern << shift
+            shift += width
+        times >>= 1
+        if times:
+            pattern |= pattern << width
+            width *= 2
+    return out
+
+
+def letter_masks(
+    var_names: Iterable[str],
+    alphabet: Alphabet,
+    valuation_cap: int = DEFAULT_VALUATION_CAP,
+) -> tuple[int, dict[str, tuple[int, ...]]]:
+    """Sets of letter-valuations as bitsets.
+
+    Bit i of a mask stands for the i-th valuation of
+    :func:`enumerate_valuations`: the first variable is the most significant
+    base-|alphabet| digit of i, letters count in alphabet order.  Returns the
+    number of valuations and, per variable, one mask per letter (alphabet
+    order) holding the valuations that map the variable to that letter.
+    Raises :class:`~prx.errors.CountCapExceeded` past ``valuation_cap``.
+    """
+    names = list(var_names)
+    total = _count_letter_valuations(names, alphabet, valuation_cap)
+    base = len(alphabet)
+    masks: dict[str, tuple[int, ...]] = {}
+    stride = total
+    for name in names:
+        period, stride = stride, stride // base
+        first = _tile((1 << stride) - 1, period, total // period)
+        masks[name] = tuple(first << (i * stride) for i in range(base))
+    return total, masks
+
+
+def valuation_at(var_names: Iterable[str], alphabet: Alphabet, index: int) -> Valuation:
+    """The ``index``-th (0-based) valuation of :func:`enumerate_valuations`."""
+    names = list(var_names)
+    images = []
+    for _ in names:
+        index, digit = divmod(index, len(alphabet))
+        images.append(alphabet.letters[digit])
+    return Valuation(dict(zip(names, reversed(images))))
 
 
 # ---------------------------------------------------------------------------

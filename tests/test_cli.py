@@ -69,14 +69,6 @@ class TestMember:
                      "--word", "000", "--max-valuations", "4")
         assert res.exit_code == 2
 
-    def test_parallel_matches_sequential(self, runner):
-        args = ("member", "--alphabet", "01", "--semantics", "box",
-                "--expr", "(0|1)*$x$y(0|1)*", "--word", "10011", "--output", "json")
-        seq = invoke(runner, *args)
-        par = invoke(runner, *args, "--parallel", "3")
-        assert seq.output == par.output
-        assert seq.exit_code == par.exit_code == 0
-
 
 class TestMemberFast:
     def test_box_simple(self, runner):

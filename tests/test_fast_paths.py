@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -153,6 +155,31 @@ class TestMembershipBoxFixedWord:
             e = random_simple(rng, AB, ("x", "y"), budget=8)
             w = "".join(rng.choice("01") for _ in range(8))
             assert membership_box_fixed_word(e, w, AB) == membership(e, w, AB, BOX).answer
+
+    def test_repeated_calls_hold_no_memory_without_the_cyclic_collector(self):
+        # Each call's memo tables must be freed when it returns, not left to
+        # the cyclic collector.  What may stay behind (allocator free lists,
+        # the nested functions) is a fraction of what a single call uses.
+        e, w = parse("(0$x|1)*(1|$y0)*", AB), "0101101"
+        was_enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                membership_box_fixed_word(e, w, AB)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            membership_box_fixed_word(e, w, AB)
+            one_call = tracemalloc.get_traced_memory()[1] - before
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                membership_box_fixed_word(e, w, AB)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if was_enabled:
+                gc.enable()
+        assert grown < one_call
 
 
 class TestMembershipDiamondFixedWord:

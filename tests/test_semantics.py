@@ -8,7 +8,7 @@ import random
 import pytest
 
 from prx.automata import accepts, determinize, is_empty, regex_to_nfa, remove_epsilon
-from prx.errors import DomainNotFinite, PrxError
+from prx.errors import CountCapExceeded, DomainNotFinite, PrxError
 from prx.semantics import (
     BOX,
     DIAMOND,
@@ -147,16 +147,6 @@ class TestMembership:
                 for w in oracles.all_words(AB, 4):
                     assert membership(e, w, AB, sem).answer == accepts(a, w)
 
-    def test_parallel_scan_is_deterministic(self):
-        rng = random.Random(4104)
-        for _ in range(10):
-            e = oracles.random_expr(rng, AB, ("x", "y", "z"), budget=8)
-            for w in ("", "0", "10", "0110"):
-                for sem in (BOX, DIAMOND):
-                    seq = membership(e, w, AB, sem)
-                    par = membership(e, w, AB, sem, parallel=3)
-                    assert (seq.answer, seq.valuation) == (par.answer, par.valuation)
-
     def test_stats_shape(self):
         e = parse("$x$y", AB)
         rep = membership(e, "00", AB, DIAMOND)
@@ -164,6 +154,99 @@ class TestMembership:
         assert set(data) == {"answer", "witness", "valuation", "stats"}
         assert set(data["stats"]) == {"valuations", "states"}
         assert data["stats"]["valuations"] >= 1
+
+
+def scan_outcome(e, w, alphabet, box):
+    """(answer, valuation, examined) of the defining per-valuation scan:
+    certainty stops at the first rejecting valuation, possibility at the
+    first accepting one, both in enumeration order."""
+    count = 0
+    for nu in oracles.letter_valuations(variables(e), alphabet):
+        count += 1
+        if oracles.matches(oracles.substitute(e, nu), w) != box:
+            return not box, nu, count
+    return box, None, count
+
+
+def random_expr_with_k(rng, alphabet, k):
+    """A random expression using exactly k distinct variables (a to e)."""
+    while True:
+        e = oracles.random_expr(rng, alphabet, "abcde"[:k], budget=rng.randint(3, 14),
+                                var_prob=0.5)
+        if len(variables(e)) == k:
+            return e
+
+
+class TestMembershipValuationSets:
+    """The one-pass set-of-valuations simulation against the oracle scan."""
+
+    def test_random_expressions_match_the_oracle_scan(self):
+        rng = random.Random(4111)
+        for i in range(120):
+            alphabet = AB if i % 2 else ABC
+            # Variables repeat and sit under stars in about half of these.
+            e = random_expr_with_k(rng, alphabet, i % 6)
+            nu = dict(zip(variables(e), rng.choices(alphabet.letters, k=len(variables(e)))))
+            # Half the words come from one instance's language, so that both
+            # answers and valuations deep in the enumeration show up.
+            instance = sorted(oracles.bounded_language(oracles.substitute(e, nu), 5))
+            words = ["".join(rng.choices(alphabet.letters, k=rng.randint(0, 5)))]
+            words += rng.sample(instance, min(2, len(instance)))
+            for w in words:
+                for sem in (BOX, DIAMOND):
+                    rep = membership(e, w, alphabet, sem)
+                    want = scan_outcome(e, w, alphabet, box=sem is BOX)
+                    assert (rep.answer, rep.valuation, rep.stats["valuations"]) == want
+
+    def test_no_variables(self):
+        e = parse("(01)*", AB)
+        for sem in (BOX, DIAMOND):
+            rep = membership(e, "0101", AB, sem)
+            assert rep.answer is True
+            assert rep.stats["valuations"] == 1
+            rep = membership(e, "010", AB, sem)
+            assert rep.answer is False
+            assert rep.stats["valuations"] == 1
+        assert membership(e, "0101", AB, DIAMOND).valuation == {}
+        assert membership(e, "010", AB, BOX).valuation == {}
+        assert membership(e, "0101", AB, BOX).valuation is None
+
+    def test_empty_word(self):
+        star = parse("$x*", ABC)
+        plain = parse("$x|_", ABC)
+        letter = parse("$x", ABC)
+        for e in (star, plain):
+            rep = membership(e, "", ABC, BOX)
+            assert (rep.answer, rep.valuation, rep.stats["valuations"]) == (True, None, 3)
+        rep = membership(letter, "", ABC, BOX)
+        assert (rep.answer, rep.valuation, rep.stats["valuations"]) == (False, {"x": "0"}, 1)
+        rep = membership(letter, "", ABC, DIAMOND)
+        assert (rep.answer, rep.valuation, rep.stats["valuations"]) == (False, None, 3)
+
+    def test_cap_error_comes_before_a_foreign_letter(self):
+        e = parse("$x$y$z", AB)
+        with pytest.raises(CountCapExceeded, match="^8 valuations exceed the cap of 4$"):
+            membership(e, "09", AB, BOX, valuation_cap=4)
+        with pytest.raises(ValueError, match="^letter '9' is not in the alphabet$"):
+            membership(e, "09", AB, BOX, valuation_cap=8)
+
+    def test_full_scan_at_k8(self):
+        e = parse("($a|$b|$c|$d|$e|$f|$g|$h|0)*", ABC)
+        names = "abcdefgh"
+        rep = membership(e, "0000", ABC, BOX)
+        assert (rep.answer, rep.valuation, rep.stats["valuations"]) == (True, None, 3**8)
+        rep = membership(e, "1", ABC, BOX)
+        assert rep.answer is False
+        assert rep.valuation == dict.fromkeys(names, "0")
+        assert rep.stats["valuations"] == 1
+        # The first valuation offering both 1 and 2 sets g = 1, h = 2: index 5.
+        rep = membership(e, "210", ABC, DIAMOND)
+        assert rep.answer is True
+        assert rep.valuation == {**dict.fromkeys("abcdef", "0"), "g": "1", "h": "2"}
+        assert rep.stats["valuations"] == 6
+        word = parse("$a$b$c$d$e$f$g$h", ABC)
+        rep = membership(word, "2100122", ABC, DIAMOND)
+        assert (rep.answer, rep.valuation, rep.stats["valuations"]) == (False, None, 3**8)
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +329,6 @@ class TestUniversality:
                         assert accepts(a, w)
                 else:
                     assert not accepts(a, rep.witness)
-
-    def test_box_parallel_matches_sequential(self):
-        rng = random.Random(4108)
-        for _ in range(10):
-            e = oracles.random_expr(rng, AB, ("x", "y", "z"), budget=8)
-            seq = universality(e, AB, BOX)
-            par = universality(e, AB, BOX, parallel=3)
-            assert (seq.answer, seq.witness, seq.valuation) == (
-                par.answer,
-                par.witness,
-                par.valuation,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from prx.valuations import (
     enumerate_finite_domain,
     enumerate_valuations,
     enumerate_word_valuations,
+    letter_masks,
+    valuation_at,
 )
 
 AB01 = Alphabet("01")
@@ -93,6 +95,27 @@ def test_enumeration_is_reproducible():
     b = [v.as_dict() for v in enumerate_valuations(["x", "y"], Alphabet("012"))]
     assert a == b and len(a) == 9
 
+
+
+@pytest.mark.parametrize("letters,k", [("01", 0), ("01", 1), ("01", 5), ("012", 3), ("0123", 2)])
+def test_letter_masks_follow_the_enumeration(letters, k):
+    alphabet = Alphabet(letters)
+    names = [f"v{i}" for i in range(k)]
+    vals = list(enumerate_valuations(names, alphabet))
+    total, masks = letter_masks(names, alphabet)
+    assert total == len(vals)
+    for i, nu in enumerate(vals):
+        assert valuation_at(names, alphabet, i) == nu
+        for name in names:
+            got = [c for c, m in zip(alphabet.letters, masks[name]) if m >> i & 1]
+            assert got == [nu[name]]
+    for name in names:
+        assert sum(masks[name]) == (1 << total) - 1
+
+
+def test_letter_masks_cap():
+    with pytest.raises(CountCapExceeded, match="^32 valuations exceed the cap of 31$"):
+        letter_masks([f"v{i}" for i in range(5)], AB01, valuation_cap=31)
 
 # ---------------------------------------------------------------------------
 # apply_to_regex / apply_to_nfa
