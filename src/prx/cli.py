@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every decision subcommand prints ``true`` or ``false`` (or a JSON report
-with ``--output json``) and exits 0 for true, 1 for false, 2 on usage or
-cap errors — scriptable and byte-deterministic for identical invocations.
+with ``--output json``) and exits 0 for true, 1 for false, 2 on any error
+(usage, parse, caps, files) — scriptable and byte-deterministic for
+identical invocations.
 
 Remember that ``$`` introduces a variable, so expressions need quoting in a
 shell: ``prx member --alphabet 01 --expr '(0$x)*1($x$y)*' --word 01110``.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import click
 
@@ -40,9 +42,7 @@ from .semantics import (
     DecisionReport,
     Semantics,
     construct_nfa,
-    construct_nfa_domains,
     containment,
-    decide_domains,
     membership,
     nonemptiness,
     nonempty_int_reg,
@@ -96,6 +96,16 @@ class CliConfig:
             domains=spec,
         )
 
+    @property
+    def limits(self) -> dict:
+        """Caps and domains, as keyword arguments of the decision functions."""
+        return {
+            "valuation_cap": self.valuation_cap,
+            "state_cap": self.state_cap,
+            "word_cap": self.word_cap,
+            "domains": self.domains,
+        }
+
 
 def _decision_options(f):
     """The option set shared by every decision subcommand."""
@@ -114,7 +124,6 @@ def _decision_options(f):
             default=None,
             help='JSON file mapping variables to regular domains, e.g. {"x": "0*"}.',
         ),
-        click.option("--fast", is_flag=True, help="Use the specialized algorithms; error if none applies."),
         click.option("--witness", is_flag=True, help="Also print the witness / counterexample."),
         click.option(
             "--max-valuations",
@@ -150,26 +159,56 @@ def _decision_options(f):
     return f
 
 
-def _word_arg(text: str) -> str:
-    return "" if text == "_" else text
+_fast_option = click.option(
+    "--fast", is_flag=True, help="Use the specialized algorithms; error if none applies."
+)
+
+#: Failures reported as ``error: ...`` with exit code 2 rather than a
+#: traceback; a recursion error comes from an expression nested too deeply.
+_ERRORS = (PrxError, ValueError, RecursionError, OSError)
+
+
+def _echo(text: str, err: bool = False, nl: bool = True) -> None:
+    """``click.echo`` to the current stdout (or stderr).
+
+    The stream is looked up on every call: click's default output caches a
+    wrapper per stream object that keeps the stream alive, so a stream an
+    in-process caller swaps in for one call would never be freed.
+    """
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout"), nl=nl)
 
 
 def _emit(report: DecisionReport, cfg: CliConfig) -> int:
     if cfg.output == "json":
-        click.echo(json.dumps(report.to_json()))
+        _echo(json.dumps(report.to_json()))
     else:
-        click.echo("true" if report.answer else "false")
+        _echo("true" if report.answer else "false")
         if cfg.witness:
             if report.witness is not None:
-                click.echo(report.witness or "_")
+                _echo(report.witness or "_")
             if report.valuation is not None:
-                click.echo(",".join(f"{k}={v or '_'}" for k, v in report.valuation.items()))
+                _echo(",".join(f"{k}={v or '_'}" for k, v in report.valuation.items()))
     return 0 if report.answer else 1
 
 
 def _fail(message: str) -> "sys.NoReturn":
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(2)
+
+
+def _decide(raw: dict, texts: list[str], decide: Callable[..., DecisionReport]) -> "sys.NoReturn":
+    """Run one decision command: settings, expressions, decision, report.
+
+    ``decide(cfg, *exprs)`` gets the expressions parsed in order; the exit
+    code is 0 for true, 1 for false and 2 on any error.
+    """
+    try:
+        cfg = CliConfig.build(**raw)
+        exprs = [parse(text, cfg.alphabet) for text in texts]
+        report = decide(cfg, *exprs)
+    except _ERRORS as err:
+        _fail(str(err))
+    sys.exit(_emit(report, cfg))
 
 
 @click.group()
@@ -187,28 +226,20 @@ def main():
 @click.option("--expr", required=True, help="The parameterized expression.")
 @click.option("--word", required=True, help="The word to test (_ for the empty word).")
 @_decision_options
-def member(expr, word, **raw):
+@_fast_option
+def member(expr, word, fast, **raw):
     """Is the word in the expression's language?"""
-    fast = raw.pop("fast")
-    try:
-        cfg = CliConfig.build(**raw)
-        e = parse(expr, cfg.alphabet)
-        w = _word_arg(word)
+
+    def decide(cfg: CliConfig, e: ParamRegex) -> DecisionReport:
+        w = "" if word == "_" else word
         if fast:
-            report = _member_fast(e, w, cfg)
-        elif cfg.domains is not None:
-            report = decide_domains(
-                "membership", e, cfg.domains, cfg.alphabet, cfg.semantics, w=w,
-                valuation_cap=cfg.valuation_cap, word_cap=cfg.word_cap, state_cap=cfg.state_cap,
-            )
-        else:
-            report = membership(
-                e, w, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap,
-            )
-    except (PrxError, ValueError) as err:
-        _fail(str(err))
-    sys.exit(_emit(report, cfg))
+            return _member_fast(e, w, cfg)
+        return membership(
+            e, w, cfg.alphabet, cfg.semantics, cfg.valuation_cap,
+            domains=cfg.domains, word_cap=cfg.word_cap,
+        )
+
+    _decide(raw, [expr], decide)
 
 
 def _member_fast(e: ParamRegex, w: str, cfg: CliConfig) -> DecisionReport:
@@ -225,32 +256,21 @@ def _member_fast(e: ParamRegex, w: str, cfg: CliConfig) -> DecisionReport:
 @main.command()
 @click.option("--expr", required=True, help="The parameterized expression.")
 @_decision_options
-def nonempty(expr, **raw):
+@_fast_option
+def nonempty(expr, fast, **raw):
     """Does the expression's language contain any word?"""
-    fast = raw.pop("fast")
-    try:
-        cfg = CliConfig.build(**raw)
-        e = parse(expr, cfg.alphabet)
-        if fast:
-            if cfg.domains is not None:
-                raise PrxError("--fast supports the base semantics only, not --domains")
-            if cfg.semantics is not BOX:
-                raise PrxError("no fast path: the general diamond check is already linear")
-            answer, witness = nonemptiness_box_sh0(e, cfg.alphabet, word_cap=cfg.word_cap)
-            report = DecisionReport(answer=answer, witness=witness)
-        elif cfg.domains is not None:
-            report = decide_domains(
-                "nonemptiness", e, cfg.domains, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, word_cap=cfg.word_cap, state_cap=cfg.state_cap,
-            )
-        else:
-            report = nonemptiness(
-                e, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap,
-            )
-    except (PrxError, ValueError) as err:
-        _fail(str(err))
-    sys.exit(_emit(report, cfg))
+
+    def decide(cfg: CliConfig, e: ParamRegex) -> DecisionReport:
+        if not fast:
+            return nonemptiness(e, cfg.alphabet, cfg.semantics, **cfg.limits)
+        if cfg.domains is not None:
+            raise PrxError("--fast supports the base semantics only, not --domains")
+        if cfg.semantics is not BOX:
+            raise PrxError("no fast path: the general diamond check is already linear")
+        answer, witness = nonemptiness_box_sh0(e, cfg.alphabet, word_cap=cfg.word_cap)
+        return DecisionReport(answer=answer, witness=witness)
+
+    _decide(raw, [expr], decide)
 
 
 @main.command()
@@ -258,25 +278,8 @@ def nonempty(expr, **raw):
 @_decision_options
 def universal(expr, **raw):
     """Does the expression's language contain every word?"""
-    fast = raw.pop("fast")
-    try:
-        cfg = CliConfig.build(**raw)
-        e = parse(expr, cfg.alphabet)
-        if fast:
-            raise PrxError("no fast path for universality")
-        if cfg.domains is not None:
-            report = decide_domains(
-                "universality", e, cfg.domains, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, word_cap=cfg.word_cap, state_cap=cfg.state_cap,
-            )
-        else:
-            report = universality(
-                e, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap,
-            )
-    except (PrxError, ValueError) as err:
-        _fail(str(err))
-    sys.exit(_emit(report, cfg))
+    _decide(raw, [expr], lambda cfg, e: universality(
+        e, cfg.alphabet, cfg.semantics, **cfg.limits))
 
 
 @main.command()
@@ -285,26 +288,8 @@ def universal(expr, **raw):
 @_decision_options
 def contains(lhs, rhs, **raw):
     """Is the left language contained in the right one?"""
-    fast = raw.pop("fast")
-    try:
-        cfg = CliConfig.build(**raw)
-        e1 = parse(lhs, cfg.alphabet)
-        e2 = parse(rhs, cfg.alphabet)
-        if fast:
-            raise PrxError("no fast path for containment")
-        if cfg.domains is not None:
-            report = decide_domains(
-                "containment", e1, cfg.domains, cfg.alphabet, cfg.semantics, e2=e2,
-                valuation_cap=cfg.valuation_cap, word_cap=cfg.word_cap, state_cap=cfg.state_cap,
-            )
-        else:
-            report = containment(
-                e1, e2, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap,
-            )
-    except (PrxError, ValueError) as err:
-        _fail(str(err))
-    sys.exit(_emit(report, cfg))
+    _decide(raw, [lhs, rhs], lambda cfg, e1, e2: containment(
+        e1, e2, cfg.alphabet, cfg.semantics, **cfg.limits))
 
 
 @main.command()
@@ -313,26 +298,8 @@ def contains(lhs, rhs, **raw):
 @_decision_options
 def intersect(expr, regular, **raw):
     """Does the expression's language intersect the regular language?"""
-    fast = raw.pop("fast")
-    try:
-        cfg = CliConfig.build(**raw)
-        e = parse(expr, cfg.alphabet)
-        r = parse(regular, cfg.alphabet)
-        if fast:
-            raise PrxError("no fast path for regular intersection")
-        if cfg.domains is not None:
-            report = decide_domains(
-                "nonempty_int_reg", e, cfg.domains, cfg.alphabet, cfg.semantics, r=r,
-                valuation_cap=cfg.valuation_cap, word_cap=cfg.word_cap, state_cap=cfg.state_cap,
-            )
-        else:
-            report = nonempty_int_reg(
-                e, r, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap,
-            )
-    except (PrxError, ValueError) as err:
-        _fail(str(err))
-    sys.exit(_emit(report, cfg))
+    _decide(raw, [expr, regular], lambda cfg, e, r: nonempty_int_reg(
+        e, r, cfg.alphabet, cfg.semantics, **cfg.limits))
 
 
 @main.command(name="build-nfa")
@@ -350,30 +317,18 @@ def intersect(expr, regular, **raw):
 @_decision_options
 def build_nfa(expr, fmt, out, **raw):
     """Construct the variable-free NFA for the chosen semantics."""
-    fast = raw.pop("fast")
     try:
         cfg = CliConfig.build(**raw)
         e = parse(expr, cfg.alphabet)
-        if fast:
-            raise PrxError("no fast path for NFA construction")
-        if cfg.domains is not None:
-            a = construct_nfa_domains(
-                e, cfg.domains, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, word_cap=cfg.word_cap, state_cap=cfg.state_cap,
-            )
-        else:
-            a = construct_nfa(
-                e, cfg.alphabet, cfg.semantics,
-                valuation_cap=cfg.valuation_cap, state_cap=cfg.state_cap,
-            )
+        a = construct_nfa(e, cfg.alphabet, cfg.semantics, **cfg.limits)
         text = export_dot(a) if fmt == "dot" else json.dumps(nfa_to_json(a), indent=2)
-    except (PrxError, ValueError) as err:
+        if out is not None:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        else:
+            _echo(text)
+    except _ERRORS as err:
         _fail(str(err))
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        click.echo(text)
     sys.exit(0)
 
 
@@ -393,9 +348,9 @@ def family(kind, n):
     }
     try:
         expr = builders[kind](n)
-    except (PrxError, ValueError) as err:
+    except _ERRORS as err:
         _fail(str(err))
-    click.echo(print_regex(expr))
+    _echo(print_regex(expr))
     sys.exit(0)
 
 
@@ -425,15 +380,14 @@ def _fooling_oracle(kind: str, n: int):
 def generate(kind, n, out):
     """Emit the fooling pairs as tab-separated words (_ for the empty word)."""
     try:
-        pairs = _fooling_pairs(kind, n)
-    except (PrxError, ValueError) as err:
+        text = _fooling_pairs(kind, n).to_tsv()
+        if out is not None:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _echo(text, nl=False)
+    except _ERRORS as err:
         _fail(str(err))
-    text = pairs.to_tsv()
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
     sys.exit(0)
 
 
@@ -451,12 +405,12 @@ def verify(kind, n, pairs_file):
         else:
             pairs = _fooling_pairs(kind, n)
         verified, bound, violation = verify_fooling_set(pairs, _fooling_oracle(kind, n))
-    except (PrxError, ValueError) as err:
+    except _ERRORS as err:
         _fail(str(err))
     if verified:
-        click.echo(f"verified: every NFA for this language needs at least {bound} states")
+        _echo(f"verified: every NFA for this language needs at least {bound} states")
         sys.exit(0)
-    click.echo(f"not verified: {violation}")
+    _echo(f"not verified: {violation}")
     sys.exit(1)
 
 

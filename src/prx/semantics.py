@@ -2,24 +2,27 @@
 
 The certainty language of an expression is the intersection of the languages
 of all its substitution instances; the possibility language is their union.
-Membership simulates the variable-labelled automaton once over the word,
-carrying a set of valuations per state, so it never builds an instance.  The
-other problems enumerate valuations in the fixed deterministic order and
-check, union, or intersect the substituted automata.  Either way a reported
-valuation is the first one in enumeration order.  Nothing is approximated:
-caps make the exponential cases fail loudly instead.
+Variables range over the letters, or over the words of per-variable regular
+domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
+and decides both the same way.  Membership simulates the variable-labelled
+automaton once over the word, carrying a set of valuations per state, so it
+never builds an instance.  The other problems enumerate valuations in the
+fixed deterministic order and check, union, or intersect the substituted
+automata.  Either way a reported valuation is the first one in enumeration
+order.  Nothing is approximated: caps make the exponential cases fail loudly
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
     Nfa,
     VarLabel,
-    accepts,
     complement,
     determinize,
     dfa_to_nfa,
@@ -38,16 +41,16 @@ from .valuations import (
     DEFAULT_VALUATION_CAP,
     DEFAULT_WORD_CAP,
     DomainSpec,
-    FinitaryValuation,
     Valuation,
     apply_finitary,
     apply_to_nfa,
     apply_to_regex,
-    enumerate_finitary_valuations,
+    domain_choices,
     enumerate_valuations,
-    enumerate_word_valuations,
+    letter_choices,
     letter_masks,
     valuation_at,
+    valuations_from,
 )
 
 
@@ -94,8 +97,95 @@ def _compiled(e: ParamRegex, alphabet: Alphabet) -> Nfa:
     return remove_epsilon(regex_to_nfa(e, alphabet))
 
 
+def _check_spec_covers(spec: DomainSpec, *exprs: ParamRegex) -> None:
+    for e in exprs:
+        missing = [name for name in variables(e) if name not in spec]
+        if missing:
+            raise PrxError(f"no domain declared for variable(s): {', '.join(missing)}")
+
+
+# ---------------------------------------------------------------------------
+# Valuations and instances
+
+
+def _valuation_space(
+    e: ParamRegex,
+    alphabet: Alphabet,
+    sem: Semantics,
+    domains: DomainSpec | None,
+    route: str,
+    valuation_cap: int,
+    word_cap: int,
+) -> tuple[str, dict[str, Sequence[str]]]:
+    """The route the instances come from, and the images of each variable.
+
+    Without domains every variable ranges over the letters ("letters").
+    With all domains finite, total word valuations are enumerated
+    ("enumerate").  With an infinite domain the certainty language is still
+    regular: it is the intersection over the finitary valuations, which
+    leave the infinite-domain variables undefined and drop their
+    transitions ("finitary").  The possibility language over an infinite
+    domain may be nonregular, so that combination is refused.  ``route``
+    "auto" picks by finiteness; "enumerate" or "finitary" forces one, so
+    that their agreement is testable.
+    """
+    if domains is None:
+        if route != "auto":
+            raise ValueError("a route applies to regular domains only")
+        return "letters", letter_choices(variables(e), alphabet, valuation_cap)
+    _check_spec_covers(domains, e)
+    if route not in ("auto", "enumerate", "finitary"):
+        raise ValueError(f"unknown route {route!r}")
+    all_finite = not domains.infinite_variables()
+    if sem is DIAMOND and not all_finite:
+        raise DomainNotFinite(
+            "the possibility language over an infinite domain need not be regular"
+        )
+    if route == "enumerate" and not all_finite:
+        raise DomainNotFinite("the enumerate route requires all domains finite")
+    if route == "auto":
+        route = "enumerate" if all_finite else "finitary"
+    return route, domain_choices(domains, valuation_cap, word_cap, finitary=route == "finitary")
+
+
+def _instances(
+    e: ParamRegex, alphabet: Alphabet, route: str, choices: dict[str, Sequence[str]]
+) -> Iterator[Nfa]:
+    """The substituted automata, one per valuation, in enumeration order."""
+    if route == "enumerate":
+        for nu in valuations_from(choices):
+            yield remove_epsilon(regex_to_nfa(apply_to_regex(nu, e), alphabet))
+        return
+    base = _compiled(e, alphabet)
+    for nu in valuations_from(choices):
+        if route == "letters":
+            yield apply_to_nfa(nu, base)
+        else:
+            yield remove_epsilon(expand_extended(apply_finitary(nu, base)))
+
+
 # ---------------------------------------------------------------------------
 # CONSTRUCT
+
+
+def _construct(
+    e: ParamRegex,
+    alphabet: Alphabet,
+    sem: Semantics,
+    domains: DomainSpec | None,
+    route: str,
+    valuation_cap: int,
+    state_cap: int,
+    word_cap: int,
+) -> tuple[Nfa, int]:
+    """The combined automaton and the number of instances combined."""
+    route, choices = _valuation_space(
+        e, alphabet, sem, domains, route, valuation_cap, word_cap
+    )
+    instances = list(_instances(e, alphabet, route, choices))
+    if sem is DIAMOND:
+        return union_all(instances, alphabet), len(instances)
+    return product_all(instances, state_cap), len(instances)
 
 
 def construct_nfa(
@@ -104,21 +194,21 @@ def construct_nfa(
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
+    domains: DomainSpec | None = None,
+    route: str = "auto",
+    word_cap: int = DEFAULT_WORD_CAP,
 ) -> Nfa:
     """Variable-free NFA for the certainty/possibility language.
 
     Possibility: nondeterministic union over all substituted automata.
     Certainty: determinized synchronized product over all of them (with
-    duplicate components collapsed and dead tuples pruned).
+    duplicate components collapsed and dead tuples pruned).  With
+    ``domains`` the variables range over their regular domains; ``route``
+    then picks how the instances are made (see :func:`_valuation_space`).
     """
-    base = _compiled(e, alphabet)
-    instances = [
-        apply_to_nfa(nu, base)
-        for nu in enumerate_valuations(variables(e), alphabet, valuation_cap)
-    ]
-    if sem is DIAMOND:
-        return union_all(instances, alphabet)
-    return product_all(instances, state_cap)
+    return _construct(
+        e, alphabet, sem, domains, route, valuation_cap, state_cap, word_cap
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,42 +221,74 @@ def membership(
     alphabet: Alphabet,
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
+    domains: DomainSpec | None = None,
+    word_cap: int = DEFAULT_WORD_CAP,
 ) -> DecisionReport:
     """Decide w ∈ L(e) under the chosen semantics in one pass over the word.
 
-    The variable-labelled automaton is simulated once, every state carrying
-    the set of valuations (a bitset, see :func:`letter_masks`) under which
-    it is reachable on the prefix read so far: a letter edge passes the set
-    on, an edge ``$x`` read on letter c keeps the valuations with x = c.
-    The sets on the final states hold the valuations that accept w.
-    Possibility needs one of them, certainty needs all; the reported
-    valuation is the first accepting (possibility) or rejecting (certainty)
-    one in enumeration order, and ``valuations`` counts the enumeration up
-    to it, or all of it when there is none.
+    The variable-labelled automaton is simulated once, every state at every
+    position carrying the set of valuations (a bitset, see
+    :func:`letter_masks`) under which it is reachable on the prefix read so
+    far: a letter edge passes the set on, an edge ``$x`` keeps, for each
+    image u of x that the word continues with, the valuations with x = u
+    and moves on by |u|.  Empty images are followed within a position, and
+    edges of variables a finitary valuation leaves undefined are dropped.
+    The sets on the final states at the end of the word hold the valuations
+    that accept w.  Possibility needs one of them, certainty needs all; the
+    reported valuation is the first accepting (possibility) or rejecting
+    (certainty) one in enumeration order, and ``valuations`` counts the
+    enumeration up to it, or all of it when there is none.
     """
     base = _compiled(e, alphabet)
-    names = variables(e)
-    total, masks = letter_masks(names, alphabet, valuation_cap)
+    _, choices = _valuation_space(
+        e, alphabet, sem, domains, "auto", valuation_cap, word_cap
+    )
+    total, masks = letter_masks(choices)
     # Every letter is checked here, also those after the run dies out.
     letter_ids = [alphabet.index(ch) for ch in w]
+    # Per variable, the valuations mapping it to each letter (in alphabet
+    # order: the masks themselves for letter valuations), to each longer
+    # image (by its first letter) and to the empty word.  A variable a
+    # finitary valuation leaves undefined maps to nothing.
+    to_letter, longer, empty = masks, {}, {}
+    if domains is not None:
+        to_letter = dict.fromkeys(domains.names, [0] * len(alphabet))
+        for name, images in choices.items():
+            by_image = dict(zip(images, masks[name]))
+            to_letter[name] = [by_image.pop(c, 0) for c in alphabet.letters]
+            for image, mask in by_image.items():
+                if image:
+                    longer.setdefault(name, {}).setdefault(image[0], []).append((image, mask))
+                else:
+                    empty[name] = mask
     adj = base.adjacency()
     full = (1 << total) - 1
     reach = {base.initial: full}
-    for ch, i in zip(w, letter_ids):
-        nxt: dict[int, int] = {}
+    later: dict[int, dict[int, int]] = {}  # arrivals after longer images
+    for pos, i in enumerate(letter_ids):
+        if empty:
+            _follow_empty_images(reach, adj, empty)
+        ch = w[pos]
+        ahead = later.pop(pos + 1, {})
         for q, have in reach.items():
             for label, dst in adj[q]:
                 if isinstance(label, VarLabel):
-                    keep = have & masks[label.name][i]
+                    keep = have & to_letter[label.name][i]
+                    if keep:
+                        ahead[dst] = ahead.get(dst, 0) | keep
+                    if longer and label.name in longer:
+                        for image, mask in longer[label.name].get(ch, ()):
+                            keep = have & mask
+                            if keep and w.startswith(image, pos):
+                                at = later.setdefault(pos + len(image), {})
+                                at[dst] = at.get(dst, 0) | keep
                 elif label == ch:
-                    keep = have
-                else:
-                    continue
-                if keep:
-                    nxt[dst] = nxt.get(dst, 0) | keep
-        reach = nxt
-        if not reach:
+                    ahead[dst] = ahead.get(dst, 0) | have
+        reach = ahead
+        if not reach and not later:
             break
+    if empty:
+        _follow_empty_images(reach, adj, empty)
     accepted = 0
     for q, have in reach.items():
         if q in base.finals:
@@ -180,17 +302,31 @@ def membership(
     index = (found & -found).bit_length() - 1
     return DecisionReport(
         answer=want,
-        valuation=valuation_at(names, alphabet, index).as_dict(),
+        valuation=valuation_at(choices, index).as_dict(),
         stats={"valuations": index + 1, "states": base.n_states},
     )
 
 
+def _follow_empty_images(
+    reach: dict[int, int], adj: dict[int, list], empty: dict[str, int]
+) -> None:
+    """Close one position's sets under the edges of variables whose image
+    is the empty word, to a fixpoint (the sets only grow)."""
+    work = list(reach)
+    while work:
+        q = work.pop()
+        have = reach[q]
+        for label, dst in adj[q]:
+            if isinstance(label, VarLabel) and label.name in empty:
+                old = reach.get(dst, 0)
+                grown = old | (have & empty[label.name])
+                if grown != old:
+                    reach[dst] = grown
+                    work.append(dst)
+
+
 # ---------------------------------------------------------------------------
 # NONEMPTINESS
-
-
-def _first_valuation(e: ParamRegex, alphabet: Alphabet) -> Valuation:
-    return Valuation({name: alphabet.letters[0] for name in variables(e)})
 
 
 def nonemptiness(
@@ -199,16 +335,19 @@ def nonemptiness(
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
+    domains: DomainSpec | None = None,
+    word_cap: int = DEFAULT_WORD_CAP,
 ) -> DecisionReport:
     """Is the certainty/possibility language nonempty?
 
-    Possibility-nonemptiness does not depend on the valuation chosen (a path
-    in one substituted automaton exists iff one exists in any other), so only
-    the first valuation is inspected — no cap applies.  Certainty runs the
-    full product and reports its shortest witness.
+    Over letters, possibility-nonemptiness does not depend on the valuation
+    chosen (a path in one substituted automaton exists iff one exists in any
+    other), so only the first valuation is inspected — no cap applies.
+    Everything else runs the full combination and reports its shortest
+    witness.
     """
-    if sem is DIAMOND:
-        nu = _first_valuation(e, alphabet)
+    if sem is DIAMOND and domains is None:
+        nu = Valuation(dict.fromkeys(variables(e), alphabet.letters[0]))
         instance = apply_to_nfa(nu, _compiled(e, alphabet))
         empty, witness = is_empty(instance)
         return DecisionReport(
@@ -217,13 +356,14 @@ def nonemptiness(
             valuation=nu.as_dict() if not empty else None,
             stats={"valuations": 1, "states": instance.n_states},
         )
-    prod = construct_nfa(e, alphabet, BOX, valuation_cap, state_cap)
-    empty, witness = is_empty(prod)
-    n_vals = len(alphabet) ** len(variables(e))
+    combined, n_vals = _construct(
+        e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
+    )
+    empty, witness = is_empty(combined)
     return DecisionReport(
         answer=not empty,
         witness=witness,
-        stats={"valuations": n_vals, "states": prod.n_states},
+        stats={"valuations": n_vals, "states": combined.n_states},
     )
 
 
@@ -237,15 +377,18 @@ def universality(
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
+    domains: DomainSpec | None = None,
+    word_cap: int = DEFAULT_WORD_CAP,
 ) -> DecisionReport:
     """Is every word over the alphabet in the language?
 
-    Certainty-universality holds iff every substituted instance is universal,
-    so instances are checked one valuation at a time up to the first that is
-    not; possibility determinizes the union automaton.  Counterexample words
-    come from the shortest-reject search and are therefore deterministic.
+    Over letters, certainty-universality holds iff every substituted
+    instance is universal, so instances are checked one valuation at a time
+    up to the first that is not.  Everything else determinizes the combined
+    automaton.  Counterexample words come from the shortest-reject search
+    and are therefore deterministic.
     """
-    if sem is BOX:
+    if sem is BOX and domains is None:
         base = _compiled(e, alphabet)
         count = 0
         for nu in enumerate_valuations(variables(e), alphabet, valuation_cap):
@@ -262,10 +405,11 @@ def universality(
         return DecisionReport(
             answer=True, stats={"valuations": count, "states": base.n_states}
         )
-    union = construct_nfa(e, alphabet, DIAMOND, valuation_cap, state_cap)
-    d = determinize(union, state_cap)
+    combined, n_vals = _construct(
+        e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
+    )
+    d = determinize(combined, state_cap)
     ok, cex = is_universal(d)
-    n_vals = len(alphabet) ** len(variables(e))
     return DecisionReport(
         answer=ok,
         witness=cex,
@@ -284,22 +428,26 @@ def containment(
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
+    domains: DomainSpec | None = None,
+    word_cap: int = DEFAULT_WORD_CAP,
 ) -> DecisionReport:
     """Is L(e1) ⊆ L(e2) under the chosen semantics?
 
     Decided as emptiness of L(e1) ∩ complement(L(e2)); when the containment
     fails, the shortest separating word is returned.
     """
-    lhs = construct_nfa(e1, alphabet, sem, valuation_cap, state_cap)
-    rhs = construct_nfa(e2, alphabet, sem, valuation_cap, state_cap)
+    if domains is not None:
+        _check_spec_covers(domains, e1, e2)
+    caps = (valuation_cap, state_cap, word_cap)
+    lhs, n_lhs = _construct(e1, alphabet, sem, domains, "auto", *caps)
+    rhs, n_rhs = _construct(e2, alphabet, sem, domains, "auto", *caps)
     rhs_complement = dfa_to_nfa(complement(determinize(rhs, state_cap)))
     gap = product(lhs, rhs_complement)
     empty, witness = is_empty(gap)
-    n_vals = len(alphabet) ** len(variables(e1)) + len(alphabet) ** len(variables(e2))
     return DecisionReport(
         answer=empty,
         witness=witness,
-        stats={"valuations": n_vals, "states": gap.n_states},
+        stats={"valuations": n_lhs + n_rhs, "states": gap.n_states},
     )
 
 
@@ -310,195 +458,22 @@ def nonempty_int_reg(
     sem: Semantics,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
+    domains: DomainSpec | None = None,
+    word_cap: int = DEFAULT_WORD_CAP,
 ) -> DecisionReport:
     """Does the certainty/possibility language intersect the regular language
     of the variable-free expression r?"""
+    if domains is not None:
+        _check_spec_covers(domains, e)
     if variables(r):
         raise PrxError("the regular constraint must be variable-free")
-    lhs = construct_nfa(e, alphabet, sem, valuation_cap, state_cap)
-    rhs = _compiled(r, alphabet)
-    inter = product(lhs, rhs)
+    lhs, n_vals = _construct(
+        e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
+    )
+    inter = product(lhs, _compiled(r, alphabet))
     empty, witness = is_empty(inter)
-    n_vals = len(alphabet) ** len(variables(e))
     return DecisionReport(
         answer=not empty,
         witness=witness,
         stats={"valuations": n_vals, "states": inter.n_states},
     )
-
-
-# ---------------------------------------------------------------------------
-# Regular domains
-
-
-def _domain_components_finite(
-    e: ParamRegex,
-    spec: DomainSpec,
-    alphabet: Alphabet,
-    valuation_cap: int,
-    word_cap: int,
-) -> tuple[list[Nfa], list[Valuation]]:
-    vals = list(enumerate_word_valuations(spec, valuation_cap, word_cap))
-    nfas = [
-        remove_epsilon(regex_to_nfa(apply_to_regex(nu, e), alphabet)) for nu in vals
-    ]
-    return nfas, vals
-
-
-def _domain_components_finitary(
-    e: ParamRegex,
-    spec: DomainSpec,
-    alphabet: Alphabet,
-    valuation_cap: int,
-    word_cap: int,
-) -> tuple[list[Nfa], list[FinitaryValuation]]:
-    base = _compiled(e, alphabet)
-    vals = list(enumerate_finitary_valuations(spec, valuation_cap, word_cap))
-    nfas = [
-        remove_epsilon(expand_extended(apply_finitary(nu, base))) for nu in vals
-    ]
-    return nfas, vals
-
-
-def _check_spec_covers(e: ParamRegex, spec: DomainSpec) -> None:
-    missing = [name for name in variables(e) if name not in spec]
-    if missing:
-        raise PrxError(f"no domain declared for variable(s): {', '.join(missing)}")
-
-
-def construct_nfa_domains(
-    e: ParamRegex,
-    spec: DomainSpec,
-    alphabet: Alphabet,
-    sem: Semantics,
-    route: str = "auto",
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
-    word_cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Nfa:
-    """Variable-free NFA for the language under per-variable regular domains.
-
-    With all domains finite, total word-valuations are enumerated and
-    combined exactly like the base construction ("enumerate" route).  With an
-    infinite domain, the certainty language is still regular and is obtained
-    by intersecting the expanded finitary reductions ("finitary" route); the
-    possibility language may be nonregular, so that combination is refused.
-
-    ``route`` forces "enumerate" or "finitary" (default "auto" picks by
-    finiteness); both routes are kept alive so their agreement is testable.
-    """
-    _check_spec_covers(e, spec)
-    if route not in ("auto", "enumerate", "finitary"):
-        raise ValueError(f"unknown route {route!r}")
-    all_finite = not spec.infinite_variables()
-    if sem is DIAMOND and not all_finite:
-        raise DomainNotFinite(
-            "the possibility language over an infinite domain need not be regular"
-        )
-    if route == "enumerate" and not all_finite:
-        raise DomainNotFinite("the enumerate route requires all domains finite")
-    if route == "auto":
-        route = "enumerate" if all_finite else "finitary"
-    if route == "enumerate":
-        nfas, _ = _domain_components_finite(e, spec, alphabet, valuation_cap, word_cap)
-    else:
-        nfas, _ = _domain_components_finitary(e, spec, alphabet, valuation_cap, word_cap)
-    if sem is DIAMOND:
-        return union_all(nfas, alphabet)
-    return product_all(nfas, state_cap)
-
-
-def decide_domains(
-    problem: str,
-    e: ParamRegex,
-    spec: DomainSpec,
-    alphabet: Alphabet,
-    sem: Semantics,
-    w: str | None = None,
-    r: ParamRegex | None = None,
-    e2: ParamRegex | None = None,
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
-    word_cap: int = DEFAULT_WORD_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> DecisionReport:
-    """The five decision problems lifted to regular domains.
-
-    ``problem`` is one of "membership", "nonemptiness", "universality",
-    "containment", "nonempty_int_reg".  Membership mirrors the base-case
-    strategy (per-valuation checks, reporting the witnessing/refuting
-    valuation); the others route through :func:`construct_nfa_domains`.
-    """
-    _check_spec_covers(e, spec)
-    all_finite = not spec.infinite_variables()
-
-    if problem == "membership":
-        if w is None:
-            raise ValueError("membership needs a word")
-        if all_finite:
-            nfas, vals = _domain_components_finite(e, spec, alphabet, valuation_cap, word_cap)
-        else:
-            if sem is DIAMOND:
-                raise DomainNotFinite(
-                    "the possibility language over an infinite domain need not be regular"
-                )
-            nfas, vals = _domain_components_finitary(e, spec, alphabet, valuation_cap, word_cap)
-        states = max((a.n_states for a in nfas), default=0)
-        want = sem is DIAMOND
-        for nu, a in zip(vals, nfas):
-            if accepts(a, w) == want:
-                return DecisionReport(
-                    answer=want,
-                    valuation=nu.as_dict(),
-                    stats={"valuations": len(vals), "states": states},
-                )
-        return DecisionReport(
-            answer=not want, stats={"valuations": len(vals), "states": states}
-        )
-
-    if problem == "nonemptiness":
-        a = construct_nfa_domains(
-            e, spec, alphabet, sem,
-            valuation_cap=valuation_cap, word_cap=word_cap, state_cap=state_cap,
-        )
-        empty, witness = is_empty(a)
-        return DecisionReport(answer=not empty, witness=witness, stats={"states": a.n_states})
-
-    if problem == "universality":
-        a = construct_nfa_domains(
-            e, spec, alphabet, sem,
-            valuation_cap=valuation_cap, word_cap=word_cap, state_cap=state_cap,
-        )
-        d = determinize(a, state_cap)
-        ok, cex = is_universal(d)
-        return DecisionReport(answer=ok, witness=cex, stats={"states": d.n_states})
-
-    if problem == "containment":
-        if e2 is None:
-            raise ValueError("containment needs a right-hand expression")
-        _check_spec_covers(e2, spec)
-        lhs = construct_nfa_domains(
-            e, spec, alphabet, sem,
-            valuation_cap=valuation_cap, word_cap=word_cap, state_cap=state_cap,
-        )
-        rhs = construct_nfa_domains(
-            e2, spec, alphabet, sem,
-            valuation_cap=valuation_cap, word_cap=word_cap, state_cap=state_cap,
-        )
-        gap = product(lhs, dfa_to_nfa(complement(determinize(rhs, state_cap))))
-        empty, witness = is_empty(gap)
-        return DecisionReport(answer=empty, witness=witness, stats={"states": gap.n_states})
-
-    if problem == "nonempty_int_reg":
-        if r is None:
-            raise ValueError("nonempty_int_reg needs a regular constraint")
-        if variables(r):
-            raise PrxError("the regular constraint must be variable-free")
-        a = construct_nfa_domains(
-            e, spec, alphabet, sem,
-            valuation_cap=valuation_cap, word_cap=word_cap, state_cap=state_cap,
-        )
-        inter = product(a, _compiled(r, alphabet))
-        empty, witness = is_empty(inter)
-        return DecisionReport(answer=not empty, witness=witness, stats={"states": inter.n_states})
-
-    raise ValueError(f"unknown problem {problem!r}")

@@ -4,14 +4,15 @@ A valuation maps every variable to a single letter (the base setting) or to
 a word from the variable's regular domain.  Enumeration orders are fixed —
 variable declaration order, then alphabet order, then shortlex — so that
 witnesses, counterexamples, and failures are reproducible run to run.  Sets
-of letter-valuations are bitsets over that order (:func:`letter_masks`).
+of valuations are bitsets over that order (:func:`letter_masks`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     EPSILON,
@@ -64,60 +65,53 @@ class Valuation:
         return dict(self._map)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Valuation) and self._map == other._map
+        return type(other) is type(self) and self._map == other._map
 
     def __hash__(self) -> int:
         return hash(frozenset(self._map.items()))
 
     def __repr__(self):
         inner = ", ".join(f"{k}->{v!r}" for k, v in self._map.items())
-        return f"Valuation({inner})"
+        return f"{type(self).__name__}({inner})"
 
 
-class FinitaryValuation:
+class FinitaryValuation(Valuation):
     """A partial valuation, defined exactly on the finite-domain variables."""
 
-    __slots__ = ("_map",)
-
-    def __init__(self, assignment: Mapping[str, str]):
-        self._map = dict(assignment)
+    __slots__ = ()
 
     def defined(self, name: str) -> bool:
-        return name in self._map
-
-    def __getitem__(self, name: str) -> str:
-        return self._map[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
-
-    def items(self):
-        return self._map.items()
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self._map)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinitaryValuation) and self._map == other._map
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}->{v!r}" for k, v in self._map.items())
-        return f"FinitaryValuation({inner})"
+        return name in self
 
 
 # ---------------------------------------------------------------------------
-# Enumeration (base setting)
+# Enumeration
 
 
-def _count_letter_valuations(
-    names: list[str], alphabet: Alphabet, valuation_cap: int
-) -> int:
-    total = len(alphabet) ** len(names)
+def _check_count(total: int, valuation_cap: int, what: str = "valuations") -> None:
     if total > valuation_cap:
-        raise CountCapExceeded(
-            f"{total} valuations exceed the cap of {valuation_cap}"
-        )
-    return total
+        raise CountCapExceeded(f"{total} {what} exceed the cap of {valuation_cap}")
+
+
+def letter_choices(
+    var_names: Iterable[str],
+    alphabet: Alphabet,
+    valuation_cap: int = DEFAULT_VALUATION_CAP,
+) -> dict[str, tuple[str, ...]]:
+    """The base setting's images: every letter for every variable, in
+    variable order; raises :class:`~prx.errors.CountCapExceeded` when the
+    |alphabet|^n valuations exceed ``valuation_cap``."""
+    names = list(var_names)
+    _check_count(len(alphabet) ** len(names), valuation_cap)
+    return dict.fromkeys(names, alphabet.letters)
+
+
+def valuations_from(choices: Mapping[str, Sequence[str]]) -> Iterator[Valuation]:
+    """Every total valuation picking one image per variable, lexicographic
+    by variable order then by image order; streamed, never materialized."""
+    names = list(choices)
+    for images in itertools.product(*choices.values()):
+        yield Valuation(dict(zip(names, images)))
 
 
 def enumerate_valuations(
@@ -127,10 +121,7 @@ def enumerate_valuations(
 ) -> Iterator[Valuation]:
     """All |alphabet|^n letter-valuations, lexicographic by variable order
     then alphabet order; streamed, never materialized."""
-    names = list(var_names)
-    _count_letter_valuations(names, alphabet, valuation_cap)
-    for images in itertools.product(alphabet.letters, repeat=len(names)):
-        yield Valuation(dict(zip(names, images)))
+    yield from valuations_from(letter_choices(var_names, alphabet, valuation_cap))
 
 
 def _tile(pattern: int, width: int, times: int) -> int:
@@ -150,46 +141,41 @@ def _tile(pattern: int, width: int, times: int) -> int:
 
 
 def letter_masks(
-    var_names: Iterable[str],
-    alphabet: Alphabet,
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
+    choices: Mapping[str, Sequence[str]],
 ) -> tuple[int, dict[str, tuple[int, ...]]]:
-    """Sets of letter-valuations as bitsets.
+    """Sets of valuations as bitsets.
 
     Bit i of a mask stands for the i-th valuation of
-    :func:`enumerate_valuations`: the first variable is the most significant
-    base-|alphabet| digit of i, letters count in alphabet order.  Returns the
-    number of valuations and, per variable, one mask per letter (alphabet
-    order) holding the valuations that map the variable to that letter.
-    Raises :class:`~prx.errors.CountCapExceeded` past ``valuation_cap``.
+    :func:`valuations_from`: i is read in mixed radix, the first variable
+    its most significant digit, each variable's digit counting its images
+    (letters, or domain words) in the order given.  Returns the number of
+    valuations and, per variable, one mask per image holding the
+    valuations that map the variable to that image.
     """
-    names = list(var_names)
-    total = _count_letter_valuations(names, alphabet, valuation_cap)
-    base = len(alphabet)
+    total = math.prod(len(images) for images in choices.values())
     masks: dict[str, tuple[int, ...]] = {}
     stride = total
-    for name in names:
-        period, stride = stride, stride // base
+    for name, images in choices.items():
+        period, stride = stride, stride // len(images)
         first = _tile((1 << stride) - 1, period, total // period)
-        masks[name] = tuple(first << (i * stride) for i in range(base))
+        masks[name] = tuple(first << (i * stride) for i in range(len(images)))
     return total, masks
 
 
-def valuation_at(var_names: Iterable[str], alphabet: Alphabet, index: int) -> Valuation:
-    """The ``index``-th (0-based) valuation of :func:`enumerate_valuations`."""
-    names = list(var_names)
-    images = []
-    for _ in names:
-        index, digit = divmod(index, len(alphabet))
-        images.append(alphabet.letters[digit])
-    return Valuation(dict(zip(names, reversed(images))))
+def valuation_at(choices: Mapping[str, Sequence[str]], index: int) -> Valuation:
+    """The ``index``-th (0-based) valuation of :func:`valuations_from`."""
+    picked = []
+    for name, images in reversed(choices.items()):
+        index, digit = divmod(index, len(images))
+        picked.append((name, images[digit]))
+    return Valuation(dict(reversed(picked)))
 
 
 # ---------------------------------------------------------------------------
 # Application
 
 
-def apply_to_regex(v: Valuation | FinitaryValuation, e: ParamRegex) -> ParamRegex:
+def apply_to_regex(v: Valuation, e: ParamRegex) -> ParamRegex:
     """Replace every variable by its image word; the result is variable-free.
 
     Multi-letter images become concatenations of letters, the empty-word
@@ -211,10 +197,16 @@ def apply_to_regex(v: Valuation | FinitaryValuation, e: ParamRegex) -> ParamRege
 def apply_to_nfa(v: Valuation, a: Nfa) -> Nfa:
     """Relabel variable transitions by their image letters (or word labels
     for longer images, epsilon for the empty word); states are untouched."""
+    return _relabel(v, a, drop_unbound=False)
+
+
+def _relabel(v: Valuation, a: Nfa, drop_unbound: bool) -> Nfa:
     transitions = []
     for src, label, dst in a.transitions:
         if isinstance(label, VarLabel):
             if label.name not in v:
+                if drop_unbound:
+                    continue
                 raise PrxError(f"valuation does not bind variable {label.name!r}")
             image = v[label.name]
             if image == "":
@@ -369,26 +361,44 @@ def enumerate_finite_domain(d: Nfa, word_cap: int = DEFAULT_WORD_CAP) -> list[st
     return sorted(words, key=lambda w: (len(w), tuple(alphabet.index(c) for c in w)))
 
 
+def domain_choices(
+    spec: DomainSpec,
+    valuation_cap: int = DEFAULT_VALUATION_CAP,
+    word_cap: int = DEFAULT_WORD_CAP,
+    finitary: bool = False,
+) -> dict[str, list[str]]:
+    """Each variable's domain words, shortlex, in variable order.
+
+    Total (the default): every variable, and an infinite domain is rejected.
+    Finitary: only the finite-domain variables, the infinite ones staying
+    undefined; with no finite domain at all there is exactly one, empty,
+    valuation.  Raises :class:`~prx.errors.CountCapExceeded` past
+    ``word_cap`` words in a domain or ``valuation_cap`` valuations.
+    """
+    names = spec.finite_variables() if finitary else spec.names
+    choices = {}
+    for name in names:
+        dom = spec.domain(name)
+        if not finitary and not domain_is_finite(dom):
+            raise DomainNotFinite(
+                f"variable {name!r} has an infinite domain; only finite domains "
+                "can be enumerated totally"
+            )
+        choices[name] = enumerate_finite_domain(dom, word_cap)
+    total = math.prod(len(words) for words in choices.values())
+    _check_count(total, valuation_cap, "finitary valuations" if finitary else "valuations")
+    return choices
+
+
 def enumerate_finitary_valuations(
     spec: DomainSpec,
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> Iterator[FinitaryValuation]:
     """Cartesian product over the finite-domain variables only (in variable
-    order, shortlex per variable); infinite-domain variables stay undefined.
-    With no finite domain at all there is exactly one, totally undefined,
-    finitary valuation."""
-    finite_names = spec.finite_variables()
-    choices = [enumerate_finite_domain(spec.domain(n), word_cap) for n in finite_names]
-    total = 1
-    for words in choices:
-        total *= len(words)
-    if total > valuation_cap:
-        raise CountCapExceeded(
-            f"{total} finitary valuations exceed the cap of {valuation_cap}"
-        )
-    for images in itertools.product(*choices):
-        yield FinitaryValuation(dict(zip(finite_names, images)))
+    order, shortlex per variable); infinite-domain variables stay undefined."""
+    for nu in valuations_from(domain_choices(spec, valuation_cap, word_cap, finitary=True)):
+        yield FinitaryValuation(nu.as_dict())
 
 
 def enumerate_word_valuations(
@@ -398,42 +408,11 @@ def enumerate_word_valuations(
 ) -> Iterator[Valuation]:
     """Total word-valuations for an all-finite spec (variable order, then
     shortlex per variable).  Rejects infinite domains."""
-    choices = []
-    for name in spec.names:
-        dom = spec.domain(name)
-        if not domain_is_finite(dom):
-            raise DomainNotFinite(
-                f"variable {name!r} has an infinite domain; only finite domains "
-                "can be enumerated totally"
-            )
-        choices.append(enumerate_finite_domain(dom, word_cap))
-    total = 1
-    for words in choices:
-        total *= len(words)
-    if total > valuation_cap:
-        raise CountCapExceeded(
-            f"{total} valuations exceed the cap of {valuation_cap}"
-        )
-    for images in itertools.product(*choices):
-        yield Valuation(dict(zip(spec.names, images)))
+    yield from valuations_from(domain_choices(spec, valuation_cap, word_cap))
 
 
-def apply_finitary(v: FinitaryValuation, a: Nfa) -> Nfa:
+def apply_finitary(v: Valuation, a: Nfa) -> Nfa:
     """Letter transitions kept; variable transitions substituted when the
     variable is defined and dropped when it is not (the reduced automaton
     composed with the finitary substitution)."""
-    transitions = []
-    for src, label, dst in a.transitions:
-        if isinstance(label, VarLabel):
-            if not v.defined(label.name):
-                continue
-            image = v[label.name]
-            if image == "":
-                transitions.append((src, EPSILON, dst))
-            elif len(image) == 1:
-                transitions.append((src, image, dst))
-            else:
-                transitions.append((src, WordLabel(image), dst))
-        else:
-            transitions.append((src, label, dst))
-    return Nfa(a.n_states, a.initial, a.finals, transitions, a.alphabet)
+    return _relabel(v, a, drop_unbound=True)

@@ -39,7 +39,6 @@ from prx.semantics import (
     BOX,
     DIAMOND,
     construct_nfa,
-    construct_nfa_domains,
     containment,
     membership,
     nonemptiness,
@@ -422,21 +421,21 @@ def test_criterion_6_domain_routes_consistency():
             if not expected:
                 break
 
-        built = construct_nfa_domains(e, spec, AB, BOX, route="finitary")
+        built = construct_nfa(e, AB, BOX, domains=spec, route="finitary")
         got = _nfa_language(built, words)
         assert got == (expected or frozenset())
         if checked % 10 == 0:
             assert oracles.nfa_bounded_language(built, AB, 6) == got
 
         if all_finite:
-            via_enumeration = construct_nfa_domains(e, spec, AB, BOX, route="enumerate")
+            via_enumeration = construct_nfa(e, AB, BOX, domains=spec, route="enumerate")
             assert _nfa_language(via_enumeration, words) == got
             dia = frozenset()
             for combo in itertools.product(*(word_lists[n] for n in names)):
                 dia |= oracles.bounded_language(
                     oracles.substitute(e, dict(zip(names, combo))), 6
                 )
-            union = construct_nfa_domains(e, spec, AB, DIAMOND)
+            union = construct_nfa(e, AB, DIAMOND, domains=spec)
             assert _nfa_language(union, words) == dia
         else:
             mixed += 1

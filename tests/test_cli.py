@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import subprocess
 import sys
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prx.cli import main
 from prx.semantics import BOX, DIAMOND, membership
@@ -210,6 +216,30 @@ class TestDomains:
         assert res.exit_code == 2
 
 
+    def test_json_stats_count_valuations_and_automaton_states(self, runner, tmp_path):
+        # Membership: valuations up to the reported one, states of the
+        # expression's automaton; the others: valuations combined, states
+        # of the automaton the answer was read from.
+        spec = tmp_path / "domains.json"
+        spec.write_text('{"x": "00|01"}')
+        res = invoke(runner, "member", "--alphabet", "01", "--semantics", "diamond",
+                     "--expr", "$x", "--word", "01", "--domains", str(spec),
+                     "--output", "json")
+        assert json.loads(res.output) == {
+            "answer": True, "witness": None, "valuation": {"x": "01"},
+            "stats": {"valuations": 2, "states": 2},
+        }
+        spec.write_text('{"y": "1|_", "x": "0*"}')
+        res = invoke(runner, "member", "--alphabet", "01", "--expr", "$x 1 $y",
+                     "--word", "1", "--domains", str(spec), "--output", "json")
+        assert json.loads(res.output)["valuation"] == {"y": ""}
+        assert json.loads(res.output)["stats"] == {"valuations": 1, "states": 6}
+        spec.write_text('{"x": "0|1"}')
+        res = invoke(runner, "nonempty", "--alphabet", "01", "--expr", "($x|_)1*",
+                     "--domains", str(spec), "--output", "json")
+        assert json.loads(res.output)["stats"] == {"valuations": 2, "states": 3}
+
+
 class TestBuildNfa:
     def test_dot_output(self, runner):
         res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", "diamond",
@@ -314,3 +344,97 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "true\n"
+
+
+class TestErrorsAndStreams:
+    @pytest.mark.parametrize("domains,args", [
+        (None, ["member", "--alphabet", "01", "--expr", "0{3000}", "--word", "0"]),
+        ('{"x": "0{3000}"}', ["member", "--alphabet", "01", "--expr", "$x", "--word", "0"]),
+        (None, ["build-nfa", "--alphabet", "01", "--expr", "$x",
+                "--out", "/nonexistent_dir/x.dot"]),
+    ])
+    def test_errors_exit_2_without_a_traceback(self, tmp_path, domains, args):
+        if domains is not None:
+            spec = tmp_path / "domains.json"
+            spec.write_text(domains)
+            args = args + ["--domains", str(spec)]
+        proc = subprocess.run([sys.executable, "-m", "prx.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command,args", [
+        ("universal", ["--expr", "$x"]),
+        ("contains", ["--lhs", "$x", "--rhs", "$x"]),
+        ("intersect", ["--expr", "$x", "--regular", "0"]),
+        ("build-nfa", ["--expr", "$x"]),
+    ])
+    def test_fast_is_an_option_of_member_and_nonempty_only(self, runner, command, args):
+        res = invoke(runner, command, "--alphabet", "01", *args, "--fast")
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+    def test_in_process_calls_keep_no_captured_stream(self):
+        refs = []
+        for args in (["member", "--alphabet", "01", "--expr", "$x", "--word", "0"],
+                     ["member", "--alphabet", "01", "--expr", "(", "--word", "0"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit):
+                main(args, standalone_mode=False)
+            assert out.getvalue() or err.getvalue()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+
+
+_TOKENS = ["0", "1", "2", "$x", "$y", "(", ")", "|", "*", "_", "{2}"]
+# Well-formed expressions most of the time, token soup otherwise.
+_wellformed = st.recursive(
+    st.sampled_from(["0", "1", "2", "$x", "$y", "_"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map(lambda pair: f"({pair[0]}|{pair[1]})"),
+        inner.map(lambda text: f"({text})*"),
+        inner.map(lambda text: f"({text}){{2}}"),
+    ),
+    max_leaves=5,
+)
+_texts = st.one_of(
+    _wellformed, st.lists(st.sampled_from(_TOKENS), max_size=8).map("".join)
+).filter(lambda text: len(text) <= 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["member", "nonempty", "universal", "contains", "intersect",
+                             "build-nfa"]),
+    semantics=st.sampled_from(["box", "diamond"]),
+    letters=st.sampled_from(["01", "012"]),
+    first=_texts,
+    second=_texts,
+    word=st.text(alphabet="012", max_size=6),
+    fast=st.booleans(),
+    witness=st.booleans(),
+)
+def test_cli_exits_0_1_or_2_and_never_with_a_traceback(
+    command, semantics, letters, first, second, word, fast, witness
+):
+    args = [command, "--alphabet", letters, "--semantics", semantics]
+    if command == "member":
+        args += ["--expr", first, "--word", word or "_"]
+    elif command == "contains":
+        args += ["--lhs", first, "--rhs", second]
+    elif command == "intersect":
+        args += ["--expr", first, "--regular", second]
+    else:
+        args += ["--expr", first]
+    if fast and command in ("member", "nonempty"):
+        args.append("--fast")
+    if witness:
+        args.append("--witness")
+    # An exception that escapes the command fails the test with its traceback.
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code in (0, 1, 2)
+    assert "Traceback" not in res.stderr

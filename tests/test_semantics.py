@@ -15,15 +15,13 @@ from prx.semantics import (
     DecisionReport,
     Semantics,
     construct_nfa,
-    construct_nfa_domains,
     containment,
-    decide_domains,
     membership,
     nonemptiness,
     nonempty_int_reg,
     universality,
 )
-from prx.syntax import Alphabet, parse, variables
+from prx.syntax import Alphabet, Concat, EmptySet, Star, Union, Var, parse, variables
 from prx.valuations import (
     DomainSpec,
     Valuation,
@@ -389,20 +387,20 @@ class TestConstructNfaDomains:
     def test_two_word_domain(self):
         e = parse("$x", AB)
         spec = DomainSpec.from_json({"x": "00|01"}, AB)
-        assert nfa_language(construct_nfa_domains(e, spec, AB, BOX), 4) == set()
-        assert nfa_language(construct_nfa_domains(e, spec, AB, DIAMOND), 4) == {"00", "01"}
+        assert nfa_language(construct_nfa(e, AB, BOX, domains=spec), 4) == set()
+        assert nfa_language(construct_nfa(e, AB, DIAMOND, domains=spec), 4) == {"00", "01"}
 
     def test_infinite_domain_box(self):
         e = parse("($x|_)1*", AB)
         spec = DomainSpec.from_json({"x": "0*"}, AB)
-        got = nfa_language(construct_nfa_domains(e, spec, AB, BOX), 5)
+        got = nfa_language(construct_nfa(e, AB, BOX, domains=spec), 5)
         assert got == {"1" * k for k in range(6)}
 
     def test_infinite_domain_diamond_refused(self):
         e = parse("$x", AB)
         spec = DomainSpec.from_json({"x": "0*"}, AB)
         with pytest.raises(DomainNotFinite):
-            construct_nfa_domains(e, spec, AB, DIAMOND)
+            construct_nfa(e, AB, DIAMOND, domains=spec)
 
     def test_full_alphabet_domains_match_base(self):
         rng = random.Random(4110)
@@ -410,14 +408,14 @@ class TestConstructNfaDomains:
             e = oracles.random_expr(rng, AB, ("x", "y"), budget=7)
             spec = DomainSpec.from_json({n: "0|1" for n in variables(e)}, AB)
             for sem in (BOX, DIAMOND):
-                a = construct_nfa_domains(e, spec, AB, sem)
+                a = construct_nfa(e, AB, sem, domains=spec)
                 b = construct_nfa(e, AB, sem)
                 assert nfa_language(a, 5) == nfa_language(b, 5)
 
     def test_mixed_finite_and_infinite(self):
         e = parse("($x|$y|_)1*", AB)
         spec = DomainSpec.from_json({"x": "0|1", "y": "0 0*"}, AB)
-        got = nfa_language(construct_nfa_domains(e, spec, AB, BOX), 4)
+        got = nfa_language(construct_nfa(e, AB, BOX, domains=spec), 4)
         assert got == {"1" * k for k in range(5)}
 
     def test_routes_agree_on_finite_specs(self):
@@ -427,21 +425,21 @@ class TestConstructNfaDomains:
             spec = DomainSpec.from_json(
                 {n: "0|1|00" for n in variables(e)}, AB
             )
-            via_enum = construct_nfa_domains(e, spec, AB, BOX, route="enumerate")
-            via_fin = construct_nfa_domains(e, spec, AB, BOX, route="finitary")
+            via_enum = construct_nfa(e, AB, BOX, domains=spec, route="enumerate")
+            via_fin = construct_nfa(e, AB, BOX, domains=spec, route="finitary")
             assert nfa_language(via_enum, 5) == nfa_language(via_fin, 5)
 
     def test_enumerate_route_requires_finite(self):
         e = parse("$x", AB)
         spec = DomainSpec.from_json({"x": "1*"}, AB)
         with pytest.raises(DomainNotFinite):
-            construct_nfa_domains(e, spec, AB, BOX, route="enumerate")
+            construct_nfa(e, AB, BOX, domains=spec, route="enumerate")
 
     def test_missing_domain_rejected(self):
         e = parse("$x$y", AB)
         spec = DomainSpec.from_json({"x": "0"}, AB)
         with pytest.raises(PrxError):
-            construct_nfa_domains(e, spec, AB, BOX)
+            construct_nfa(e, AB, BOX, domains=spec)
 
     def test_domain_intersection_oracle(self):
         # Certainty under finite domains agrees with explicit intersection
@@ -457,53 +455,53 @@ class TestConstructNfaDomains:
             ]
             want_box = set(frozenset.intersection(*langs)) if langs else set()
             want_dia = set(frozenset.union(*langs)) if langs else set()
-            assert nfa_language(construct_nfa_domains(e, spec, AB, BOX), 4) == want_box
-            assert nfa_language(construct_nfa_domains(e, spec, AB, DIAMOND), 4) == want_dia
+            assert nfa_language(construct_nfa(e, AB, BOX, domains=spec), 4) == want_box
+            assert nfa_language(construct_nfa(e, AB, DIAMOND, domains=spec), 4) == want_dia
 
 
 class TestDecideDomains:
     def test_membership_box_infinite_false(self):
         e = parse("$x 1", AB)
         spec = DomainSpec.from_json({"x": "0*"}, AB)
-        rep = decide_domains("membership", e, spec, AB, BOX, w="01")
+        rep = membership(e, "01", AB, BOX, domains=spec)
         assert rep.answer is False
 
     def test_membership_diamond_two_words(self):
         e = parse("$x", AB)
         spec = DomainSpec.from_json({"x": "00|01"}, AB)
-        rep = decide_domains("membership", e, spec, AB, DIAMOND, w="01")
+        rep = membership(e, "01", AB, DIAMOND, domains=spec)
         assert rep.answer is True
         assert rep.valuation == {"x": "01"}
 
     def test_nonemptiness_epsilon_witness(self):
         e = parse("($x|_)1*", AB)
         spec = DomainSpec.from_json({"x": "0*"}, AB)
-        rep = decide_domains("nonemptiness", e, spec, AB, BOX)
+        rep = nonemptiness(e, AB, BOX, domains=spec)
         assert rep.answer is True
         assert rep.witness == ""
 
     def test_universality(self):
         e = parse("($x|_)(0|1)*", AB)
         spec = DomainSpec.from_json({"x": "0|1"}, AB)
-        rep = decide_domains("universality", e, spec, AB, DIAMOND)
+        rep = universality(e, AB, DIAMOND, domains=spec)
         assert rep.answer is True
-        rep = decide_domains("universality", e, spec, AB, BOX)
+        rep = universality(e, AB, BOX, domains=spec)
         assert rep.answer is True  # epsilon branch makes every instance universal
 
     def test_containment(self):
         e1 = parse("$x", AB)
         e2 = parse("$x|$x$x", AB)
         spec = DomainSpec.from_json({"x": "0|1"}, AB)
-        rep = decide_domains("containment", e1, spec, AB, DIAMOND, e2=e2)
+        rep = containment(e1, e2, AB, DIAMOND, domains=spec)
         assert rep.answer is True
-        rep = decide_domains("containment", e2, spec, AB, DIAMOND, e2=e1)
+        rep = containment(e2, e1, AB, DIAMOND, domains=spec)
         assert rep.answer is False
         assert rep.witness in {"00", "11"}
 
     def test_nonempty_int_reg(self):
         e = parse("($x|_)1*", AB)
         spec = DomainSpec.from_json({"x": "0*"}, AB)
-        rep = decide_domains("nonempty_int_reg", e, spec, AB, BOX, r=parse("11*", AB))
+        rep = nonempty_int_reg(e, parse("11*", AB), AB, BOX, domains=spec)
         assert rep.answer is True
         assert rep.witness == "1"
 
@@ -513,15 +511,107 @@ class TestDecideDomains:
             e = oracles.random_expr(rng, AB, ("x", "y"), budget=6)
             spec = DomainSpec.from_json({n: "_|0|10" for n in variables(e)}, AB)
             for sem in (BOX, DIAMOND):
-                a = construct_nfa_domains(e, spec, AB, sem)
+                a = construct_nfa(e, AB, sem, domains=spec)
                 for w in oracles.all_words(AB, 3):
-                    rep = decide_domains("membership", e, spec, AB, sem, w=w)
+                    rep = membership(e, w, AB, sem, domains=spec)
                     assert rep.answer == accepts(a, w)
 
-    def test_unknown_problem(self):
+    def test_unknown_route(self):
         spec = DomainSpec.from_json({"x": "0"}, AB)
         with pytest.raises(ValueError):
-            decide_domains("minimization", parse("$x", AB), spec, AB, BOX)
+            construct_nfa(parse("$x", AB), AB, BOX, domains=spec, route="minimization")
+
+
+def finitary_reduct(e, nu):
+    """e with the variables nu defines replaced by their images and the
+    others by the empty set (a finitary valuation's reduced instance)."""
+    if isinstance(e, Var):
+        return oracles.substitute(e, nu) if e.name in nu else EmptySet()
+    if isinstance(e, Concat):
+        return Concat(finitary_reduct(e.left, nu), finitary_reduct(e.right, nu))
+    if isinstance(e, Union):
+        return Union(finitary_reduct(e.left, nu), finitary_reduct(e.right, nu))
+    if isinstance(e, Star):
+        return Star(finitary_reduct(e.inner, nu))
+    return e
+
+
+def domain_scan_outcome(e, w, choices, box):
+    """scan_outcome over explicit image lists, variables in the given order
+    (the oracle side of domain membership)."""
+    count = 0
+    for images in itertools.product(*choices.values()):
+        count += 1
+        nu = dict(zip(choices, images))
+        if oracles.matches(finitary_reduct(e, nu), w) != box:
+            return not box, nu, count
+    return box, None, count
+
+
+WORD_LISTS = (["0", "1"], ["", "0", "11"], ["10"], [""], ["01", "1", "000"], ["", "1"])
+INFINITE_DOMAINS = ("0*", "1 0*", "(01)*", "(0|1)*")
+
+
+def random_domain_case(rng, infinite):
+    """An expression, a spec over its variables in shuffled order (plus,
+    sometimes, a variable it never uses), the image lists of the finite
+    domains in shortlex order, and words to test."""
+    e = oracles.random_expr(rng, AB, ("x", "y", "z"), budget=rng.randint(2, 9), var_prob=0.45)
+    names = list(variables(e))
+    if rng.random() < 0.4:
+        names.append("u")
+    rng.shuffle(names)
+    mapping, choices = {}, {}
+    for name in names:
+        if infinite and rng.random() < 0.5:
+            mapping[name] = rng.choice(INFINITE_DOMAINS)
+            continue
+        words = rng.choice(WORD_LISTS)
+        mapping[name] = "|".join(u or "_" for u in rng.sample(words, len(words)))
+        choices[name] = sorted(words, key=lambda u: oracles.shortlex_key(u, AB))
+    spec = DomainSpec.from_json(mapping, AB)
+    # Half the words come from one instance's language, so that certainty
+    # holds now and then.
+    nu = {n: rng.choice(ws) for n, ws in choices.items()}
+    instance = sorted(oracles.bounded_language(finitary_reduct(e, nu), 5))
+    words = ["".join(rng.choices("01", k=rng.randint(0, 5))) for _ in range(3)]
+    words += rng.sample(instance, min(3, len(instance)))
+    return e, spec, choices, words
+
+
+class TestMembershipOverDomains:
+    """The one-pass membership engine on word images, against the oracle."""
+
+    def test_finite_domains_match_the_oracle_scan(self):
+        rng = random.Random(4114)
+        shuffled = unused = 0
+        for _ in range(80):
+            e, spec, choices, words = random_domain_case(rng, infinite=False)
+            shuffled += list(spec.names) != [n for n in variables(e) if n in spec.names]
+            unused += "u" in spec.names
+            for w in words:
+                for sem in (BOX, DIAMOND):
+                    rep = membership(e, w, AB, sem, domains=spec)
+                    want = domain_scan_outcome(e, w, choices, box=sem is BOX)
+                    assert (rep.answer, rep.valuation, rep.stats["valuations"]) == want
+        assert shuffled and unused
+
+    def test_certainty_over_infinite_domains(self):
+        rng = random.Random(4115)
+        infinite = 0
+        for _ in range(80):
+            e, spec, choices, words = random_domain_case(rng, infinite=True)
+            infinite += bool(spec.infinite_variables())
+            reduced = construct_nfa(e, AB, BOX, domains=spec, route="finitary")
+            for w in words:
+                rep = membership(e, w, AB, BOX, domains=spec)
+                want = domain_scan_outcome(e, w, choices, box=True)
+                assert (rep.answer, rep.valuation, rep.stats["valuations"]) == want
+                assert rep.answer == accepts(reduced, w)
+            if spec.infinite_variables():
+                with pytest.raises(DomainNotFinite):
+                    membership(e, "0", AB, DIAMOND, domains=spec)
+        assert infinite
 
 
 # ---------------------------------------------------------------------------

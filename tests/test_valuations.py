@@ -33,13 +33,16 @@ from prx.valuations import (
     apply_finitary,
     apply_to_nfa,
     apply_to_regex,
+    domain_choices,
     domain_is_finite,
     enumerate_finitary_valuations,
     enumerate_finite_domain,
     enumerate_valuations,
     enumerate_word_valuations,
+    letter_choices,
     letter_masks,
     valuation_at,
+    valuations_from,
 )
 
 AB01 = Alphabet("01")
@@ -102,10 +105,11 @@ def test_letter_masks_follow_the_enumeration(letters, k):
     alphabet = Alphabet(letters)
     names = [f"v{i}" for i in range(k)]
     vals = list(enumerate_valuations(names, alphabet))
-    total, masks = letter_masks(names, alphabet)
+    choices = letter_choices(names, alphabet)
+    total, masks = letter_masks(choices)
     assert total == len(vals)
     for i, nu in enumerate(vals):
-        assert valuation_at(names, alphabet, i) == nu
+        assert valuation_at(choices, i) == nu
         for name in names:
             got = [c for c, m in zip(alphabet.letters, masks[name]) if m >> i & 1]
             assert got == [nu[name]]
@@ -115,7 +119,35 @@ def test_letter_masks_follow_the_enumeration(letters, k):
 
 def test_letter_masks_cap():
     with pytest.raises(CountCapExceeded, match="^32 valuations exceed the cap of 31$"):
-        letter_masks([f"v{i}" for i in range(5)], AB01, valuation_cap=31)
+        letter_choices([f"v{i}" for i in range(5)], AB01, valuation_cap=31)
+
+
+@pytest.mark.parametrize("radices", [(3,), (2, 3), (1, 4, 2), (3, 1, 2, 5)])
+def test_letter_masks_mixed_radix(radices):
+    # Each variable with its own number of images, the empty word among them.
+    choices = {f"v{i}": ["", *("1" * j for j in range(1, r))] for i, r in enumerate(radices)}
+    vals = list(valuations_from(choices))
+    total, masks = letter_masks(choices)
+    assert total == len(vals) == len(set(vals))
+    for i, nu in enumerate(vals):
+        assert valuation_at(choices, i) == nu
+        for name, images in choices.items():
+            assert [u for u, m in zip(images, masks[name]) if m >> i & 1] == [nu[name]]
+
+
+def test_domain_choices_follow_the_word_enumerations():
+    spec = DomainSpec.from_json({"y": "1|00", "x": "0*", "z": "_|0"}, AB01)
+    assert domain_choices(spec, finitary=True) == {"y": ["1", "00"], "z": ["", "0"]}
+    finitary = list(enumerate_finitary_valuations(spec))
+    assert [v.as_dict() for v in finitary] == [
+        v.as_dict() for v in valuations_from(domain_choices(spec, finitary=True))
+    ]
+    with pytest.raises(DomainNotFinite):
+        domain_choices(spec)
+    with pytest.raises(CountCapExceeded, match="^4 finitary valuations exceed the cap of 3$"):
+        domain_choices(spec, valuation_cap=3, finitary=True)
+    finite = DomainSpec.from_json({"y": "1|00", "z": "_|0"}, AB01)
+    assert list(enumerate_word_valuations(finite)) == list(valuations_from(domain_choices(finite)))
 
 # ---------------------------------------------------------------------------
 # apply_to_regex / apply_to_nfa
