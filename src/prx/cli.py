@@ -29,9 +29,8 @@ from .constructions import (
     fooling_pairs_diamond,
     verify_fooling_set,
 )
-from .errors import PrxError
+from .errors import NotSimple, PrxError
 from .fast_paths import (
-    membership_box_fixed_word,
     membership_diamond_fixed_word,
     membership_diamond_simple_sh0,
     nonemptiness_box_sh0,
@@ -246,10 +245,14 @@ def _member_fast(e: ParamRegex, w: str, cfg: CliConfig) -> DecisionReport:
     if cfg.domains is not None:
         raise PrxError("--fast supports the base semantics only, not --domains")
     if cfg.semantics is BOX:
-        return DecisionReport(answer=membership_box_fixed_word(e, w, cfg.alphabet))
+        if not is_simple(e):
+            raise NotSimple("--fast --semantics box needs each variable to occur at most once")
+        return DecisionReport(
+            answer=membership(e, w, cfg.alphabet, BOX, cfg.valuation_cap).answer
+        )
     if is_simple(e) and star_height(e) == 0:
         return DecisionReport(answer=membership_diamond_simple_sh0(e, w, cfg.alphabet))
-    found, nu = membership_diamond_fixed_word(e, w, cfg.alphabet)
+    found, nu = membership_diamond_fixed_word(e, w, cfg.alphabet, cfg.state_cap)
     return DecisionReport(answer=found, valuation=nu.as_dict() if nu else None)
 
 
@@ -267,7 +270,9 @@ def nonempty(expr, fast, **raw):
             raise PrxError("--fast supports the base semantics only, not --domains")
         if cfg.semantics is not BOX:
             raise PrxError("no fast path: the general diamond check is already linear")
-        answer, witness = nonemptiness_box_sh0(e, cfg.alphabet, word_cap=cfg.word_cap)
+        answer, witness = nonemptiness_box_sh0(
+            e, cfg.alphabet, cfg.valuation_cap, cfg.word_cap
+        )
         return DecisionReport(answer=answer, witness=witness)
 
     _decide(raw, [expr], decide)

@@ -375,6 +375,19 @@ class TestErrorsAndStreams:
         assert res.exit_code == 2
         assert "No such option" in res.output
 
+    @pytest.mark.parametrize("args", [
+        ["member", "--semantics", "box", "--expr", "$x", "--word", "0",
+         "--max-valuations", "1"],
+        ["member", "--semantics", "diamond", "--expr", "($x$x)*", "--word", "1111",
+         "--max-states", "2"],
+        ["nonempty", "--semantics", "box", "--expr", "($x|0)($y|1)", "--max-valuations", "3"],
+    ])
+    def test_fast_routes_honour_the_caps(self, runner, args):
+        res = invoke(runner, args[0], "--alphabet", "01", *args[1:], "--fast")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
     def test_in_process_calls_keep_no_captured_stream(self):
         refs = []
         for args in (["member", "--alphabet", "01", "--expr", "$x", "--word", "0"],

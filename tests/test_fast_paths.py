@@ -2,31 +2,25 @@
 
 from __future__ import annotations
 
-import gc
 import random
-import tracemalloc
 
 import pytest
 
 from prx.automata import regex_to_nfa, remove_epsilon
-from prx.errors import NotSimple, PreconditionViolated
+from prx.errors import CountCapExceeded, PreconditionViolated, StateCapExceeded
 from prx.fast_paths import (
     SearchState,
-    WordSet,
-    check_simple_memb_box,
-    membership_box_fixed_word,
     membership_diamond_fixed_word,
     membership_diamond_simple_sh0,
     nonemptiness_box_sh0,
 )
 from prx.semantics import BOX, DIAMOND, membership, nonemptiness
-from prx.syntax import Alphabet, is_simple, parse, star_height, variables
+from prx.syntax import Alphabet, is_simple, parse
 from prx.valuations import apply_to_nfa
 
 import oracles
 
 AB = Alphabet("01")
-ABC = Alphabet("012")
 
 
 def random_simple(rng, alphabet, var_pool, budget, star_allowed=True):
@@ -35,151 +29,6 @@ def random_simple(rng, alphabet, var_pool, budget, star_allowed=True):
         e = oracles.random_expr(rng, alphabet, var_pool, budget, star_allowed=star_allowed)
         if is_simple(e):
             return e
-
-
-def brute_avoidable(e, words, alphabet):
-    """Reference for the avoidance check: try every valuation directly."""
-    names = variables(e)
-    for nu in oracles.letter_valuations(names, alphabet):
-        inst = oracles.substitute(e, nu)
-        if all(not oracles.matches(inst, w) for w in words):
-            return True
-    return False
-
-
-class TestWordSet:
-    def test_shortlex_canonical_order(self):
-        ws = WordSet(["10", "0", "", "1", "00"], AB)
-        assert ws.words == ("", "0", "1", "00", "10")
-
-    def test_deduplication_and_equality(self):
-        a = WordSet(["01", "1", "01"], AB)
-        b = WordSet(["1", "01"], AB)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len(a) == 2
-
-    def test_alphabet_order_not_codepoint_order(self):
-        rev = Alphabet("10")
-        ws = WordSet(["0", "1"], rev)
-        assert ws.words == ("1", "0")
-
-    def test_membership_and_iteration(self):
-        ws = WordSet(["0", "11"], AB)
-        assert "11" in ws
-        assert "1" not in ws
-        assert list(ws) == ["0", "11"]
-
-    def test_foreign_letter_rejected(self):
-        with pytest.raises(ValueError):
-            WordSet(["2"], AB)
-
-
-class TestCheckSimpleMembBox:
-    def test_letter_case(self):
-        assert check_simple_memb_box(parse("0", AB), WordSet(["0"], AB)) is False
-        assert check_simple_memb_box(parse("0", AB), WordSet(["1"], AB)) is True
-
-    def test_variable_case(self):
-        assert check_simple_memb_box(parse("$x", AB), WordSet(["0"], AB)) is True
-        assert check_simple_memb_box(parse("$x", AB), WordSet(["0", "1"], AB)) is False
-
-    def test_pair_covers_all_two_letter_words(self):
-        ws = WordSet(["00", "01", "10", "11"], AB)
-        assert check_simple_memb_box(parse("$x$y", AB), ws) is False
-
-    def test_union_needs_both_branches(self):
-        # One valuation must steer both branches away at once.
-        ws = WordSet(["0"], AB)
-        assert check_simple_memb_box(parse("$x|$y", AB), ws) is True
-        ws = WordSet(["0", "1"], AB)
-        assert check_simple_memb_box(parse("$x|$y", AB), ws) is False
-
-    def test_star_case(self):
-        # (0)* always contains epsilon and 00.
-        assert check_simple_memb_box(parse("0*", AB), WordSet([""], AB)) is False
-        assert check_simple_memb_box(parse("0*", AB), WordSet(["00"], AB)) is False
-        assert check_simple_memb_box(parse("0*", AB), WordSet(["01"], AB)) is True
-        # ($x)* can dodge any single nonempty word over a two-letter alphabet.
-        assert check_simple_memb_box(parse("$x*", AB), WordSet(["010"], AB)) is True
-
-    def test_rejects_repeated_variables(self):
-        with pytest.raises(NotSimple):
-            check_simple_memb_box(parse("$x$x", AB), WordSet(["00"], AB))
-
-    def test_canonicalization_makes_order_irrelevant(self):
-        e = parse("($x|1)(0|$y)*", AB)
-        forward = check_simple_memb_box(e, WordSet(["10", "0", "110"], AB))
-        backward = check_simple_memb_box(e, WordSet(["110", "0", "10"], AB))
-        assert forward == backward
-
-    def test_brute_force_agreement(self):
-        rng = random.Random(5101)
-        pool = sorted(oracles.all_words(AB, 3))
-        for _ in range(60):
-            e = random_simple(rng, AB, ("x", "y", "z"), budget=7)
-            words = rng.sample(pool, k=rng.randint(1, 3))
-            got = check_simple_memb_box(e, WordSet(words, AB))
-            assert got == brute_avoidable(e, words, AB)
-
-    def test_brute_force_agreement_three_letters(self):
-        rng = random.Random(5102)
-        pool = sorted(oracles.all_words(ABC, 2))
-        for _ in range(40):
-            e = random_simple(rng, ABC, ("x", "y"), budget=6)
-            words = rng.sample(pool, k=rng.randint(1, 3))
-            got = check_simple_memb_box(e, WordSet(words, ABC))
-            assert got == brute_avoidable(e, words, ABC)
-
-
-class TestMembershipBoxFixedWord:
-    def test_variable_pair(self):
-        assert membership_box_fixed_word(parse("$x$y", AB), "10", AB) is False
-
-    def test_variable_free_star(self):
-        assert membership_box_fixed_word(parse("(0|1)*", AB), "01", AB) is True
-
-    def test_union_of_variables(self):
-        assert membership_box_fixed_word(parse("$x|$y", AB), "0", AB) is False
-
-    def test_agreement_with_general_membership(self):
-        rng = random.Random(5103)
-        for _ in range(40):
-            e = random_simple(rng, AB, ("x", "y"), budget=7)
-            for w in ("", "0", "11", "010", "0110"):
-                assert membership_box_fixed_word(e, w, AB) == membership(e, w, AB, BOX).answer
-
-    def test_agreement_on_longer_words(self):
-        rng = random.Random(5104)
-        for _ in range(10):
-            e = random_simple(rng, AB, ("x", "y"), budget=8)
-            w = "".join(rng.choice("01") for _ in range(8))
-            assert membership_box_fixed_word(e, w, AB) == membership(e, w, AB, BOX).answer
-
-    def test_repeated_calls_hold_no_memory_without_the_cyclic_collector(self):
-        # Each call's memo tables must be freed when it returns, not left to
-        # the cyclic collector.  What may stay behind (allocator free lists,
-        # the nested functions) is a fraction of what a single call uses.
-        e, w = parse("(0$x|1)*(1|$y0)*", AB), "0101101"
-        was_enabled = gc.isenabled()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            for _ in range(10):
-                membership_box_fixed_word(e, w, AB)
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            membership_box_fixed_word(e, w, AB)
-            one_call = tracemalloc.get_traced_memory()[1] - before
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(20):
-                membership_box_fixed_word(e, w, AB)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-            if was_enabled:
-                gc.enable()
-        assert grown < one_call
 
 
 class TestMembershipDiamondFixedWord:
@@ -225,6 +74,13 @@ class TestMembershipDiamondFixedWord:
         assert found is True
         assert set(nu.names()) == {"a", "b", "c", "d", "e"}
 
+    def test_state_cap_counts_search_nodes(self):
+        # Five nodes: the start and one binding x = 1 per position.
+        e = parse("($x$x)*", AB)
+        assert membership_diamond_fixed_word(e, "1111", AB, state_cap=5)[0] is True
+        with pytest.raises(StateCapExceeded, match="cap of 4 states"):
+            membership_diamond_fixed_word(e, "1111", AB, state_cap=4)
+
     def test_search_state_is_hashable(self):
         s = SearchState(0, (("x", "0"),))
         assert s.image("x") == "0"
@@ -265,6 +121,8 @@ class TestNonemptinessBoxSh0:
     def test_branch_cover(self):
         e = parse("($x|0)($y|1)", AB)
         assert nonemptiness_box_sh0(e, AB) == (True, "01")
+        with pytest.raises(CountCapExceeded):
+            nonemptiness_box_sh0(e, AB, valuation_cap=3)
 
     def test_rejects_stars(self):
         with pytest.raises(PreconditionViolated):
