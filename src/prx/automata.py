@@ -8,8 +8,9 @@ domain path and are expanded away by :func:`expand_extended`.
 
 Everything is immutable after construction and every algorithm is
 deterministic: subsets, products and witnesses are explored with letters in
-alphabet declaration order, so shortest witnesses are also lexicographically
-least among the shortest.
+alphabet declaration order, so shortest witnesses on a deterministic
+automaton are also lexicographically least among the shortest (on a
+nondeterministic one they need not be, see :func:`is_empty`).
 """
 
 from __future__ import annotations
@@ -363,8 +364,9 @@ def _letter_adjacency(a: Nfa) -> dict[tuple[int, str], set[int]]:
     return adj
 
 
-def product(a: Nfa, b: Nfa) -> Nfa:
-    """Synchronized product: accepts the intersection of the two languages."""
+def product(a: Nfa, b: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
+    """Synchronized product: accepts the intersection of the two languages;
+    raises :class:`~prx.errors.StateCapExceeded` past ``state_cap`` states."""
     _require_plain(a, "product")
     _require_plain(b, "product")
     if a.alphabet != b.alphabet:
@@ -388,6 +390,10 @@ def product(a: Nfa, b: Nfa) -> Nfa:
                     nxt = (da, db)
                     nid = ids.get(nxt)
                     if nid is None:
+                        if len(ids) >= state_cap:
+                            raise StateCapExceeded(
+                                f"product exceeded the cap of {state_cap} states"
+                            )
                         nid = ids[nxt] = len(ids)
                         queue.append(nxt)
                     transitions.append((sid, letter, nid))
@@ -587,9 +593,11 @@ def accepts(a: Nfa, w: str) -> bool:
 
 
 def is_empty(a: Nfa) -> tuple[bool, str | None]:
-    """(emptiness, witness): witness is the shortest accepted word, choosing
-    letters in alphabet order, so it is also lexicographically least among
-    the shortest."""
+    """(emptiness, witness): witness is a shortest accepted word, found by
+    breadth-first search with letters in alphabet order.  It is also the
+    lexicographically least of the shortest on a deterministic automaton;
+    on a nondeterministic one the search tries every letter from one state
+    before any from the next state reached by the same word."""
     has_eps, has_var, has_word = a.label_kinds()
     if has_var:
         raise ValueError("is_empty expects a variable-free automaton")

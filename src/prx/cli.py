@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import click
@@ -72,9 +73,9 @@ class CliConfig:
         max_valuations: int,
         max_states: int,
         max_words: int,
-        output: str,
-        witness: bool,
         domains: str | None,
+        output: str = "text",
+        witness: bool = False,
     ) -> "CliConfig":
         alpha = Alphabet(alphabet)
         spec = None
@@ -106,8 +107,18 @@ class CliConfig:
         }
 
 
-def _decision_options(f):
-    """The option set shared by every decision subcommand."""
+def _decision_options(f, report: bool = True):
+    """The option set shared by every decision subcommand; ``build-nfa``
+    takes it without ``report``, that is, without ``--witness`` and
+    ``--output``, which only a decision reads."""
+    witness = click.option("--witness", is_flag=True, help="Also print the witness / counterexample.")
+    output = click.option(
+        "--output",
+        type=click.Choice(["text", "json"]),
+        default="text",
+        show_default=True,
+        help="text prints true/false; json prints the full decision report.",
+    )
     options = [
         click.option("--alphabet", required=True, help="Alphabet letters in declaration order, e.g. 01."),
         click.option(
@@ -123,7 +134,7 @@ def _decision_options(f):
             default=None,
             help='JSON file mapping variables to regular domains, e.g. {"x": "0*"}.',
         ),
-        click.option("--witness", is_flag=True, help="Also print the witness / counterexample."),
+        witness,
         click.option(
             "--max-valuations",
             type=click.IntRange(min=1),
@@ -145,16 +156,11 @@ def _decision_options(f):
             show_default=True,
             help="Refuse to enumerate more domain words than this.",
         ),
-        click.option(
-            "--output",
-            type=click.Choice(["text", "json"]),
-            default="text",
-            show_default=True,
-            help="text prints true/false; json prints the full decision report.",
-        ),
+        output,
     ]
     for option in reversed(options):
-        f = option(f)
+        if report or option not in (witness, output):
+            f = option(f)
     return f
 
 
@@ -319,7 +325,7 @@ def intersect(expr, regular, **raw):
 )
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
               help="Write here instead of stdout.")
-@_decision_options
+@partial(_decision_options, report=False)
 def build_nfa(expr, fmt, out, **raw):
     """Construct the variable-free NFA for the chosen semantics."""
     try:

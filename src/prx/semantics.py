@@ -442,7 +442,7 @@ def containment(
     lhs, n_lhs = _construct(e1, alphabet, sem, domains, "auto", *caps)
     rhs, n_rhs = _construct(e2, alphabet, sem, domains, "auto", *caps)
     rhs_complement = dfa_to_nfa(complement(determinize(rhs, state_cap)))
-    gap = product(lhs, rhs_complement)
+    gap = product(lhs, rhs_complement, state_cap)
     empty, witness = is_empty(gap)
     return DecisionReport(
         answer=empty,
@@ -470,7 +470,7 @@ def nonempty_int_reg(
     lhs, n_vals = _construct(
         e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
     )
-    inter = product(lhs, _compiled(r, alphabet))
+    inter = product(lhs, _compiled(r, alphabet), state_cap)
     empty, witness = is_empty(inter)
     return DecisionReport(
         answer=not empty,

@@ -182,10 +182,7 @@ class _Parser:
         while self.peek() == "|":
             self.pos += 1
             parts.append(self.parse_cat())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = Union(part, node)
-        return node
+        return union_exprs(parts)
 
     def parse_cat(self) -> ParamRegex:
         parts = [self.parse_rep()]
@@ -194,10 +191,7 @@ class _Parser:
             if ch is None or ch in "|)":
                 break
             parts.append(self.parse_rep())
-        node = parts[-1]
-        for part in reversed(parts[:-1]):
-            node = Concat(part, node)
-        return node
+        return concat_exprs(parts)
 
     def parse_rep(self) -> ParamRegex:
         node = self.parse_atom()
@@ -227,12 +221,7 @@ class _Parser:
         if self.pos >= len(self.text) or self.text[self.pos] != "}":
             self.fail("expected '}' to close the repetition")
         self.pos += 1
-        if count == 0:
-            return Epsilon()
-        out = node
-        for _ in range(count - 1):
-            out = Concat(node, out)
-        return out
+        return _balanced_concat([node] * count)
 
     def parse_atom(self) -> ParamRegex:
         ch = self.peek()
@@ -269,9 +258,10 @@ class _Parser:
 def parse(text: str, alphabet: Alphabet) -> ParamRegex:
     """Parse an expression string into an AST.
 
-    The ``{n}`` shorthand is expanded during parsing (``{0}`` yields the
-    empty word).  Raises :class:`~prx.errors.ParseError` with the offending
-    position on malformed input or letters outside the alphabet.
+    The ``{n}`` shorthand is expanded during parsing into a balanced
+    concatenation of n copies (``{0}`` yields the empty word).  Raises
+    :class:`~prx.errors.ParseError` with the offending position on
+    malformed input or letters outside the alphabet.
     """
     parser = _Parser(text, alphabet)
     node = parser.parse_expr()
@@ -388,14 +378,19 @@ def star_height(e: ParamRegex) -> int:
 # Small construction helpers used across the package
 
 
+def _balanced_concat(parts: list[ParamRegex]) -> ParamRegex:
+    """Concatenation of ``parts`` with ``n // 2`` of the n parts on the left,
+    so of logarithmic depth, which the recursive walkers over expressions
+    need (up to three parts fold right); no parts give the empty word."""
+    if len(parts) <= 1:
+        return parts[0] if parts else Epsilon()
+    half = len(parts) // 2
+    return Concat(_balanced_concat(parts[:half]), _balanced_concat(parts[half:]))
+
+
 def word_expr(w: str) -> ParamRegex:
     """Expression denoting exactly the word ``w`` (``_`` for the empty word)."""
-    if not w:
-        return Epsilon()
-    node: ParamRegex = Lit(w[-1])
-    for ch in reversed(w[:-1]):
-        node = Concat(Lit(ch), node)
-    return node
+    return _balanced_concat([Lit(ch) for ch in w])
 
 
 def concat_exprs(parts: list[ParamRegex] | tuple[ParamRegex, ...]) -> ParamRegex:

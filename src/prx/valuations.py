@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
@@ -20,7 +19,6 @@ from .automata import (
     VarLabel,
     WordLabel,
     expand_extended,
-    is_empty,
     regex_to_nfa,
     remove_epsilon,
     trim,
@@ -179,19 +177,31 @@ def apply_to_regex(v: Valuation, e: ParamRegex) -> ParamRegex:
     """Replace every variable by its image word; the result is variable-free.
 
     Multi-letter images become concatenations of letters, the empty-word
-    image becomes the empty-word node.
+    image becomes the empty-word node.  The tree is rebuilt bottom-up from
+    an explicit stack, so its depth meets no recursion limit.
     """
-    if isinstance(e, Var):
-        if e.name not in v:
-            raise PrxError(f"valuation does not bind variable {e.name!r}")
-        return word_expr(v[e.name])
-    if isinstance(e, Concat):
-        return Concat(apply_to_regex(v, e.left), apply_to_regex(v, e.right))
-    if isinstance(e, Union):
-        return Union(apply_to_regex(v, e.left), apply_to_regex(v, e.right))
-    if isinstance(e, Star):
-        return Star(apply_to_regex(v, e.inner))
-    return e
+    built: list[ParamRegex] = []
+    stack: list[tuple[ParamRegex, bool]] = [(e, False)]
+    while stack:
+        node, children_built = stack.pop()
+        if isinstance(node, Var):
+            if node.name not in v:
+                raise PrxError(f"valuation does not bind variable {node.name!r}")
+            built.append(word_expr(v[node.name]))
+        elif isinstance(node, Star):
+            if children_built:
+                built.append(Star(built.pop()))
+            else:
+                stack += [(node, True), (node.inner, False)]
+        elif isinstance(node, (Concat, Union)):
+            if children_built:
+                right = built.pop()
+                built.append(type(node)(built.pop(), right))
+            else:
+                stack += [(node, True), (node.right, False), (node.left, False)]
+        else:
+            built.append(node)
+    return built[0]
 
 
 def apply_to_nfa(v: Valuation, a: Nfa) -> Nfa:
@@ -224,47 +234,76 @@ def _relabel(v: Valuation, a: Nfa, drop_unbound: bool) -> Nfa:
 # Regular domains
 
 
-def _normalize_domain(d: Nfa) -> Nfa:
-    """Epsilon-free, letter-only form used by the finiteness/enumeration code."""
+def _analyse(d: Nfa) -> tuple[Nfa, list[int] | None]:
+    """A domain's trimmed epsilon-free letter automaton and a topological
+    order of its states, ``None`` when it has a cycle: a trimmed automaton
+    accepts finitely many words iff it is acyclic.  The order lists states
+    no transition from an unlisted state enters (Kahn's algorithm)."""
     has_eps, has_var, has_word = d.label_kinds()
     if has_var:
         raise ValueError("domain automata must be variable-free")
     if has_word:
         d = expand_extended(d)
-        has_eps = d.label_kinds()[0]
-    if has_eps:
-        d = remove_epsilon(d)
-    return d
+    a = trim(remove_epsilon(d) if has_eps else d)
+    adj = a.adjacency()
+    entering = [0] * a.n_states
+    for _, _, dst in a.transitions:
+        entering[dst] += 1
+    order = [q for q in range(a.n_states) if not entering[q]]
+    for q in order:  # grows while it is read
+        for _, dst in adj[q]:
+            entering[dst] -= 1
+            if not entering[dst]:
+                order.append(dst)
+    return a, order if len(order) == a.n_states else None
+
+
+def _words(a: Nfa, order: list[int], word_cap: int) -> list[str]:
+    """All words of a trimmed acyclic automaton, sorted shortlex, from the
+    states' suffix words built in reverse topological order."""
+    suffixes: list[set[str]] = [set() for _ in range(a.n_states)]
+    adj = a.adjacency()
+    for q in reversed(order):
+        out = suffixes[q]
+        if q in a.finals:
+            out.add("")
+        for letter, dst in adj[q]:
+            out.update(letter + suffix for suffix in suffixes[dst])
+        if len(out) > word_cap:
+            raise CountCapExceeded(f"domain expansion exceeded the cap of {word_cap} words")
+    alphabet = a.alphabet
+    return sorted(
+        suffixes[a.initial], key=lambda w: (len(w), tuple(alphabet.index(c) for c in w))
+    )
 
 
 class DomainSpec:
     """An ordered map from variable names to nonempty regular domains.
 
-    Domains may be given as variable-free expressions or as automata; they
-    are compiled to epsilon-free NFAs at ingestion, and an empty domain is
-    rejected immediately.
+    Domains may be given as variable-free expressions or as automata.  Each
+    is analysed once, at ingestion: compiled to a trimmed epsilon-free NFA
+    with a topological order of its states (none for an infinite domain).
+    An empty domain is rejected immediately.
     """
 
-    __slots__ = ("names", "_nfas", "alphabet")
+    __slots__ = ("names", "_nfas", "_orders", "alphabet")
 
     def __init__(self, domains: Mapping[str, ParamRegex | Nfa], alphabet: Alphabet):
         self.names: tuple[str, ...] = tuple(domains)
         self.alphabet = alphabet
-        nfas: dict[str, Nfa] = {}
+        self._nfas: dict[str, Nfa] = {}
+        self._orders: dict[str, list[int] | None] = {}
         for name, dom in domains.items():
-            if isinstance(dom, Nfa):
-                a = _normalize_domain(dom)
-            else:
+            if not isinstance(dom, Nfa):
                 if variables(dom):
                     raise ValueError(f"domain for {name!r} must be variable-free")
-                a = remove_epsilon(regex_to_nfa(dom, alphabet))
-            empty, _ = is_empty(a)
-            if empty:
+                dom = regex_to_nfa(dom, alphabet)
+            a, order = _analyse(dom)
+            if not a.finals:
                 raise ValueError(f"domain for {name!r} is the empty language")
             if a.alphabet != alphabet:
                 raise ValueError(f"domain for {name!r} uses a different alphabet")
-            nfas[name] = a
-        self._nfas = nfas
+            self._nfas[name], self._orders[name] = a, order
 
     @classmethod
     def from_json(cls, mapping: Mapping[str, str], alphabet: Alphabet) -> "DomainSpec":
@@ -285,80 +324,31 @@ class DomainSpec:
         return len(self.names)
 
     def finite_variables(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if domain_is_finite(self._nfas[n]))
+        return tuple(n for n in self.names if self._orders[n] is not None)
 
     def infinite_variables(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if not domain_is_finite(self._nfas[n]))
+        return tuple(n for n in self.names if self._orders[n] is None)
 
     def __repr__(self):
         return f"DomainSpec({', '.join(self.names)})"
 
 
 def domain_is_finite(d: Nfa) -> bool:
-    """Trim, then test acyclicity — a trimmed automaton accepts finitely
-    many words iff it has no cycle."""
-    a = trim(_normalize_domain(d))
-    adj = defaultdict(list)
-    for src, _, dst in a.transitions:
-        adj[src].append(dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * a.n_states
-    for root in range(a.n_states):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            q, idx = stack[-1]
-            if idx < len(adj[q]):
-                stack[-1] = (q, idx + 1)
-                nxt = adj[q][idx]
-                if color[nxt] == GRAY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[q] = BLACK
-                stack.pop()
-    return True
+    """Does the domain automaton accept finitely many words?"""
+    return _analyse(d)[1] is not None
 
 
 def enumerate_finite_domain(d: Nfa, word_cap: int = DEFAULT_WORD_CAP) -> list[str]:
     """All words of a finite domain, sorted shortlex.
 
-    Computed by merging suffix-word sets over the trimmed acyclic automaton;
-    raises :class:`~prx.errors.CountCapExceeded` past ``word_cap`` words and
-    :class:`~prx.errors.DomainNotFinite` if the domain turns out infinite.
+    Raises :class:`~prx.errors.CountCapExceeded` once some state of the
+    trimmed automaton has more than ``word_cap`` suffix words, and
+    :class:`~prx.errors.DomainNotFinite` if the domain is infinite.
     """
-    a = trim(_normalize_domain(d))
-    if not domain_is_finite(a):
+    a, order = _analyse(d)
+    if order is None:
         raise DomainNotFinite("cannot enumerate an infinite domain")
-    adj: dict[int, list[tuple[str, int]]] = defaultdict(list)
-    for src, label, dst in a.transitions:
-        adj[src].append((label, dst))
-    alphabet = a.alphabet
-    memo: dict[int, frozenset[str]] = {}
-
-    def words_from(q: int) -> frozenset[str]:
-        if q in memo:
-            return memo[q]
-        out = set()
-        if q in a.finals:
-            out.add("")
-        for letter, dst in adj[q]:
-            for suffix in words_from(dst):
-                out.add(letter + suffix)
-        if len(out) > word_cap:
-            raise CountCapExceeded(
-                f"domain expansion exceeded the cap of {word_cap} words"
-            )
-        result = frozenset(out)
-        memo[q] = result
-        return result
-
-    words = words_from(a.initial)
-    return sorted(words, key=lambda w: (len(w), tuple(alphabet.index(c) for c in w)))
+    return _words(a, order, word_cap)
 
 
 def domain_choices(
@@ -378,13 +368,13 @@ def domain_choices(
     names = spec.finite_variables() if finitary else spec.names
     choices = {}
     for name in names:
-        dom = spec.domain(name)
-        if not finitary and not domain_is_finite(dom):
+        order = spec._orders[name]
+        if order is None:
             raise DomainNotFinite(
                 f"variable {name!r} has an infinite domain; only finite domains "
                 "can be enumerated totally"
             )
-        choices[name] = enumerate_finite_domain(dom, word_cap)
+        choices[name] = _words(spec.domain(name), order, word_cap)
     total = math.prod(len(words) for words in choices.values())
     _check_count(total, valuation_cap, "finitary valuations" if finitary else "valuations")
     return choices

@@ -267,6 +267,12 @@ class TestBuildNfa:
                      "--expr", "(0|1)*$x$y(0|1)*", "--max-states", "4")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("option", [["--witness"], ["--output", "json"]])
+    def test_report_options_are_not_declared(self, runner, option):
+        res = invoke(runner, "build-nfa", "--alphabet", "01", "--expr", "$x", *option)
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
     def test_domains_construction(self, runner, tmp_path):
         spec = tmp_path / "domains.json"
         spec.write_text('{"x": "00|01"}')
@@ -346,10 +352,17 @@ def test_console_script_smoke():
     assert proc.stdout == "true\n"
 
 
+_NESTED = "(" * 400 + "0" + ")" * 400
+
+
 class TestErrorsAndStreams:
     @pytest.mark.parametrize("domains,args", [
-        (None, ["member", "--alphabet", "01", "--expr", "0{3000}", "--word", "0"]),
-        ('{"x": "0{3000}"}', ["member", "--alphabet", "01", "--expr", "$x", "--word", "0"]),
+        (None, ["member", "--alphabet", "01", "--expr", _NESTED, "--word", "0"]),
+        pytest.param(
+            f'{{"x": "{_NESTED}"}}',
+            ["member", "--alphabet", "01", "--expr", "$x", "--word", "0"],
+            id="nested-domain",
+        ),
         (None, ["build-nfa", "--alphabet", "01", "--expr", "$x",
                 "--out", "/nonexistent_dir/x.dot"]),
     ])
@@ -387,6 +400,31 @@ class TestErrorsAndStreams:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: ")
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("domains,args,code,output", [
+        (None, ["member", "--expr", "0{3000}", "--word", "0"], 1, "false\n"),
+        (None, ["member", "--expr", "0{10000}", "--word", "0"], 1, "false\n"),
+        ('{"x": "0{3000}"}', ["member", "--expr", "$x", "--word", "0"], 1, "false\n"),
+        ('{"x": "0{3000}"}', ["nonempty", "--expr", "$x", "--witness"], 0,
+         "true\n" + "0" * 3000 + "\n"),
+    ], ids=["member-3000", "member-10000", "member-domain-3000", "nonempty-domain-3000"])
+    def test_long_repetitions_are_decided(self, runner, tmp_path, domains, args, code, output):
+        if domains is not None:
+            spec = tmp_path / "domains.json"
+            spec.write_text(domains)
+            args = args + ["--domains", str(spec)]
+        res = invoke(runner, args[0], "--alphabet", "01", *args[1:])
+        assert (res.exit_code, res.output) == (code, output)
+
+    @pytest.mark.parametrize("args", [
+        ["contains", "--lhs", "0{20}", "--rhs", "(0|1)*"],
+        ["intersect", "--expr", "0{20}", "--regular", "0*"],
+    ])
+    def test_products_honour_the_state_cap(self, runner, args):
+        res = invoke(runner, args[0], "--alphabet", "01", "--semantics", "diamond",
+                     *args[1:], "--max-states", "10")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
 
     def test_in_process_calls_keep_no_captured_stream(self):
         refs = []
@@ -445,7 +483,7 @@ def test_cli_exits_0_1_or_2_and_never_with_a_traceback(
         args += ["--expr", first]
     if fast and command in ("member", "nonempty"):
         args.append("--fast")
-    if witness:
+    if witness and command != "build-nfa":
         args.append("--witness")
     # An exception that escapes the command fails the test with its traceback.
     res = CliRunner().invoke(main, args, catch_exceptions=False)

@@ -16,6 +16,7 @@ from oracles import (
     substitute,
 )
 from prx.automata import (
+    Nfa,
     WordLabel,
     determinize,
     expand_extended,
@@ -213,6 +214,13 @@ def test_domain_finite_with_unreachable_cycle():
     # the cycle sits on a dead branch, so the trimmed automaton is acyclic
     a = regex_to_nfa(parse("0|@(11)*", AB01), AB01)
     assert domain_is_finite(a)
+
+
+def test_long_domain_chain_needs_no_recursion():
+    n = 3000
+    chain = Nfa(n + 1, 0, {n}, [(i, "0", i + 1) for i in range(n)], AB01)
+    assert domain_is_finite(chain)
+    assert enumerate_finite_domain(chain) == ["0" * n]
 
 
 def test_enumerate_finite_domain_examples():
