@@ -30,6 +30,7 @@ from .syntax import (
     Star,
     Union,
     Var,
+    _walk,
 )
 
 #: Default bound on determinization/product growth; the certainty-semantics
@@ -187,56 +188,50 @@ class Dfa:
 def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
     """Compile an expression to an NFA over letters and variable labels.
 
-    The construction is the classic one with a fresh start/end state per
-    subexpression; the result has a single final state and may contain
-    epsilon transitions (remove them with :func:`remove_epsilon`).
+    The construction is the classic one with a fresh start/end state pair
+    per subexpression other than a concatenation, numbered in the order the
+    subexpressions are entered (left to right, outside in); the result has a
+    single final state and may contain epsilon transitions (remove them with
+    :func:`remove_epsilon`).  The tree is walked with an explicit stack.
     """
     transitions: list[tuple[int, Label, int]] = []
     counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    def build(node: ParamRegex) -> tuple[int, int]:
-        if isinstance(node, EmptySet):
-            return fresh(), fresh()
-        if isinstance(node, Epsilon):
-            s, t = fresh(), fresh()
-            transitions.append((s, EPSILON, t))
-            return s, t
-        if isinstance(node, Lit):
-            if node.letter not in alphabet:
-                raise ValueError(f"letter {node.letter!r} is not in the alphabet")
-            s, t = fresh(), fresh()
-            transitions.append((s, node.letter, t))
-            return s, t
-        if isinstance(node, Var):
-            s, t = fresh(), fresh()
-            transitions.append((s, VarLabel(node.name), t))
-            return s, t
-        if isinstance(node, Concat):
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
+    # (start, end) of every node entered and not yet joined to its parent;
+    # a node's own pair is pushed when it is entered, below its children's.
+    ends: list[tuple[int, int]] = []
+    for node, entering in _walk(e):
+        if entering:
+            if not isinstance(node, Concat):
+                ends.append((counter, counter + 1))
+                counter += 2
+        elif isinstance(node, Concat):
+            (ls, lt), (rs, rt) = ends[-2:]
+            del ends[-1]
+            ends[-1] = (ls, rt)
             transitions.append((lt, EPSILON, rs))
-            return ls, rt
-        if isinstance(node, Union):
-            s, t = fresh(), fresh()
-            ls, lt = build(node.left)
-            rs, rt = build(node.right)
+        elif isinstance(node, Union):
+            (s, t), (ls, lt), (rs, rt) = ends[-3:]
+            del ends[-2:]
             transitions.extend([(s, EPSILON, ls), (s, EPSILON, rs), (lt, EPSILON, t), (rt, EPSILON, t)])
-            return s, t
-        if isinstance(node, Star):
-            s, t = fresh(), fresh()
-            is_, it = build(node.inner)
+        elif isinstance(node, Star):
+            (s, t), (is_, it) = ends[-2:]
+            del ends[-1]
             transitions.extend(
                 [(s, EPSILON, t), (s, EPSILON, is_), (it, EPSILON, t), (it, EPSILON, is_)]
             )
-            return s, t
-        raise TypeError(f"not an expression node: {node!r}")
-
-    start, end = build(e)
+        else:
+            s, t = ends[-1]
+            if isinstance(node, Epsilon):
+                transitions.append((s, EPSILON, t))
+            elif isinstance(node, Lit):
+                if node.letter not in alphabet:
+                    raise ValueError(f"letter {node.letter!r} is not in the alphabet")
+                transitions.append((s, node.letter, t))
+            elif isinstance(node, Var):
+                transitions.append((s, VarLabel(node.name), t))
+            elif not isinstance(node, EmptySet):
+                raise TypeError(f"not an expression node: {node!r}")
+    start, end = ends[0]
     return Nfa(counter, start, {end}, transitions, alphabet)
 
 

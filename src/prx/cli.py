@@ -169,7 +169,8 @@ _fast_option = click.option(
 )
 
 #: Failures reported as ``error: ...`` with exit code 2 rather than a
-#: traceback; a recursion error comes from an expression nested too deeply.
+#: traceback; a recursion error can only come from a domains file nested too
+#: deeply for the JSON reader (expressions are handled without recursion).
 _ERRORS = (PrxError, ValueError, RecursionError, OSError)
 
 

@@ -106,15 +106,13 @@ def lemma3_combine(
         return es[0], alphabet
     if len(alphabet) == 1:
         only = alphabet.letters[0]
-        grounded = [
+        es = [
             apply_to_regex(Valuation({name: only for name in variables(e)}), e)
             for e in es
         ]
-        for ch in _FRESH_LETTERS:
-            if ch not in alphabet:
-                wider = Alphabet(alphabet.letters + (ch,))
-                return lemma3_combine(grounded, wider)
-        raise ValueError("could not find a fresh letter to augment the alphabet")
+        # The one letter rules out at most one candidate.
+        fresh_letter = next(ch for ch in _FRESH_LETTERS if ch not in alphabet)
+        alphabet = Alphabet(alphabet.letters + (fresh_letter,))
 
     k = len(es)
     marker = alphabet.letters[0]  # the counted letter

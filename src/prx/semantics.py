@@ -172,16 +172,12 @@ def _construct(
     e: ParamRegex,
     alphabet: Alphabet,
     sem: Semantics,
-    domains: DomainSpec | None,
-    route: str,
-    valuation_cap: int,
+    space: tuple[str, dict[str, Sequence[str]]],
     state_cap: int,
-    word_cap: int,
 ) -> tuple[Nfa, int]:
-    """The combined automaton and the number of instances combined."""
-    route, choices = _valuation_space(
-        e, alphabet, sem, domains, route, valuation_cap, word_cap
-    )
+    """The combined automaton over the valuation space (see
+    :func:`_valuation_space`), and the number of instances combined."""
+    route, choices = space
     instances = list(_instances(e, alphabet, route, choices))
     if sem is DIAMOND:
         return union_all(instances, alphabet), len(instances)
@@ -206,9 +202,8 @@ def construct_nfa(
     ``domains`` the variables range over their regular domains; ``route``
     then picks how the instances are made (see :func:`_valuation_space`).
     """
-    return _construct(
-        e, alphabet, sem, domains, route, valuation_cap, state_cap, word_cap
-    )[0]
+    space = _valuation_space(e, alphabet, sem, domains, route, valuation_cap, word_cap)
+    return _construct(e, alphabet, sem, space, state_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +351,8 @@ def nonemptiness(
             valuation=nu.as_dict() if not empty else None,
             stats={"valuations": 1, "states": instance.n_states},
         )
-    combined, n_vals = _construct(
-        e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
-    )
+    space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
+    combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
     empty, witness = is_empty(combined)
     return DecisionReport(
         answer=not empty,
@@ -405,9 +399,8 @@ def universality(
         return DecisionReport(
             answer=True, stats={"valuations": count, "states": base.n_states}
         )
-    combined, n_vals = _construct(
-        e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
-    )
+    space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
+    combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
     d = determinize(combined, state_cap)
     ok, cex = is_universal(d)
     return DecisionReport(
@@ -434,13 +427,17 @@ def containment(
     """Is L(e1) ⊆ L(e2) under the chosen semantics?
 
     Decided as emptiness of L(e1) ∩ complement(L(e2)); when the containment
-    fails, the shortest separating word is returned.
+    fails, the shortest separating word is returned.  With ``domains`` the
+    valuation space depends on the domains only, so both sides share it.
     """
     if domains is not None:
         _check_spec_covers(domains, e1, e2)
-    caps = (valuation_cap, state_cap, word_cap)
-    lhs, n_lhs = _construct(e1, alphabet, sem, domains, "auto", *caps)
-    rhs, n_rhs = _construct(e2, alphabet, sem, domains, "auto", *caps)
+    caps = (valuation_cap, word_cap)
+    space = _valuation_space(e1, alphabet, sem, domains, "auto", *caps)
+    lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
+    if domains is None:  # over letters each side has its own variables
+        space = _valuation_space(e2, alphabet, sem, domains, "auto", *caps)
+    rhs, n_rhs = _construct(e2, alphabet, sem, space, state_cap)
     rhs_complement = dfa_to_nfa(complement(determinize(rhs, state_cap)))
     gap = product(lhs, rhs_complement, state_cap)
     empty, witness = is_empty(gap)
@@ -467,9 +464,8 @@ def nonempty_int_reg(
         _check_spec_covers(domains, e)
     if variables(r):
         raise PrxError("the regular constraint must be variable-free")
-    lhs, n_vals = _construct(
-        e, alphabet, sem, domains, "auto", valuation_cap, state_cap, word_cap
-    )
+    space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
+    lhs, n_vals = _construct(e, alphabet, sem, space, state_cap)
     inter = product(lhs, _compiled(r, alphabet), state_cap)
     empty, witness = is_empty(inter)
     return DecisionReport(

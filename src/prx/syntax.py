@@ -17,14 +17,16 @@ than union::
 
 ``LETTER`` is any non-reserved, non-whitespace character declared in the
 alphabet; ``IDENT`` is ``[A-Za-z][A-Za-z0-9_]*`` (longest match).  Whitespace
-between tokens is ignored.
+between tokens is ignored.  Unions and concatenations fold to the right.
+The parser and every walk over a tree (:func:`_walk`, :func:`_fold`) keep
+their own stack, so nesting depth meets no recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ParseError
 
@@ -37,8 +39,10 @@ _IDENT_CHARS = frozenset(
 )
 
 # Guard against accidental `a{999999999}` blowing up the parse; the repetition
-# shorthand exists for small fixed exponents.
+# shorthand exists for small fixed exponents.  Above a count of 1, count times
+# the repeated node's size is bounded too, so repetitions cannot multiply out.
 _REPEAT_LIMIT = 10000
+_EXPANSION_LIMIT = 10**5
 
 
 class Alphabet:
@@ -152,12 +156,54 @@ class Star:
 ParamRegex = EmptySet | Epsilon | Lit | Var | Concat | Union | Star
 
 
+def _walk(e: ParamRegex) -> Iterator[tuple[ParamRegex, bool]]:
+    """Every node of ``e`` in depth-first, left-to-right order, as
+    ``(node, True)`` when it is entered and ``(node, False)`` once its
+    children are done.  The stack is explicit, so depth meets no recursion
+    limit; a shared subtree is walked once per occurrence."""
+    stack: list[tuple[ParamRegex, bool]] = [(e, True)]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, entering = item
+        if not entering:
+            continue
+        if isinstance(node, (Concat, Union)):
+            stack += ((node, False), (node.right, True), (node.left, True))
+        elif isinstance(node, Star):
+            stack += ((node, False), (node.inner, True))
+        else:
+            yield node, False
+
+
+_T = TypeVar("_T")
+
+
+def _fold(e: ParamRegex, combine: Callable[..., _T]) -> _T:
+    """``combine(node, *values)`` applied bottom-up over ``e``, the values
+    being those of the node's children, left to right; returns the root's."""
+    values: list[_T] = []
+    for node, entering in _walk(e):
+        if entering:
+            continue
+        if isinstance(node, (Concat, Union)):
+            right = values.pop()
+            values[-1] = combine(node, values[-1], right)
+        elif isinstance(node, Star):
+            values[-1] = combine(node, values[-1])
+        else:
+            values.append(combine(node))
+    return values[0]
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
 
 class _Parser:
-    """Hand-rolled recursive-descent parser over the grammar above."""
+    """One left-to-right pass over the grammar above, with a stack frame per
+    open parenthesis (and one for the whole text): the finished branches of
+    its union and the repetitions of the branch being read."""
 
     def __init__(self, text: str, alphabet: Alphabet):
         self.text = text
@@ -177,33 +223,36 @@ class _Parser:
             return None
         return self.text[self.pos]
 
-    def parse_expr(self) -> ParamRegex:
-        parts = [self.parse_cat()]
-        while self.peek() == "|":
-            self.pos += 1
-            parts.append(self.parse_cat())
-        return union_exprs(parts)
-
-    def parse_cat(self) -> ParamRegex:
-        parts = [self.parse_rep()]
+    def parse(self) -> ParamRegex:
+        frames: list[tuple[list[ParamRegex], list[ParamRegex]]] = [([], [])]
+        branches, reps = frames[-1]
         while True:
             ch = self.peek()
-            if ch is None or ch in "|)":
-                break
-            parts.append(self.parse_rep())
-        return concat_exprs(parts)
-
-    def parse_rep(self) -> ParamRegex:
-        node = self.parse_atom()
-        while True:
-            ch = self.peek()
-            if ch == "*":
+            if reps and ch == "*":
                 self.pos += 1
-                node = Star(node)
-            elif ch == "{":
-                node = self._parse_repeat(node)
+                reps[-1] = Star(reps[-1])
+            elif reps and ch == "{":
+                reps[-1] = self._parse_repeat(reps[-1])
+            elif reps and ch == "|":
+                self.pos += 1
+                branches.append(concat_exprs(reps))
+                reps.clear()
+            elif reps and ch in (")", None):
+                node = union_exprs(branches + [concat_exprs(reps)])
+                if ch is None and len(frames) == 1:
+                    return node
+                if ch is None or len(frames) == 1:
+                    self.fail("expected ')'" if ch is None else "unexpected ')'")
+                self.pos += 1
+                frames.pop()
+                branches, reps = frames[-1]
+                reps.append(node)
+            elif ch == "(":
+                self.pos += 1
+                frames.append(([], []))
+                branches, reps = frames[-1]
             else:
-                return node
+                reps.append(self.parse_atom())
 
     def _parse_repeat(self, node: ParamRegex) -> ParamRegex:
         open_pos = self.pos
@@ -221,19 +270,14 @@ class _Parser:
         if self.pos >= len(self.text) or self.text[self.pos] != "}":
             self.fail("expected '}' to close the repetition")
         self.pos += 1
-        return _balanced_concat([node] * count)
+        if count > 1 and count * size(node) > _EXPANSION_LIMIT:
+            self.fail(f"repetition expands past the limit of {_EXPANSION_LIMIT} nodes", open_pos)
+        return concat_exprs([node] * count)
 
     def parse_atom(self) -> ParamRegex:
         ch = self.peek()
         if ch is None:
             self.fail("expected an expression")
-        if ch == "(":
-            self.pos += 1
-            node = self.parse_expr()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return node
         if ch == "$":
             self.pos += 1
             m = _IDENT_RE.match(self.text, self.pos)
@@ -258,17 +302,13 @@ class _Parser:
 def parse(text: str, alphabet: Alphabet) -> ParamRegex:
     """Parse an expression string into an AST.
 
-    The ``{n}`` shorthand is expanded during parsing into a balanced
-    concatenation of n copies (``{0}`` yields the empty word).  Raises
-    :class:`~prx.errors.ParseError` with the offending position on
-    malformed input or letters outside the alphabet.
+    The ``{n}`` shorthand is expanded during parsing into a right-folded
+    concatenation of n copies of one shared node (``{0}`` yields the empty
+    word).  Raises :class:`~prx.errors.ParseError` with the offending
+    position on malformed input, letters outside the alphabet, and
+    repetitions past their limits.
     """
-    parser = _Parser(text, alphabet)
-    node = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.fail(f"unexpected {text[parser.pos]!r}")
-    return node
+    return _Parser(text, alphabet).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -293,29 +333,30 @@ def _needs_space(left_text: str, right_text: str) -> bool:
     return 0 < k < len(left_text) and left_text[k - 1] == "$"
 
 
-def _render(e: ParamRegex, min_level: int) -> str:
-    if isinstance(e, EmptySet):
-        text, level = "@", _LEVEL_ATOM
-    elif isinstance(e, Epsilon):
-        text, level = "_", _LEVEL_ATOM
-    elif isinstance(e, Lit):
-        text, level = e.letter, _LEVEL_ATOM
-    elif isinstance(e, Var):
-        text, level = "$" + e.name, _LEVEL_ATOM
-    elif isinstance(e, Star):
-        text, level = _render(e.inner, _LEVEL_STAR) + "*", _LEVEL_STAR
-    elif isinstance(e, Concat):
-        left = _render(e.left, _LEVEL_STAR)
-        right = _render(e.right, _LEVEL_CONCAT)
+def _at(part: tuple[str, int], min_level: int) -> str:
+    text, level = part
+    return "(" + text + ")" if level < min_level else text
+
+
+def _render(node: ParamRegex, *parts: tuple[str, int]) -> tuple[str, int]:
+    """Text and precedence level of ``node``, from those of its children."""
+    if isinstance(node, EmptySet):
+        return "@", _LEVEL_ATOM
+    if isinstance(node, Epsilon):
+        return "_", _LEVEL_ATOM
+    if isinstance(node, Lit):
+        return node.letter, _LEVEL_ATOM
+    if isinstance(node, Var):
+        return "$" + node.name, _LEVEL_ATOM
+    if isinstance(node, Star):
+        return _at(parts[0], _LEVEL_STAR) + "*", _LEVEL_STAR
+    if isinstance(node, Concat):
+        left, right = _at(parts[0], _LEVEL_STAR), _at(parts[1], _LEVEL_CONCAT)
         sep = " " if _needs_space(left, right) else ""
-        text, level = left + sep + right, _LEVEL_CONCAT
-    elif isinstance(e, Union):
-        text, level = _render(e.left, _LEVEL_CONCAT) + "|" + _render(e.right, _LEVEL_UNION), _LEVEL_UNION
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if level < min_level:
-        return "(" + text + ")"
-    return text
+        return left + sep + right, _LEVEL_CONCAT
+    if isinstance(node, Union):
+        return _at(parts[0], _LEVEL_CONCAT) + "|" + _at(parts[1], _LEVEL_UNION), _LEVEL_UNION
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 def print_regex(e: ParamRegex) -> str:
@@ -325,7 +366,7 @@ def print_regex(e: ParamRegex) -> str:
     in particular left-nested unions/concatenations keep their grouping
     (``Union(Union(a,b),c)`` prints as ``(a|b)|c``).
     """
-    return _render(e, _LEVEL_UNION)
+    return _fold(e, _render)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,63 +375,41 @@ def print_regex(e: ParamRegex) -> str:
 
 def size(e: ParamRegex) -> int:
     """Number of AST nodes."""
-    if isinstance(e, (Concat, Union)):
-        return 1 + size(e.left) + size(e.right)
-    if isinstance(e, Star):
-        return 1 + size(e.inner)
-    return 1
+    return sum(entering for _, entering in _walk(e))
 
 
-def _var_occurrences(e: ParamRegex, out: list[str]) -> None:
-    if isinstance(e, Var):
-        out.append(e.name)
-    elif isinstance(e, (Concat, Union)):
-        _var_occurrences(e.left, out)
-        _var_occurrences(e.right, out)
-    elif isinstance(e, Star):
-        _var_occurrences(e.inner, out)
+def _var_occurrences(e: ParamRegex) -> list[str]:
+    return [node.name for node, entering in _walk(e) if entering and isinstance(node, Var)]
 
 
 def variables(e: ParamRegex) -> tuple[str, ...]:
     """Distinct variable names in first-occurrence (left-to-right) order."""
-    occurrences: list[str] = []
-    _var_occurrences(e, occurrences)
-    return tuple(dict.fromkeys(occurrences))
+    return tuple(dict.fromkeys(_var_occurrences(e)))
 
 
 def is_simple(e: ParamRegex) -> bool:
     """True iff no variable occurs more than once in the expression."""
-    occurrences: list[str] = []
-    _var_occurrences(e, occurrences)
+    occurrences = _var_occurrences(e)
     return len(occurrences) == len(set(occurrences))
 
 
 def star_height(e: ParamRegex) -> int:
     """Maximal nesting depth of stars; 0 means the expression is star-free."""
-    if isinstance(e, (Concat, Union)):
-        return max(star_height(e.left), star_height(e.right))
-    if isinstance(e, Star):
-        return 1 + star_height(e.inner)
-    return 0
+    height = depth = 0
+    for node, entering in _walk(e):
+        if isinstance(node, Star):
+            depth += 1 if entering else -1
+            height = max(height, depth)
+    return height
 
 
 # ---------------------------------------------------------------------------
 # Small construction helpers used across the package
 
 
-def _balanced_concat(parts: list[ParamRegex]) -> ParamRegex:
-    """Concatenation of ``parts`` with ``n // 2`` of the n parts on the left,
-    so of logarithmic depth, which the recursive walkers over expressions
-    need (up to three parts fold right); no parts give the empty word."""
-    if len(parts) <= 1:
-        return parts[0] if parts else Epsilon()
-    half = len(parts) // 2
-    return Concat(_balanced_concat(parts[:half]), _balanced_concat(parts[half:]))
-
-
 def word_expr(w: str) -> ParamRegex:
     """Expression denoting exactly the word ``w`` (``_`` for the empty word)."""
-    return _balanced_concat([Lit(ch) for ch in w])
+    return concat_exprs([Lit(ch) for ch in w])
 
 
 def concat_exprs(parts: list[ParamRegex] | tuple[ParamRegex, ...]) -> ParamRegex:

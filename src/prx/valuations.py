@@ -24,7 +24,7 @@ from .automata import (
     trim,
 )
 from .errors import CountCapExceeded, DomainNotFinite, PrxError
-from .syntax import Alphabet, Concat, ParamRegex, Star, Union, Var, parse, variables, word_expr
+from .syntax import Alphabet, ParamRegex, Var, _fold, parse, variables, word_expr
 
 #: Default bound on how many valuations an enumeration may produce.
 DEFAULT_VALUATION_CAP = 10**6
@@ -177,31 +177,18 @@ def apply_to_regex(v: Valuation, e: ParamRegex) -> ParamRegex:
     """Replace every variable by its image word; the result is variable-free.
 
     Multi-letter images become concatenations of letters, the empty-word
-    image becomes the empty-word node.  The tree is rebuilt bottom-up from
+    image becomes the empty-word node.  The tree is rebuilt bottom-up over
     an explicit stack, so its depth meets no recursion limit.
     """
-    built: list[ParamRegex] = []
-    stack: list[tuple[ParamRegex, bool]] = [(e, False)]
-    while stack:
-        node, children_built = stack.pop()
+
+    def substitute(node: ParamRegex, *children: ParamRegex) -> ParamRegex:
         if isinstance(node, Var):
             if node.name not in v:
                 raise PrxError(f"valuation does not bind variable {node.name!r}")
-            built.append(word_expr(v[node.name]))
-        elif isinstance(node, Star):
-            if children_built:
-                built.append(Star(built.pop()))
-            else:
-                stack += [(node, True), (node.inner, False)]
-        elif isinstance(node, (Concat, Union)):
-            if children_built:
-                right = built.pop()
-                built.append(type(node)(built.pop(), right))
-            else:
-                stack += [(node, True), (node.right, False), (node.left, False)]
-        else:
-            built.append(node)
-    return built[0]
+            return word_expr(v[node.name])
+        return type(node)(*children) if children else node
+
+    return _fold(e, substitute)
 
 
 def apply_to_nfa(v: Valuation, a: Nfa) -> Nfa:

@@ -355,14 +355,23 @@ def test_console_script_smoke():
 _NESTED = "(" * 400 + "0" + ")" * 400
 
 
+def invoke_over_01(runner, tmp_path, domains, args):
+    """Run ``args`` over the alphabet 01, with ``domains`` (JSON text) if given."""
+    if domains is not None:
+        spec = tmp_path / "domains.json"
+        spec.write_text(domains)
+        args = args + ["--domains", str(spec)]
+    return invoke(runner, args[0], "--alphabet", "01", *args[1:])
+
+
 class TestErrorsAndStreams:
     @pytest.mark.parametrize("domains,args", [
-        (None, ["member", "--alphabet", "01", "--expr", _NESTED, "--word", "0"]),
         pytest.param(
-            f'{{"x": "{_NESTED}"}}',
+            "[" * 100_000 + "]" * 100_000,
             ["member", "--alphabet", "01", "--expr", "$x", "--word", "0"],
-            id="nested-domain",
+            id="json-nested-too-deeply",
         ),
+        (None, ["member", "--alphabet", "01", "--expr", "0{10000}{10000}", "--word", "0"]),
         (None, ["build-nfa", "--alphabet", "01", "--expr", "$x",
                 "--out", "/nonexistent_dir/x.dot"]),
     ])
@@ -409,11 +418,23 @@ class TestErrorsAndStreams:
          "true\n" + "0" * 3000 + "\n"),
     ], ids=["member-3000", "member-10000", "member-domain-3000", "nonempty-domain-3000"])
     def test_long_repetitions_are_decided(self, runner, tmp_path, domains, args, code, output):
-        if domains is not None:
-            spec = tmp_path / "domains.json"
-            spec.write_text(domains)
-            args = args + ["--domains", str(spec)]
-        res = invoke(runner, args[0], "--alphabet", "01", *args[1:])
+        res = invoke_over_01(runner, tmp_path, domains, args)
+        assert (res.exit_code, res.output) == (code, output)
+
+    @pytest.mark.parametrize("domains,args,code,output", [
+        (None, ["member", "--expr", _NESTED, "--word", "0"], 0, "true\n"),
+        (f'{{"x": "{_NESTED}"}}', ["member", "--expr", "$x", "--word", "0"], 0, "true\n"),
+        (None, ["member", "--expr", "01" * 1000, "--word", "01" * 1000], 0, "true\n"),
+        (None, ["member", "--expr", "|".join("01" * 1000), "--word", "1"], 0, "true\n"),
+        (None, ["member", "--expr", "(" * 300 + "0" + ")*" * 300, "--word", "000"], 0,
+         "true\n"),
+        (None, ["member", "--semantics", "box", "--expr", "0$x" * 1500,
+                "--word", "01" * 1500], 1, "false\n"),
+    ], ids=["nested-400", "nested-domain-400", "word-2000", "union-2000", "stars-300",
+            "chain-0x-1500"])
+    def test_deep_and_long_expressions_are_decided(self, runner, tmp_path, domains, args,
+                                                   code, output):
+        res = invoke_over_01(runner, tmp_path, domains, args)
         assert (res.exit_code, res.output) == (code, output)
 
     @pytest.mark.parametrize("args", [

@@ -31,6 +31,7 @@ from prx.valuations import (
 )
 
 import oracles
+from prx import valuations
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -497,6 +498,16 @@ class TestDecideDomains:
         rep = containment(e2, e1, AB, DIAMOND, domains=spec)
         assert rep.answer is False
         assert rep.witness in {"00", "11"}
+
+    def test_containment_expands_domain_words_once(self, monkeypatch):
+        calls = []
+        words = valuations._words
+        monkeypatch.setattr(valuations, "_words", lambda *args: calls.append(args) or words(*args))
+        # y's domain is infinite: certainty leaves y undefined, expanding x only
+        spec = DomainSpec.from_json({"x": "0|1", "y": "0*"}, AB)
+        rep = containment(parse("$x$y", AB), parse("$x 1*", AB), AB, BOX, domains=spec)
+        assert (rep.answer, rep.witness) == (True, None)
+        assert len(calls) == 1
 
     def test_nonempty_int_reg(self):
         e = parse("($x|_)1*", AB)

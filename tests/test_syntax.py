@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prx.automata import regex_to_nfa
 from prx.errors import ParseError
 from prx.syntax import (
     Alphabet,
@@ -26,6 +29,7 @@ from prx.syntax import (
     variables,
     word_expr,
 )
+from prx.valuations import Valuation, apply_to_regex
 
 AB01 = Alphabet("01")
 
@@ -124,6 +128,21 @@ def test_parse_errors_carry_position(text, pos_hint):
         assert err.value.position == pos_hint
 
 
+@pytest.mark.parametrize("text,letters,nodes", [
+    ("0{10000}", "01", 19999),
+    ("(0|1|2){10000}", "012", 59999),
+    ("0{10000}{10000}", "01", None),
+])
+def test_repetitions_are_bounded_by_what_they_expand_to(text, letters, nodes):
+    if nodes is not None:
+        assert size(parse(text, Alphabet(letters))) == nodes
+        return
+    with pytest.raises(ParseError) as err:
+        parse(text, Alphabet(letters))
+    assert err.value.position == 8
+    assert "limit of 100000 nodes" in str(err.value)
+
+
 def test_parse_rejects_undeclared_letter():
     with pytest.raises(ParseError) as err:
         parse("02", AB01)
@@ -194,6 +213,61 @@ def test_construction_helpers():
     assert union_exprs([Lit("0"), Lit("1"), Epsilon()]) == Union(
         Lit("0"), Union(Lit("1"), Epsilon())
     )
+
+
+# ---------------------------------------------------------------------------
+# Depth 10 000, at the default recursion limit
+
+DEPTH = 10_000
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def _shape(e):
+    """The tree in prefix order, built without recursion (``==`` on
+    dataclasses recurses)."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Concat, Union)):
+            out.append(type(node).__name__)
+            stack += [node.right, node.left]
+        elif isinstance(node, Star):
+            out.append("Star")
+            stack.append(node.inner)
+        else:
+            out.append(node)
+    return out
+
+
+# text, size, star height, Thompson states (two per node but concatenations)
+DEEP = {
+    "nested-parentheses": ("(" * DEPTH + "$x" + ")1" * DEPTH, 2 * DEPTH + 1, 0, 2 * DEPTH + 2),
+    "nested-stars": ("(" * DEPTH + "$x" + ")*" * DEPTH, DEPTH + 1, DEPTH, 2 * DEPTH + 2),
+    "literal-chain": ("0" * DEPTH + "$x", 2 * DEPTH + 1, 0, 2 * DEPTH + 2),
+    "long-union": ("0|" * DEPTH + "$x", 2 * DEPTH + 1, 0, 4 * DEPTH + 2),
+}
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("text,nodes,height,states", DEEP.values(), ids=DEEP.keys())
+def test_deep_expressions_need_no_recursion(text, nodes, height, states):
+    e = parse(text, AB01)
+    printed = print_regex(e)
+    assert _shape(parse(printed, AB01)) == _shape(e)
+    assert size(e) == nodes
+    assert star_height(e) == height
+    assert variables(e) == ("x",)
+    assert is_simple(e)
+    assert regex_to_nfa(e, AB01).n_states == states
+    ground = apply_to_regex(Valuation({"x": "1"}), e)
+    assert _shape(ground) == [Lit("1") if node == Var("x") else node for node in _shape(e)]
 
 
 # ---------------------------------------------------------------------------
