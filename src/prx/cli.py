@@ -30,11 +30,10 @@ from .constructions import (
     fooling_pairs_diamond,
     verify_fooling_set,
 )
-from .errors import NotSimple, PrxError
+from .errors import NotSimple, PreconditionViolated, PrxError
 from .fast_paths import (
     membership_diamond_fixed_word,
     membership_diamond_simple_sh0,
-    nonemptiness_box_sh0,
 )
 from .semantics import (
     BOX,
@@ -277,10 +276,10 @@ def nonempty(expr, fast, **raw):
             raise PrxError("--fast supports the base semantics only, not --domains")
         if cfg.semantics is not BOX:
             raise PrxError("no fast path: the general diamond check is already linear")
-        answer, witness = nonemptiness_box_sh0(
-            e, cfg.alphabet, cfg.valuation_cap, cfg.word_cap
-        )
-        return DecisionReport(answer=answer, witness=witness)
+        if star_height(e) != 0:
+            raise PreconditionViolated("expected a star-free expression")
+        report = nonemptiness(e, cfg.alphabet, BOX, cfg.valuation_cap, cfg.state_cap)
+        return DecisionReport(answer=report.answer, witness=report.witness)
 
     _decide(raw, [expr], decide)
 

@@ -6,11 +6,12 @@ variables on the fly.  With k variables over the alphabet Σ and an automaton
 of n states it explores at most (|w|+1)·n·Σ_{j≤k} C(k,j)·|Σ|^j nodes:
 linear in |w| but exponential in k, so polynomial only for a fixed k, and
 capped like every automaton construction.  Simple star-free expressions
-need no bindings at all, and certainty nonemptiness of a star-free
-expression only has to test the words of one instance.
+need no bindings at all.
 
-Certainty membership has no route here: it is coNP-complete in general, and
-:func:`prx.semantics.membership` decides it in one pass over the word.
+Certainty problems have no route here.  Membership is coNP-complete in
+general, and :func:`prx.semantics.membership` decides it in one pass over
+the word; :func:`prx.semantics.nonemptiness` searches the certainty
+automaton lazily and stops at its first accepting state.
 """
 
 from __future__ import annotations
@@ -20,15 +21,8 @@ from dataclasses import dataclass
 
 from .automata import DEFAULT_STATE_CAP, VarLabel, regex_to_nfa, remove_epsilon
 from .errors import PreconditionViolated, StateCapExceeded
-from .semantics import BOX, membership
 from .syntax import Alphabet, ParamRegex, is_simple, star_height, variables
-from .valuations import (
-    DEFAULT_VALUATION_CAP,
-    DEFAULT_WORD_CAP,
-    Valuation,
-    apply_to_regex,
-    enumerate_finite_domain,
-)
+from .valuations import Valuation
 
 
 @dataclass(frozen=True)
@@ -139,30 +133,3 @@ def membership_diamond_simple_sh0(e: ParamRegex, w: str, alphabet: Alphabet) -> 
             return False
     return bool(current & set(a.finals))
 
-
-# ---------------------------------------------------------------------------
-# Certainty nonemptiness for star-free expressions
-
-
-def nonemptiness_box_sh0(
-    e: ParamRegex,
-    alphabet: Alphabet,
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
-    word_cap: int = DEFAULT_WORD_CAP,
-) -> tuple[bool, str | None]:
-    """Certainty nonemptiness for star-free expressions, with witness.
-
-    Star-free instances have finite languages, and the certainty language is
-    contained in every instance — so the instance under the first valuation
-    is a complete candidate list.  Candidates are tried shortlex; the first
-    one in the certainty language is the witness.
-    """
-    if star_height(e) != 0:
-        raise PreconditionViolated("expected a star-free expression")
-    first = Valuation({name: alphabet.letters[0] for name in variables(e)})
-    instance = remove_epsilon(regex_to_nfa(apply_to_regex(first, e), alphabet))
-    candidates = enumerate_finite_domain(instance, word_cap)
-    for w in candidates:
-        if membership(e, w, alphabet, BOX, valuation_cap).answer:
-            return True, w
-    return False, None

@@ -6,18 +6,22 @@ Variables range over the letters, or over the words of per-variable regular
 domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
 and decides both the same way.  Membership simulates the variable-labelled
 automaton once over the word, carrying a set of valuations per state, so it
-never builds an instance.  The other problems enumerate valuations in the
-fixed deterministic order and check, union, or intersect the substituted
-automata.  Either way a reported valuation is the first one in enumeration
-order.  Nothing is approximated: caps make the exponential cases fail loudly
-instead.
+never builds an instance.  Over letters, certainty nonemptiness, possibility
+universality and certainty containment step those sets the same way, letter
+by letter, in one breadth-first search over *mask states* that stops at the
+first answer; no instance is built for them either.  The other problems
+enumerate valuations in the fixed deterministic order and check, union, or
+intersect the substituted automata.  Either way a reported valuation is the
+first one in enumeration order.  Nothing is approximated: caps make the
+exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
@@ -35,7 +39,7 @@ from .automata import (
     remove_epsilon,
     union_all,
 )
-from .errors import DomainNotFinite, PrxError
+from .errors import DomainNotFinite, PrxError, StateCapExceeded
 from .syntax import Alphabet, ParamRegex, variables
 from .valuations import (
     DEFAULT_VALUATION_CAP,
@@ -72,7 +76,13 @@ class DecisionReport:
     ``witness`` is a word (nonemptiness witness, non-universality or
     containment counterexample); ``valuation`` is the substitution that
     witnesses or refutes the answer, when one exists; ``stats`` records how
-    much work was done (valuations examined, automaton states built).
+    much work was done.  ``stats["valuations"]`` counts the valuations
+    examined (membership) or combined (the others).  ``stats["states"]``
+    counts the states of the search that produced the answer: the mask
+    states discovered for certainty nonemptiness, possibility universality
+    and certainty containment over letters, and otherwise the states of the
+    automaton the answer was read from (the expression's own for
+    membership).
     """
 
     answer: bool
@@ -207,6 +217,131 @@ def construct_nfa(
 
 
 # ---------------------------------------------------------------------------
+# Sets of valuations stepped through the variable-labelled automaton
+
+
+def _letter_moves(
+    base: Nfa, to_letter: Mapping[str, Sequence[int]]
+) -> list[dict[int, list[tuple[int, int | None]]]]:
+    """Per letter index and state, the edges that read that letter, as
+    (target, valuations the edge keeps): a letter edge keeps all of them
+    (``None``), an edge ``$x`` those in ``to_letter[x]`` at that letter's
+    index.  Edges that keep none are left out."""
+    moves: list[dict[int, list[tuple[int, int | None]]]] = [{} for _ in base.alphabet.letters]
+    for src, label, dst in base.transitions:
+        if isinstance(label, VarLabel):
+            for row, keep in zip(moves, to_letter[label.name]):
+                if keep:
+                    row.setdefault(src, []).append((dst, keep))
+        else:
+            moves[base.alphabet.index(label)].setdefault(src, []).append((dst, None))
+    return moves
+
+
+def _step(
+    reach: Iterable[tuple[int, int]],
+    moves: dict[int, list[tuple[int, int | None]]],
+    ahead: dict[int, int],
+) -> dict[int, int]:
+    """Read one letter: add to ``ahead`` the valuations each (state,
+    valuations) pair passes along its edges in ``moves``, one letter's row
+    of :func:`_letter_moves`."""
+    for q, have in reach:
+        for dst, keep in moves.get(q, ()):
+            kept = have if keep is None else have & keep
+            if kept:
+                ahead[dst] = ahead.get(dst, 0) | kept
+    return ahead
+
+
+#: A mask state: the sorted (state, nonzero valuation bitset) pairs of the
+#: ε-free automaton reached on one word, the bitset holding the letter
+#: valuations under which the state is reached.
+_MaskState = tuple[tuple[int, int], ...]
+
+
+class _Masks:
+    """An expression's ε-free automaton run under every letter valuation at
+    once, on mask states.  Stepping a mask state is deterministic, and a
+    word leads to the mask state that records, for every valuation, the
+    subset its instance's subset construction reaches on that word."""
+
+    __slots__ = ("total", "full", "finals", "moves", "start")
+
+    def __init__(self, e: ParamRegex, alphabet: Alphabet, valuation_cap: int):
+        choices = letter_choices(variables(e), alphabet, valuation_cap)
+        base = _compiled(e, alphabet)
+        self.total, masks = letter_masks(choices)
+        self.full = (1 << self.total) - 1
+        self.finals = base.finals
+        self.moves = _letter_moves(base, masks)
+        self.start: _MaskState = ((base.initial, self.full),)
+
+    def step(self, state: _MaskState, i: int) -> _MaskState:
+        return tuple(sorted(_step(state, self.moves[i], {}).items()))
+
+    def accepting(self, state: _MaskState) -> int:
+        """The valuations whose instance accepts at this mask state."""
+        out = 0
+        for q, have in state:
+            if q in self.finals:
+                out |= have
+        return out
+
+    def alive(self, state: _MaskState) -> bool:
+        """Does every valuation reach some state?  If one reaches none, its
+        instance rejects every continuation, so no word through this mask
+        state is in the certainty language."""
+        out = 0
+        for _, have in state:
+            out |= have
+        return out == self.full
+
+
+def _mask_search(
+    start: Hashable,
+    step: Callable[[Hashable, int], Hashable],
+    alphabet: Alphabet,
+    wanted: Callable[[Hashable], bool],
+    keep: Callable[[Hashable], bool],
+    state_cap: int,
+) -> tuple[str | None, int]:
+    """Breadth-first search from ``start`` for a ``wanted`` node, with the
+    letters tried in alphabet order; a node ``keep`` refuses is neither
+    counted nor queued, and no wanted node may be behind one.
+
+    ``step`` is deterministic, so the word returned, that of the first
+    wanted node found, is the shortlex-least word leading to one.  Returns
+    it (``None`` if there is none) and the number of nodes discovered;
+    raises :class:`~prx.errors.StateCapExceeded` once that would exceed
+    ``state_cap``.
+    """
+    if wanted(start):
+        return "", 1
+    parents: dict[Hashable, tuple[Hashable, int] | None] = {start: None}
+    queue: deque[Hashable] = deque([start])
+    while queue:
+        node = queue.popleft()
+        for i in range(len(alphabet)):
+            nxt = step(node, i)
+            if nxt in parents or not keep(nxt):
+                continue
+            if len(parents) >= state_cap:
+                raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
+            parents[nxt] = (node, i)
+            if wanted(nxt):
+                chars = []
+                link = parents[nxt]
+                while link is not None:
+                    node, i = link
+                    chars.append(alphabet.letters[i])
+                    link = parents[node]
+                return "".join(reversed(chars)), len(parents)
+            queue.append(nxt)
+    return None, len(parents)
+
+
+# ---------------------------------------------------------------------------
 # MEMBERSHIP
 
 
@@ -256,29 +391,25 @@ def membership(
                     longer.setdefault(name, {}).setdefault(image[0], []).append((image, mask))
                 else:
                     empty[name] = mask
-    adj = base.adjacency()
+    adj = base.adjacency() if longer or empty else {}
+    moves = _letter_moves(base, to_letter)
     full = (1 << total) - 1
     reach = {base.initial: full}
     later: dict[int, dict[int, int]] = {}  # arrivals after longer images
     for pos, i in enumerate(letter_ids):
         if empty:
             _follow_empty_images(reach, adj, empty)
-        ch = w[pos]
-        ahead = later.pop(pos + 1, {})
-        for q, have in reach.items():
-            for label, dst in adj[q]:
-                if isinstance(label, VarLabel):
-                    keep = have & to_letter[label.name][i]
-                    if keep:
-                        ahead[dst] = ahead.get(dst, 0) | keep
-                    if longer and label.name in longer:
+        ahead = _step(reach.items(), moves[i], later.pop(pos + 1, {}))
+        if longer:
+            ch = w[pos]
+            for q, have in reach.items():
+                for label, dst in adj[q]:
+                    if isinstance(label, VarLabel) and label.name in longer:
                         for image, mask in longer[label.name].get(ch, ()):
                             keep = have & mask
                             if keep and w.startswith(image, pos):
                                 at = later.setdefault(pos + len(image), {})
                                 at[dst] = at.get(dst, 0) | keep
-                elif label == ch:
-                    ahead[dst] = ahead.get(dst, 0) | have
         reach = ahead
         if not reach and not later:
             break
@@ -338,8 +469,11 @@ def nonemptiness(
     Over letters, possibility-nonemptiness does not depend on the valuation
     chosen (a path in one substituted automaton exists iff one exists in any
     other), so only the first valuation is inspected — no cap applies.
-    Everything else runs the full combination and reports its shortest
-    witness.
+    Certainty-nonemptiness over letters searches mask states breadth-first
+    for one whose final states hold every valuation; a mask state that
+    loses a valuation altogether is dead and dropped.  The witness is the
+    shortlex-least word of the certainty language.  With ``domains`` the
+    combined automaton is built and its shortest witness reported.
     """
     if sem is DIAMOND and domains is None:
         nu = Valuation(dict.fromkeys(variables(e), alphabet.letters[0]))
@@ -350,6 +484,19 @@ def nonemptiness(
             witness=witness,
             valuation=nu.as_dict() if not empty else None,
             stats={"valuations": 1, "states": instance.n_states},
+        )
+    if domains is None:
+        side = _Masks(e, alphabet, valuation_cap)
+        witness, n_states = _mask_search(
+            side.start, side.step, alphabet,
+            wanted=lambda s: side.accepting(s) == side.full,
+            keep=side.alive,
+            state_cap=state_cap,
+        )
+        return DecisionReport(
+            answer=witness is not None,
+            witness=witness,
+            stats={"valuations": side.total, "states": n_states},
         )
     space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
     combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
@@ -378,9 +525,12 @@ def universality(
 
     Over letters, certainty-universality holds iff every substituted
     instance is universal, so instances are checked one valuation at a time
-    up to the first that is not.  Everything else determinizes the combined
-    automaton.  Counterexample words come from the shortest-reject search
-    and are therefore deterministic.
+    up to the first that is not, and the counterexample is one that
+    instance rejects.  Possibility-universality over letters searches mask
+    states breadth-first for one whose final states hold no valuation.  With
+    ``domains`` the combined automaton is determinized.  Every route
+    searches a deterministic automaton, so the counterexample is the
+    shortlex-least word it rejects.
     """
     if sem is BOX and domains is None:
         base = _compiled(e, alphabet)
@@ -398,6 +548,19 @@ def universality(
                 )
         return DecisionReport(
             answer=True, stats={"valuations": count, "states": base.n_states}
+        )
+    if domains is None:
+        side = _Masks(e, alphabet, valuation_cap)
+        cex, n_states = _mask_search(
+            side.start, side.step, alphabet,
+            wanted=lambda s: not side.accepting(s),
+            keep=lambda s: True,
+            state_cap=state_cap,
+        )
+        return DecisionReport(
+            answer=cex is None,
+            witness=cex,
+            stats={"valuations": side.total, "states": n_states},
         )
     space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
     combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
@@ -427,9 +590,31 @@ def containment(
     """Is L(e1) ⊆ L(e2) under the chosen semantics?
 
     Decided as emptiness of L(e1) ∩ complement(L(e2)); when the containment
-    fails, the shortest separating word is returned.  With ``domains`` the
-    valuation space depends on the domains only, so both sides share it.
+    fails, the shortest separating word is returned.  Certainty over letters
+    searches pairs of mask states, one per side, breadth-first for a pair
+    where e1 accepts under every valuation and e2 not under some; pairs
+    whose e1 side is dead are dropped, and the separator is shortlex-least.
+    Otherwise the combined automata are built and multiplied.  With
+    ``domains`` the valuation space depends on the domains only, so both
+    sides share it.
     """
+    if domains is None and sem is BOX:
+        lhs, rhs = _Masks(e1, alphabet, valuation_cap), _Masks(e2, alphabet, valuation_cap)
+        witness, n_states = _mask_search(
+            (lhs.start, rhs.start),
+            lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),
+            alphabet,
+            wanted=lambda pair: (
+                lhs.accepting(pair[0]) == lhs.full and rhs.accepting(pair[1]) != rhs.full
+            ),
+            keep=lambda pair: lhs.alive(pair[0]),
+            state_cap=state_cap,
+        )
+        return DecisionReport(
+            answer=witness is None,
+            witness=witness,
+            stats={"valuations": lhs.total + rhs.total, "states": n_states},
+        )
     if domains is not None:
         _check_spec_covers(domains, e1, e2)
     caps = (valuation_cap, word_cap)

@@ -32,7 +32,6 @@ from prx.constructions import (
 from prx.fast_paths import (
     membership_diamond_fixed_word,
     membership_diamond_simple_sh0,
-    nonemptiness_box_sh0,
 )
 from prx.semantics import (
     BOX,
@@ -173,7 +172,8 @@ def test_criterion_2_oracle_equivalence():
             # Star-free expressions of this size only produce words that the
             # length-6 window already covers, so the bounded set is the whole
             # certainty language and the witness must be its shortlex minimum.
-            nonempty, witness = nonemptiness_box_sh0(e, alphabet)
+            rep = nonemptiness(e, alphabet, BOX)
+            nonempty, witness = rep.answer, rep.witness
             assert nonempty == bool(rec.box)
             if nonempty:
                 assert witness == _shortlex_min(rec.box, alphabet)

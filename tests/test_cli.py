@@ -447,6 +447,18 @@ class TestErrorsAndStreams:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("args", [
+        ["nonempty", "--semantics", "box", "--expr", "(0|1)*$x$y(0|1)*"],
+        ["universal", "--semantics", "diamond", "--expr", "(0|1)*|$x$y$z"],
+        ["contains", "--semantics", "box", "--lhs", "(0|1)*$x1$x2(0|1)*",
+         "--rhs", "(0|1)*$x1$x2$x3(0|1)*"],
+    ], ids=["nonempty-box", "universal-diamond", "contains-box"])
+    def test_mask_searches_honour_the_state_cap(self, runner, args):
+        res = invoke(runner, args[0], "--alphabet", "01", *args[1:], "--max-states", "4")
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
     def test_in_process_calls_keep_no_captured_stream(self):
         refs = []
         for args in (["member", "--alphabet", "01", "--expr", "$x", "--word", "0"],

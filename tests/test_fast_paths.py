@@ -5,22 +5,30 @@ from __future__ import annotations
 import random
 
 import pytest
+from click.testing import CliRunner
 
 from prx.automata import regex_to_nfa, remove_epsilon
+from prx.cli import main
 from prx.errors import CountCapExceeded, PreconditionViolated, StateCapExceeded
 from prx.fast_paths import (
     SearchState,
     membership_diamond_fixed_word,
     membership_diamond_simple_sh0,
-    nonemptiness_box_sh0,
 )
 from prx.semantics import BOX, DIAMOND, membership, nonemptiness
-from prx.syntax import Alphabet, is_simple, parse
+from prx.syntax import Alphabet, is_simple, parse, print_regex
 from prx.valuations import apply_to_nfa
 
 import oracles
 
 AB = Alphabet("01")
+
+
+def fast_nonempty(text):
+    """``prx nonempty --fast --witness`` over 01 under box, in process."""
+    return CliRunner().invoke(
+        main, ["nonempty", "--alphabet", "01", "--expr", text, "--fast", "--witness"]
+    )
 
 
 def random_simple(rng, alphabet, var_pool, budget, star_allowed=True):
@@ -125,28 +133,37 @@ class TestMembershipDiamondSimpleSh0:
 
 
 class TestNonemptinessBoxSh0:
+    """``nonempty --fast`` refuses starred expressions and otherwise runs
+    :func:`nonemptiness`, which the cases below call directly."""
+
     def test_single_variable_empty(self):
-        assert nonemptiness_box_sh0(parse("$x", AB), AB) == (False, None)
+        rep = nonemptiness(parse("$x", AB), AB, BOX)
+        assert (rep.answer, rep.witness) == (False, None)
 
     def test_plain_union(self):
-        assert nonemptiness_box_sh0(parse("0|1", AB), AB) == (True, "0")
+        rep = nonemptiness(parse("0|1", AB), AB, BOX)
+        assert (rep.answer, rep.witness) == (True, "0")
 
     def test_branch_cover(self):
         e = parse("($x|0)($y|1)", AB)
-        assert nonemptiness_box_sh0(e, AB) == (True, "01")
+        rep = nonemptiness(e, AB, BOX)
+        assert (rep.answer, rep.witness) == (True, "01")
         with pytest.raises(CountCapExceeded):
-            nonemptiness_box_sh0(e, AB, valuation_cap=3)
+            nonemptiness(e, AB, BOX, valuation_cap=3)
 
     def test_rejects_stars(self):
-        with pytest.raises(PreconditionViolated):
-            nonemptiness_box_sh0(parse("(0|1)*", AB), AB)
+        res = fast_nonempty("(0|1)*")
+        assert res.exit_code == 2
+        assert res.stderr == "error: expected a star-free expression\n"
 
     def test_agreement_with_general_nonemptiness(self):
         rng = random.Random(5108)
         for _ in range(40):
             e = oracles.random_expr(rng, AB, ("x", "y"), budget=7, star_allowed=False)
-            got, witness = nonemptiness_box_sh0(e, AB)
+            res = fast_nonempty(print_regex(e))
+            got = res.exit_code == 0
+            witness = res.stdout.splitlines()[1] if got else None
             want = nonemptiness(e, AB, BOX)
             assert got == want.answer
             if got:
-                assert membership(e, witness, AB, BOX).answer
+                assert membership(e, "" if witness == "_" else witness, AB, BOX).answer

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from prx.automata import accepts, determinize, is_empty, regex_to_nfa, remove_epsilon
+from prx.constructions import family_box_subword, family_diamond_power
 from prx.errors import CountCapExceeded, DomainNotFinite, PrxError
 from prx.semantics import (
     BOX,
@@ -623,6 +624,111 @@ class TestMembershipOverDomains:
                 with pytest.raises(DomainNotFinite):
                     membership(e, "0", AB, DIAMOND, domains=spec)
         assert infinite
+
+
+# ---------------------------------------------------------------------------
+# the searches over mask states: box nonemptiness, diamond universality and
+# box containment over letters
+
+
+def assert_first(witness, qualifies, words):
+    """``witness`` is the shortlex-least word that ``qualifies``, or None
+    when none does: checked on the witness itself and on every word of
+    ``words`` (shortlex order) no longer than it and before it."""
+    if witness is not None:
+        assert qualifies(witness)
+    for w in words:
+        if w == witness or (witness is not None and len(w) > len(witness)):
+            break
+        assert not qualifies(w), w
+
+
+def least_covering_word(n):
+    """The shortlex-least binary word holding every length-n block: BFS over
+    (last n-1 letters, blocks seen) with letters in order."""
+    grams = ["".join(t) for t in itertools.product("01", repeat=n)]
+    full = set(grams)
+    queue = [("", frozenset())]
+    seen = {("", frozenset())}
+    for word, blocks in queue:
+        if blocks == full:
+            return word
+        for ch in "01":
+            grown = word + ch
+            state = (grown[-(n - 1):], blocks | {grown[-n:]} if len(grown) >= n else blocks)
+            if state not in seen:
+                seen.add(state)
+                queue.append((grown, state[1]))
+    raise AssertionError("some word covers every block")
+
+
+class TestMaskSearch:
+    def test_random_expressions_match_the_oracle(self):
+        rng = random.Random(4117)
+        for alphabet, count, bound in ((AB, 200, 6), (ABC, 100, 4)):
+            words = list(oracles.all_words(alphabet, bound))
+
+            def member(e, names, language, w, box):
+                if len(w) <= bound:
+                    return w in language
+                return oracles.brute_membership(e, names, alphabet, w, box)
+
+            for _ in range(count):
+                e1, e2 = (
+                    oracles.random_expr(
+                        rng, alphabet, ("x", "y", "z"), rng.randint(4, 14), var_prob=0.4
+                    )
+                    for _ in range(2)
+                )
+                v1, v2 = variables(e1), variables(e2)
+                box1 = oracles.brute_language(e1, v1, alphabet, bound, box=True)
+                box2 = oracles.brute_language(e2, v2, alphabet, bound, box=True)
+                dia1 = oracles.brute_language(e1, v1, alphabet, bound, box=False)
+                rep = nonemptiness(e1, alphabet, BOX)
+                assert rep.answer == (rep.witness is not None)
+                assert_first(rep.witness, lambda w: member(e1, v1, box1, w, True), words)
+
+                rep = universality(e1, alphabet, DIAMOND)
+                assert rep.answer == (rep.witness is None)
+                assert_first(rep.witness, lambda w: not member(e1, v1, dia1, w, False), words)
+
+                rep = containment(e1, e2, alphabet, BOX)
+                assert rep.answer == (rep.witness is None)
+                assert_first(
+                    rep.witness,
+                    lambda w: member(e1, v1, box1, w, True) and not member(e2, v2, box2, w, True),
+                    words,
+                )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_box_subword_witness_is_the_least_covering_word(self, n):
+        rep = nonemptiness(family_box_subword(n), AB, BOX)
+        assert (rep.answer, rep.witness) == (True, least_covering_word(n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_subword_containment_separator_is_the_least_covering_word(self, n):
+        rep = containment(family_box_subword(n), family_box_subword(n + 1), AB, BOX)
+        assert (rep.answer, rep.witness) == (False, least_covering_word(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_diamond_power_counterexample_is_the_first_missing_word(self, n):
+        def power(w):
+            return not w or (len(w) % n == 0 and w == w[:n] * (len(w) // n))
+
+        first_missing = next(w for w in oracles.all_words(AB, 2 * n) if not power(w))
+        rep = universality(family_diamond_power(n), AB, DIAMOND)
+        assert (rep.answer, rep.witness) == (False, first_missing)
+
+    def test_box_nonemptiness_past_the_product_cap(self):
+        # The product of the 729 determinized instances needs more than the
+        # default 65 536 states; the search finds the word among 145.
+        e = parse(
+            "(0|1|2)*($x1|0|1|2)2($x2|1)($x3|0|1|2)($x4|0)1($x5|0|1|2)($x6|1)(0|1|2)*", ABC
+        )
+        rep = nonemptiness(e, ABC, BOX)
+        assert (rep.answer, rep.witness) == (True, "02100101")
+        assert rep.stats == {"valuations": 729, "states": 145}
+        assert membership(e, rep.witness, ABC, BOX).answer is True
 
 
 # ---------------------------------------------------------------------------
