@@ -9,11 +9,14 @@ automaton once over the word, carrying a set of valuations per state, so it
 never builds an instance.  Over letters, certainty nonemptiness, possibility
 universality and certainty containment step those sets the same way, letter
 by letter, in one breadth-first search over *mask states* that stops at the
-first answer; no instance is built for them either.  The other problems
-enumerate valuations in the fixed deterministic order and check, union, or
-intersect the substituted automata.  Either way a reported valuation is the
-first one in enumeration order.  Nothing is approximated: caps make the
-exponential cases fail loudly instead.
+first answer; no instance is built for them either.  Certainty universality
+over letters runs the same search to find the first valuation whose instance
+is not universal, and determinizes that instance alone for its
+counterexample.  The other problems enumerate valuations in the fixed
+deterministic order and check, union, or intersect the substituted
+automata.  Either way a reported valuation is the first one in enumeration
+order.  Nothing is approximated: caps make the exponential cases fail
+loudly instead.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .automata import (
     product_all,
     regex_to_nfa,
     remove_epsilon,
+    trim,
     union_all,
 )
 from .errors import DomainNotFinite, PrxError, StateCapExceeded
@@ -50,7 +54,6 @@ from .valuations import (
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
-    enumerate_valuations,
     letter_choices,
     letter_masks,
     valuation_at,
@@ -82,7 +85,9 @@ class DecisionReport:
     states discovered for certainty nonemptiness, possibility universality
     and certainty containment over letters, and otherwise the states of the
     automaton the answer was read from (the expression's own for
-    membership).
+    membership; for certainty universality over letters the one instance
+    determinized, or the expression's own when every instance is
+    universal).
     """
 
     answer: bool
@@ -264,18 +269,24 @@ class _Masks:
     """An expression's ε-free automaton run under every letter valuation at
     once, on mask states.  Stepping a mask state is deterministic, and a
     word leads to the mask state that records, for every valuation, the
-    subset its instance's subset construction reaches on that word."""
+    subset its instance's subset construction reaches on that word.  The
+    automaton is trimmed first: a state from which no final state can be
+    reached adds nothing to any accepting set."""
 
     __slots__ = ("total", "full", "finals", "moves", "start")
 
-    def __init__(self, e: ParamRegex, alphabet: Alphabet, valuation_cap: int):
-        choices = letter_choices(variables(e), alphabet, valuation_cap)
-        base = _compiled(e, alphabet)
+    def __init__(self, base: Nfa, choices: Mapping[str, Sequence[str]]):
+        base = trim(base)
         self.total, masks = letter_masks(choices)
         self.full = (1 << self.total) - 1
         self.finals = base.finals
         self.moves = _letter_moves(base, masks)
         self.start: _MaskState = ((base.initial, self.full),)
+
+    @classmethod
+    def of(cls, e: ParamRegex, alphabet: Alphabet, valuation_cap: int) -> "_Masks":
+        choices = letter_choices(variables(e), alphabet, valuation_cap)
+        return cls(_compiled(e, alphabet), choices)
 
     def step(self, state: _MaskState, i: int) -> _MaskState:
         return tuple(sorted(_step(state, self.moves[i], {}).items()))
@@ -296,6 +307,53 @@ class _Masks:
         for _, have in state:
             out |= have
         return out == self.full
+
+    def first_non_universal(self, alphabet: Alphabet, state_cap: int) -> int | None:
+        """The index of the first valuation whose instance is not universal,
+        or ``None`` when every instance is.
+
+        The mask states reachable on all words together record every
+        instance's reachable subsets, so the valuations some of them reject
+        are exactly the non-universal ones.  The search goes on past each
+        one it finds, but narrows the bitsets it steps to the valuations
+        before the least found so far, and stops once that is valuation 0.
+        A valuation that reaches a *sure* state, from which every instance
+        accepts every word, is rejected by no continuation, so it is kept
+        on its sure states only.
+        """
+        # The sure states: the largest set of final states that each have,
+        # on every letter, a letter edge into the set.
+        sure = set(self.finals)
+        while True:
+            kept = {
+                q for q in sure
+                if all(any(keep is None and dst in sure for dst, keep in row.get(q, ()))
+                       for row in self.moves)
+            }
+            if kept == sure:
+                break
+            sure = kept
+        live = self.full
+
+        def step(state: _MaskState, i: int) -> _MaskState:
+            ahead = _step(state, self.moves[i], {})
+            done = 0
+            for q in sure:
+                done |= ahead.get(q, 0)
+            return tuple(sorted(
+                (q, narrowed) for q, have in ahead.items()
+                if (narrowed := have & live if q in sure else have & live & ~done)
+            ))
+
+        def rejects(state: _MaskState) -> bool:
+            nonlocal live
+            bad = live & ~self.accepting(state)
+            if bad:
+                live = (bad & -bad) - 1
+            return not live
+
+        _mask_search(self.start, step, alphabet, rejects, lambda s: True, state_cap)
+        return None if live == self.full else live.bit_length()
 
 
 def _mask_search(
@@ -486,7 +544,7 @@ def nonemptiness(
             stats={"valuations": 1, "states": instance.n_states},
         )
     if domains is None:
-        side = _Masks(e, alphabet, valuation_cap)
+        side = _Masks.of(e, alphabet, valuation_cap)
         witness, n_states = _mask_search(
             side.start, side.step, alphabet,
             wanted=lambda s: side.accepting(s) == side.full,
@@ -524,33 +582,40 @@ def universality(
     """Is every word over the alphabet in the language?
 
     Over letters, certainty-universality holds iff every substituted
-    instance is universal, so instances are checked one valuation at a time
-    up to the first that is not, and the counterexample is one that
-    instance rejects.  Possibility-universality over letters searches mask
-    states breadth-first for one whose final states hold no valuation.  With
+    instance is universal.  One breadth-first search over mask states finds
+    the first valuation whose instance is not (see
+    :meth:`_Masks.first_non_universal`), and only that instance is
+    determinized; the counterexample is the shortlex-least word it rejects.
+    Possibility-universality over letters searches mask states
+    breadth-first for one whose final states hold no valuation.  With
     ``domains`` the combined automaton is determinized.  Every route
     searches a deterministic automaton, so the counterexample is the
     shortlex-least word it rejects.
     """
     if sem is BOX and domains is None:
+        choices = letter_choices(variables(e), alphabet, valuation_cap)
         base = _compiled(e, alphabet)
-        count = 0
-        for nu in enumerate_valuations(variables(e), alphabet, valuation_cap):
-            count += 1
-            d = determinize(apply_to_nfa(nu, base), state_cap)
-            ok, cex = is_universal(d)
-            if not ok:
-                return DecisionReport(
-                    answer=False,
-                    witness=cex,
-                    valuation=nu.as_dict(),
-                    stats={"valuations": count, "states": d.n_states},
-                )
+        # Every instance rejects the empty word when the expression does, and
+        # then the first instance is the answer without a search.
+        first = 0
+        if base.initial in base.finals:
+            first = _Masks(base, choices).first_non_universal(alphabet, state_cap)
+        if first is None:
+            return DecisionReport(
+                answer=True,
+                stats={"valuations": len(alphabet) ** len(choices), "states": base.n_states},
+            )
+        nu = valuation_at(choices, first)
+        d = determinize(apply_to_nfa(nu, base), state_cap)
+        _, cex = is_universal(d)
         return DecisionReport(
-            answer=True, stats={"valuations": count, "states": base.n_states}
+            answer=False,
+            witness=cex,
+            valuation=nu.as_dict(),
+            stats={"valuations": first + 1, "states": d.n_states},
         )
     if domains is None:
-        side = _Masks(e, alphabet, valuation_cap)
+        side = _Masks.of(e, alphabet, valuation_cap)
         cex, n_states = _mask_search(
             side.start, side.step, alphabet,
             wanted=lambda s: not side.accepting(s),
@@ -599,7 +664,7 @@ def containment(
     sides share it.
     """
     if domains is None and sem is BOX:
-        lhs, rhs = _Masks(e1, alphabet, valuation_cap), _Masks(e2, alphabet, valuation_cap)
+        lhs, rhs = _Masks.of(e1, alphabet, valuation_cap), _Masks.of(e2, alphabet, valuation_cap)
         witness, n_states = _mask_search(
             (lhs.start, rhs.start),
             lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),

@@ -153,6 +153,17 @@ class TestUniversalContainsIntersect:
         assert lines[0] == "false"
         assert lines[1] == "_"
 
+    def test_universal_box_reports_the_first_non_universal_valuation(self, runner):
+        # The search meets x=1's counterexample 0 before x=0's 11; the report
+        # belongs to x=0, the first valuation in enumeration order.
+        res = invoke(runner, "universal", "--alphabet", "01", "--semantics", "box",
+                     "--expr", "_|$x(0|1)*|1|10(0|1)*|11(0|1)(0|1)*", "--output", "json")
+        assert res.exit_code == 1
+        assert res.output == (
+            '{"answer": false, "witness": "11", "valuation": {"x": "0"}, '
+            '"stats": {"valuations": 1, "states": 14}}\n'
+        )
+
     def test_contains_counterexample(self, runner):
         res = invoke(runner, "contains", "--alphabet", "01", "--semantics", "diamond",
                      "--lhs", "$x$y", "--rhs", "$x$x", "--witness")
@@ -452,11 +463,21 @@ class TestErrorsAndStreams:
         ["universal", "--semantics", "diamond", "--expr", "(0|1)*|$x$y$z"],
         ["contains", "--semantics", "box", "--lhs", "(0|1)*$x1$x2(0|1)*",
          "--rhs", "(0|1)*$x1$x2$x3(0|1)*"],
-    ], ids=["nonempty-box", "universal-diamond", "contains-box"])
+        ["universal", "--semantics", "box", "--expr", "_|(0|1)*(0|1)|$x$y$z"],
+    ], ids=["nonempty-box", "universal-diamond", "contains-box", "universal-box"])
     def test_mask_searches_honour_the_state_cap(self, runner, args):
         res = invoke(runner, args[0], "--alphabet", "01", *args[1:], "--max-states", "4")
         assert res.exit_code == 2
         assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+
+    def test_universal_box_checks_the_valuation_cap_before_searching(self, runner):
+        # At --max-states 1 the search itself would be refused; the 8
+        # valuations are refused first.
+        res = invoke(runner, "universal", "--alphabet", "01", "--semantics", "box",
+                     "--expr", "(0|1)*|$x$y$z", "--max-valuations", "7", "--max-states", "1")
+        assert res.exit_code == 2
+        assert res.stderr == "error: 8 valuations exceed the cap of 7\n"
         assert res.stdout == ""
 
     def test_in_process_calls_keep_no_captured_stream(self):

@@ -7,9 +7,16 @@ import random
 
 import pytest
 
-from prx.automata import accepts, determinize, is_empty, regex_to_nfa, remove_epsilon
+from prx.automata import (
+    accepts,
+    determinize,
+    is_empty,
+    is_universal,
+    regex_to_nfa,
+    remove_epsilon,
+)
 from prx.constructions import family_box_subword, family_diamond_power
-from prx.errors import CountCapExceeded, DomainNotFinite, PrxError
+from prx.errors import CountCapExceeded, DomainNotFinite, PrxError, StateCapExceeded
 from prx.semantics import (
     BOX,
     DIAMOND,
@@ -22,10 +29,11 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.syntax import Alphabet, Concat, EmptySet, Star, Union, Var, parse, variables
+from prx.syntax import Alphabet, Concat, EmptySet, Lit, Star, Union, Var, parse, variables
 from prx.valuations import (
     DomainSpec,
     Valuation,
+    apply_to_nfa,
     apply_to_regex,
     enumerate_valuations,
     enumerate_word_valuations,
@@ -729,6 +737,114 @@ class TestMaskSearch:
         assert (rep.answer, rep.witness) == (True, "02100101")
         assert rep.stats == {"valuations": 729, "states": 145}
         assert membership(e, rep.witness, ABC, BOX).answer is True
+
+    def test_box_nonemptiness_stops_where_no_final_state_is_reachable(self):
+        # No state of (1(01*)01)@ reaches a final one: the search is over
+        # at the start.
+        rep = nonemptiness(parse("(1(01*)01)@", AB), AB, BOX)
+        assert (rep.answer, rep.witness, rep.stats) == (
+            False, None, {"valuations": 1, "states": 1}
+        )
+
+
+def instance_by_instance(e, alphabet):
+    """Box universality over letters the long way: each instance
+    determinized in enumeration order up to the first that is not universal."""
+    base = remove_epsilon(regex_to_nfa(e, alphabet))
+    count = 0
+    for nu in enumerate_valuations(variables(e), alphabet):
+        count += 1
+        d = determinize(apply_to_nfa(nu, base))
+        ok, cex = is_universal(d)
+        if not ok:
+            stats = {"valuations": count, "states": d.n_states}
+            return DecisionReport(False, cex, nu.as_dict(), stats)
+    return DecisionReport(True, None, None, {"valuations": count, "states": base.n_states})
+
+
+class TestBoxUniversality:
+    def test_random_expressions_match_the_oracle(self):
+        rng = random.Random(4119)
+        cases = {"plain": 0, "all": 0, "universal": 0, "first bad after 0": 0}
+        for alphabet, count, bound in ((AB, 300, 6), (ABC, 100, 4)):
+            words = list(oracles.all_words(alphabet, bound))
+            sigma = Star(Union(Lit(alphabet.letters[0]), Lit(alphabet.letters[1])))
+            if len(alphabet) == 3:
+                sigma = Star(Union(sigma.inner, Lit("2")))
+            # Every word holding the last letter: an instance is universal iff
+            # it matches the words without that letter.
+            holding = Concat(sigma, Concat(Lit(alphabet.letters[-1]), sigma))
+            for _ in range(count):
+                e = oracles.random_expr(
+                    rng, alphabet, ("x", "y", "z"), rng.randint(3, 12), var_prob=0.4
+                )
+                wrap = rng.random()
+                if wrap < 0.3:
+                    e = Union(sigma, e)
+                elif wrap < 0.6:
+                    e = Union(holding, e)
+                rep = universality(e, alphabet, BOX)
+                assert rep.to_json() == instance_by_instance(e, alphabet).to_json()
+                nus = list(oracles.letter_valuations(variables(e), alphabet))
+                first = len(nus) if rep.answer else nus.index(rep.valuation)
+                assert rep.stats["valuations"] == (first if rep.answer else first + 1)
+                for nu in nus[:first]:
+                    language = oracles.bounded_language(oracles.substitute(e, nu), bound)
+                    assert len(language) == len(words)
+                cases["plain" if wrap >= 0.6 else "all"] += 1
+                if rep.answer:
+                    cases["universal"] += 1
+                    continue
+                cases["first bad after 0"] += first > 0
+                instance = oracles.substitute(e, rep.valuation)
+                assert not oracles.matches(instance, rep.witness)
+                for w in oracles.all_words(alphabet, len(rep.witness)):
+                    if w == rep.witness:
+                        break
+                    assert oracles.matches(instance, w), w
+        assert min(cases.values()) >= 10, cases
+
+    def test_search_goes_on_past_a_later_valuations_counterexample(self):
+        # "0" is x=1's counterexample and is met first; x=0's is "11".
+        e = parse("_|$x(0|1)*|1|10(0|1)*|11(0|1)(0|1)*", AB)
+        rep = universality(e, AB, BOX)
+        assert rep.to_json() == {
+            "answer": False,
+            "witness": "11",
+            "valuation": {"x": "0"},
+            "stats": {"valuations": 1, "states": 14},
+        }
+
+    def test_every_instance_universal_at_k8(self):
+        # 6561 instances and no instance determinized: every valuation
+        # reaches the (0|1|2)* branch on the first letter.
+        e = parse(
+            "(0|1|2)*|($x1|0|1|2)1($x2|0)($x3|0|1|2)($x4|0)($x5|0|1|2)1($x6|0)"
+            "($x7|0|1|2)($x8|0)",
+            ABC,
+        )
+        rep = universality(e, ABC, BOX)
+        assert rep.to_json() == {
+            "answer": True,
+            "witness": None,
+            "valuation": None,
+            "stats": {"valuations": 6561, "states": 98},
+        }
+
+    def test_state_cap_bounds_the_search(self):
+        # Universal through subsets, not through one state: 17 mask states.
+        e = parse("_|(0|1)*(0|1)|$x$y$z", AB)
+        assert universality(e, AB, BOX, state_cap=17).answer is True
+        with pytest.raises(StateCapExceeded, match="search exceeded the cap of 16 states"):
+            universality(e, AB, BOX, state_cap=16)
+
+    def test_sure_states_end_the_search(self):
+        # Determinizing the first instance alone exceeds the cap, but every
+        # valuation reaches the (0|1|2)* branch, from which it accepts every
+        # word, on the first letter.
+        e = parse("(0|1|2)*|(((1|0)($z|$x))($z|_)|$y)*", ABC)
+        rep = universality(e, ABC, BOX, state_cap=5)
+        assert (rep.answer, rep.stats) == (True, {"valuations": 27, "states": 38})
 
 
 # ---------------------------------------------------------------------------
