@@ -6,22 +6,21 @@ Variables range over the letters, or over the words of per-variable regular
 domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
 and decides both the same way.  Membership simulates the variable-labelled
 automaton once over the word, carrying a set of valuations per state, so it
-never builds an instance.  Over letters, certainty nonemptiness, possibility
-universality and certainty containment step those sets the same way, letter
-by letter, in one breadth-first search over *mask states* that stops at the
-first answer; no instance is built for them either.  Certainty universality
-over letters runs the same search to find the first valuation whose instance
-is not universal, and determinizes that instance alone for its
-counterexample.  The other problems enumerate valuations in the fixed
-deterministic order and check, union, or intersect the substituted
-automata.  Either way a reported valuation is the first one in enumeration
-order.  Nothing is approximated: caps make the exponential cases fail
-loudly instead.
+never builds an instance.  Certainty nonemptiness, universality and
+certainty containment step those sets on the same moves, over letters and
+domain words alike, in one breadth-first search over *mask states* that
+stops at the first answer.  Certainty universality over letters runs it to
+find the first valuation whose instance is not universal, and determinizes
+that instance alone for its counterexample.  The other problems enumerate
+valuations in the fixed deterministic order and check, union, or intersect
+the substituted automata.  Either way a reported valuation is the first
+one in enumeration order.  Nothing is approximated: caps make the
+exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -40,7 +39,6 @@ from .automata import (
     product_all,
     regex_to_nfa,
     remove_epsilon,
-    trim,
     union_all,
 )
 from .errors import DomainNotFinite, PrxError, StateCapExceeded
@@ -82,11 +80,11 @@ class DecisionReport:
     much work was done.  ``stats["valuations"]`` counts the valuations
     examined (membership) or combined (the others).  ``stats["states"]``
     counts the states of the search that produced the answer: the mask
-    states discovered for certainty nonemptiness, possibility universality
-    and certainty containment over letters, and otherwise the states of the
-    automaton the answer was read from (the expression's own for
-    membership; for certainty universality over letters the one instance
-    determinized, or the expression's own when every instance is
+    states discovered for certainty nonemptiness, universality and
+    certainty containment, over letters or domains, and otherwise the
+    states of the automaton the answer was read from (the expression's own
+    for membership; for certainty universality over letters the one
+    instance determinized, or the expression's own when every instance is
     universal).
     """
 
@@ -128,9 +126,9 @@ def _valuation_space(
     alphabet: Alphabet,
     sem: Semantics,
     domains: DomainSpec | None,
-    route: str,
     valuation_cap: int,
     word_cap: int,
+    route: str = "auto",
 ) -> tuple[str, dict[str, Sequence[str]]]:
     """The route the instances come from, and the images of each variable.
 
@@ -217,7 +215,7 @@ def construct_nfa(
     ``domains`` the variables range over their regular domains; ``route``
     then picks how the instances are made (see :func:`_valuation_space`).
     """
-    space = _valuation_space(e, alphabet, sem, domains, route, valuation_cap, word_cap)
+    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap, route)
     return _construct(e, alphabet, sem, space, state_cap)[0]
 
 
@@ -225,73 +223,164 @@ def construct_nfa(
 # Sets of valuations stepped through the variable-labelled automaton
 
 
-def _letter_moves(
-    base: Nfa, to_letter: Mapping[str, Sequence[int]]
-) -> list[dict[int, list[tuple[int, int | None]]]]:
-    """Per letter index and state, the edges that read that letter, as
-    (target, valuations the edge keeps): a letter edge keeps all of them
-    (``None``), an edge ``$x`` those in ``to_letter[x]`` at that letter's
-    index.  Edges that keep none are left out."""
-    moves: list[dict[int, list[tuple[int, int | None]]]] = [{} for _ in base.alphabet.letters]
+#: Per letter index and state, the edges that read that letter, as (target,
+#: valuations the edge keeps, ``None`` for all of them).
+_Moves = list[dict[int, list[tuple[int, int | None]]]]
+
+#: A mask state: the sorted (state, nonzero valuation bitset) pairs reached
+#: on one word, the bitset holding the valuations under which the state is
+#: reached.  States past the automaton's own are positions inside the images
+#: of :func:`_moves`.
+_MaskState = tuple[tuple[int, int], ...]
+
+
+def _moves(
+    base: Nfa,
+    choices: Mapping[str, Sequence[str]],
+    masks: Mapping[str, Sequence[int]],
+    full: int,
+) -> tuple[_Moves, _MaskState]:
+    """The edges of the ε-free automaton under every valuation at once, and
+    the start mask state.
+
+    A letter edge keeps every valuation, and an edge ``$x`` keeps, per
+    one-letter image of x, the valuations with that image.  A longer image
+    runs through a chain of states numbered after the automaton's own, one
+    chain per (variable, image, target), and only the chain's first edge
+    keeps a mask.  An empty image is followed at once: every edge target,
+    and the start, stands for its closure under empty-image edges, each
+    state of which carries the valuations that reach it.  A variable with
+    no images (one a finitary valuation leaves undefined) has no edges.
+    """
+    letters = base.alphabet.letters
+    index = dict(zip(letters, range(len(letters))))
+    # Per variable, the valuations with each letter as image, in alphabet
+    # order (the masks themselves in the base setting), and its other images.
+    to_letter: dict[str, Sequence[int]] = {}
+    words: dict[str, list[tuple[str, int]]] = {}
+    for name, images in choices.items():
+        if images == letters:
+            to_letter[name] = masks[name]
+            continue
+        by_image = dict(zip(images, masks[name]))
+        to_letter[name] = [by_image.pop(ch, 0) for ch in letters]
+        if by_image:
+            words[name] = list(by_image.items())
+    moves: _Moves = [{} for _ in letters]
+    skips: dict[int, list[tuple[int, int]]] = defaultdict(list)  # empty-image edges
+    chains: dict[tuple[str, str, int], int] = {}
+    n_states = base.n_states
     for src, label, dst in base.transitions:
-        if isinstance(label, VarLabel):
-            for row, keep in zip(moves, to_letter[label.name]):
-                if keep:
-                    row.setdefault(src, []).append((dst, keep))
-        else:
-            moves[base.alphabet.index(label)].setdefault(src, []).append((dst, None))
-    return moves
+        if not isinstance(label, VarLabel):
+            moves[index[label]].setdefault(src, []).append((dst, None))
+            continue
+        name = label.name
+        for row, keep in zip(moves, to_letter.get(name, ())):
+            if keep:
+                row.setdefault(src, []).append((dst, keep))
+        for image, keep in words.get(name, ()):
+            if not image:
+                skips[src].append((dst, keep))
+                continue
+            first = chains.get((name, image, dst))
+            if first is None:
+                first = chains[name, image, dst] = q = n_states
+                for ch in image[1:-1]:
+                    moves[index[ch]][q] = [(q + 1, None)]
+                    q += 1
+                moves[index[image[-1]]][q] = [(dst, None)]
+                n_states = q + 1
+            moves[index[image[0]]].setdefault(src, []).append((first, keep))
+    if not skips:
+        return moves, ((base.initial, full),)
+
+    # Per state with empty-image edges, the valuations under which each
+    # state of its closure is reached.
+    closures: dict[int, list[tuple[int, int]]] = {}
+    for q in list(skips):
+        reach = ahead = {q: full}
+        while ahead:  # the valuations new at each state
+            ahead = {
+                p: new for p, have in _step(ahead.items(), skips).items()
+                if (new := have & ~reach.get(p, 0))
+            }
+            for p, new in ahead.items():
+                reach[p] = reach.get(p, 0) | new
+        if len(reach) > 1:
+            closures[q] = list(reach.items())
+    for row in moves:
+        for src, edges in row.items():
+            for dst, _ in edges:
+                if dst in closures:
+                    row[src] = [
+                        (q, keep if have == full else have if keep is None else have & keep)
+                        for dst, keep in edges
+                        for q, have in closures.get(dst, ((dst, full),))
+                        if keep is None or have & keep
+                    ]
+                    break
+    return moves, tuple(sorted(closures.get(base.initial, ((base.initial, full),))))
+
+
+def _prune(moves: _Moves, start: _MaskState, finals: frozenset[int]) -> _MaskState:
+    """Leave out, in place, the edges into states from which no final state
+    can be reached, and return the start without such states: they add
+    nothing to any accepting set."""
+    back: dict[int, list[int]] = defaultdict(list)
+    for row in moves:
+        for src, edges in row.items():
+            for dst, _ in edges:
+                back[dst].append(src)
+    alive = set(finals)
+    work = list(alive)
+    while work:
+        for src in back.get(work.pop(), ()):
+            if src not in alive:
+                alive.add(src)
+                work.append(src)
+    if not alive.issuperset(back):
+        for row in moves:
+            for src, edges in row.items():
+                row[src] = [edge for edge in edges if edge[0] in alive]
+    return tuple(pair for pair in start if pair[0] in alive)
 
 
 def _step(
-    reach: Iterable[tuple[int, int]],
-    moves: dict[int, list[tuple[int, int | None]]],
-    ahead: dict[int, int],
+    reach: Iterable[tuple[int, int]], row: dict[int, list[tuple[int, int | None]]]
 ) -> dict[int, int]:
-    """Read one letter: add to ``ahead`` the valuations each (state,
-    valuations) pair passes along its edges in ``moves``, one letter's row
-    of :func:`_letter_moves`."""
+    """Read one letter: the valuations each (state, valuations) pair passes
+    along its edges in ``row``, that letter's row of :func:`_moves`."""
+    ahead: dict[int, int] = {}
     for q, have in reach:
-        for dst, keep in moves.get(q, ()):
+        for dst, keep in row.get(q, ()):
             kept = have if keep is None else have & keep
             if kept:
                 ahead[dst] = ahead.get(dst, 0) | kept
     return ahead
 
 
-#: A mask state: the sorted (state, nonzero valuation bitset) pairs of the
-#: ε-free automaton reached on one word, the bitset holding the letter
-#: valuations under which the state is reached.
-_MaskState = tuple[tuple[int, int], ...]
-
-
 class _Masks:
-    """An expression's ε-free automaton run under every letter valuation at
-    once, on mask states.  Stepping a mask state is deterministic, and a
-    word leads to the mask state that records, for every valuation, the
-    subset its instance's subset construction reaches on that word.  The
-    automaton is trimmed first: a state from which no final state can be
-    reached adds nothing to any accepting set."""
+    """An expression's ε-free automaton run under every valuation of
+    ``choices`` at once, on mask states.  Stepping a mask state is
+    deterministic, and a word leads to the mask state that records, for
+    every valuation, the subset its instance's subset construction reaches
+    on that word.  Membership reads one word, on which :func:`_prune` costs
+    more than it saves; the searches prune."""
 
     __slots__ = ("total", "full", "finals", "moves", "start")
 
-    def __init__(self, base: Nfa, choices: Mapping[str, Sequence[str]]):
-        base = trim(base)
+    def __init__(self, base: Nfa, choices: Mapping[str, Sequence[str]], prune: bool = True):
         self.total, masks = letter_masks(choices)
         self.full = (1 << self.total) - 1
         self.finals = base.finals
-        self.moves = _letter_moves(base, masks)
-        self.start: _MaskState = ((base.initial, self.full),)
-
-    @classmethod
-    def of(cls, e: ParamRegex, alphabet: Alphabet, valuation_cap: int) -> "_Masks":
-        choices = letter_choices(variables(e), alphabet, valuation_cap)
-        return cls(_compiled(e, alphabet), choices)
+        self.moves, self.start = _moves(base, choices, masks, self.full)
+        if prune:
+            self.start = _prune(self.moves, self.start, base.finals)
 
     def step(self, state: _MaskState, i: int) -> _MaskState:
-        return tuple(sorted(_step(state, self.moves[i], {}).items()))
+        return tuple(sorted(_step(state, self.moves[i]).items()))
 
-    def accepting(self, state: _MaskState) -> int:
+    def accepting(self, state: Iterable[tuple[int, int]]) -> int:
         """The valuations whose instance accepts at this mask state."""
         out = 0
         for q, have in state:
@@ -336,7 +425,7 @@ class _Masks:
         live = self.full
 
         def step(state: _MaskState, i: int) -> _MaskState:
-            ahead = _step(state, self.moves[i], {})
+            ahead = _step(state, self.moves[i])
             done = 0
             for q in sure:
                 done |= ahead.get(q, 0)
@@ -417,71 +506,30 @@ def membership(
     The variable-labelled automaton is simulated once, every state at every
     position carrying the set of valuations (a bitset, see
     :func:`letter_masks`) under which it is reachable on the prefix read so
-    far: a letter edge passes the set on, an edge ``$x`` keeps, for each
-    image u of x that the word continues with, the valuations with x = u
-    and moves on by |u|.  Empty images are followed within a position, and
-    edges of variables a finitary valuation leaves undefined are dropped.
-    The sets on the final states at the end of the word hold the valuations
-    that accept w.  Possibility needs one of them, certainty needs all; the
-    reported valuation is the first accepting (possibility) or rejecting
-    (certainty) one in enumeration order, and ``valuations`` counts the
-    enumeration up to it, or all of it when there is none.
+    far: the word is read letter by letter on the moves of :func:`_moves`,
+    which step letter and word images alike.  The sets on the final states
+    at the end of the word hold the valuations that accept w.  Possibility
+    needs one of them, certainty needs all; the reported valuation is the
+    first accepting (possibility) or rejecting (certainty) one in
+    enumeration order, and ``valuations`` counts the enumeration up to it,
+    or all of it when there is none.
     """
     base = _compiled(e, alphabet)
-    _, choices = _valuation_space(
-        e, alphabet, sem, domains, "auto", valuation_cap, word_cap
-    )
-    total, masks = letter_masks(choices)
+    _, choices = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
+    side = _Masks(base, choices, prune=False)
     # Every letter is checked here, also those after the run dies out.
     letter_ids = [alphabet.index(ch) for ch in w]
-    # Per variable, the valuations mapping it to each letter (in alphabet
-    # order: the masks themselves for letter valuations), to each longer
-    # image (by its first letter) and to the empty word.  A variable a
-    # finitary valuation leaves undefined maps to nothing.
-    to_letter, longer, empty = masks, {}, {}
-    if domains is not None:
-        to_letter = dict.fromkeys(domains.names, [0] * len(alphabet))
-        for name, images in choices.items():
-            by_image = dict(zip(images, masks[name]))
-            to_letter[name] = [by_image.pop(c, 0) for c in alphabet.letters]
-            for image, mask in by_image.items():
-                if image:
-                    longer.setdefault(name, {}).setdefault(image[0], []).append((image, mask))
-                else:
-                    empty[name] = mask
-    adj = base.adjacency() if longer or empty else {}
-    moves = _letter_moves(base, to_letter)
-    full = (1 << total) - 1
-    reach = {base.initial: full}
-    later: dict[int, dict[int, int]] = {}  # arrivals after longer images
-    for pos, i in enumerate(letter_ids):
-        if empty:
-            _follow_empty_images(reach, adj, empty)
-        ahead = _step(reach.items(), moves[i], later.pop(pos + 1, {}))
-        if longer:
-            ch = w[pos]
-            for q, have in reach.items():
-                for label, dst in adj[q]:
-                    if isinstance(label, VarLabel) and label.name in longer:
-                        for image, mask in longer[label.name].get(ch, ()):
-                            keep = have & mask
-                            if keep and w.startswith(image, pos):
-                                at = later.setdefault(pos + len(image), {})
-                                at[dst] = at.get(dst, 0) | keep
-        reach = ahead
-        if not reach and not later:
+    reach = dict(side.start)
+    for i in letter_ids:
+        reach = _step(reach.items(), side.moves[i])
+        if not reach:
             break
-    if empty:
-        _follow_empty_images(reach, adj, empty)
-    accepted = 0
-    for q, have in reach.items():
-        if q in base.finals:
-            accepted |= have
+    accepted = side.accepting(reach.items())
     want = sem is DIAMOND
-    found = accepted if want else full ^ accepted
+    found = accepted if want else side.full ^ accepted
     if not found:
         return DecisionReport(
-            answer=not want, stats={"valuations": total, "states": base.n_states}
+            answer=not want, stats={"valuations": side.total, "states": base.n_states}
         )
     index = (found & -found).bit_length() - 1
     return DecisionReport(
@@ -489,24 +537,6 @@ def membership(
         valuation=valuation_at(choices, index).as_dict(),
         stats={"valuations": index + 1, "states": base.n_states},
     )
-
-
-def _follow_empty_images(
-    reach: dict[int, int], adj: dict[int, list], empty: dict[str, int]
-) -> None:
-    """Close one position's sets under the edges of variables whose image
-    is the empty word, to a fixpoint (the sets only grow)."""
-    work = list(reach)
-    while work:
-        q = work.pop()
-        have = reach[q]
-        for label, dst in adj[q]:
-            if isinstance(label, VarLabel) and label.name in empty:
-                old = reach.get(dst, 0)
-                grown = old | (have & empty[label.name])
-                if grown != old:
-                    reach[dst] = grown
-                    work.append(dst)
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +556,11 @@ def nonemptiness(
 
     Over letters, possibility-nonemptiness does not depend on the valuation
     chosen (a path in one substituted automaton exists iff one exists in any
-    other), so only the first valuation is inspected — no cap applies.
-    Certainty-nonemptiness over letters searches mask states breadth-first
-    for one whose final states hold every valuation; a mask state that
-    loses a valuation altogether is dead and dropped.  The witness is the
-    shortlex-least word of the certainty language.  With ``domains`` the
-    combined automaton is built and its shortest witness reported.
+    other), so only the first valuation is inspected — no cap applies; over
+    domains the union of the instances is built.  Certainty-nonemptiness
+    searches mask states breadth-first for one whose final states hold every
+    valuation; a mask state that loses a valuation altogether is dead and
+    dropped.  Its witness is the shortlex-least word of the language.
     """
     if sem is DIAMOND and domains is None:
         nu = Valuation(dict.fromkeys(variables(e), alphabet.letters[0]))
@@ -543,26 +572,26 @@ def nonemptiness(
             valuation=nu.as_dict() if not empty else None,
             stats={"valuations": 1, "states": instance.n_states},
         )
-    if domains is None:
-        side = _Masks.of(e, alphabet, valuation_cap)
-        witness, n_states = _mask_search(
-            side.start, side.step, alphabet,
-            wanted=lambda s: side.accepting(s) == side.full,
-            keep=side.alive,
-            state_cap=state_cap,
-        )
+    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
+    if sem is DIAMOND:
+        combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
+        empty, witness = is_empty(combined)
         return DecisionReport(
-            answer=witness is not None,
+            answer=not empty,
             witness=witness,
-            stats={"valuations": side.total, "states": n_states},
+            stats={"valuations": n_vals, "states": combined.n_states},
         )
-    space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
-    combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
-    empty, witness = is_empty(combined)
+    side = _Masks(_compiled(e, alphabet), space[1])
+    witness, n_states = _mask_search(
+        side.start, side.step, alphabet,
+        wanted=lambda s: side.accepting(s) == side.full,
+        keep=side.alive,
+        state_cap=state_cap,
+    )
     return DecisionReport(
-        answer=not empty,
+        answer=witness is not None,
         witness=witness,
-        stats={"valuations": n_vals, "states": combined.n_states},
+        stats={"valuations": side.total, "states": n_states},
     )
 
 
@@ -586,15 +615,13 @@ def universality(
     the first valuation whose instance is not (see
     :meth:`_Masks.first_non_universal`), and only that instance is
     determinized; the counterexample is the shortlex-least word it rejects.
-    Possibility-universality over letters searches mask states
-    breadth-first for one whose final states hold no valuation.  With
-    ``domains`` the combined automaton is determinized.  Every route
-    searches a deterministic automaton, so the counterexample is the
-    shortlex-least word it rejects.
+    Otherwise mask states are searched breadth-first for one whose final
+    states miss some valuation (certainty) or hold none (possibility), for
+    the shortlex-least word outside the language.
     """
+    _, choices = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
+    base = _compiled(e, alphabet)
     if sem is BOX and domains is None:
-        choices = letter_choices(variables(e), alphabet, valuation_cap)
-        base = _compiled(e, alphabet)
         # Every instance rejects the empty word when the expression does, and
         # then the first instance is the answer without a search.
         first = 0
@@ -614,27 +641,18 @@ def universality(
             valuation=nu.as_dict(),
             stats={"valuations": first + 1, "states": d.n_states},
         )
-    if domains is None:
-        side = _Masks.of(e, alphabet, valuation_cap)
-        cex, n_states = _mask_search(
-            side.start, side.step, alphabet,
-            wanted=lambda s: not side.accepting(s),
-            keep=lambda s: True,
-            state_cap=state_cap,
-        )
-        return DecisionReport(
-            answer=cex is None,
-            witness=cex,
-            stats={"valuations": side.total, "states": n_states},
-        )
-    space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
-    combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
-    d = determinize(combined, state_cap)
-    ok, cex = is_universal(d)
+    side = _Masks(base, choices)
+    cex, n_states = _mask_search(
+        side.start, side.step, alphabet,
+        wanted=(lambda s: side.accepting(s) != side.full) if sem is BOX
+        else (lambda s: not side.accepting(s)),
+        keep=lambda s: True,
+        state_cap=state_cap,
+    )
     return DecisionReport(
-        answer=ok,
+        answer=cex is None,
         witness=cex,
-        stats={"valuations": n_vals, "states": d.n_states},
+        stats={"valuations": side.total, "states": n_states},
     )
 
 
@@ -655,16 +673,27 @@ def containment(
     """Is L(e1) ⊆ L(e2) under the chosen semantics?
 
     Decided as emptiness of L(e1) ∩ complement(L(e2)); when the containment
-    fails, the shortest separating word is returned.  Certainty over letters
-    searches pairs of mask states, one per side, breadth-first for a pair
-    where e1 accepts under every valuation and e2 not under some; pairs
-    whose e1 side is dead are dropped, and the separator is shortlex-least.
-    Otherwise the combined automata are built and multiplied.  With
-    ``domains`` the valuation space depends on the domains only, so both
-    sides share it.
+    fails, the shortest separating word is returned.  Certainty searches
+    pairs of mask states, one per side, breadth-first for a pair where e1
+    accepts under every valuation and e2 not under some; pairs whose e1 side
+    is dead are dropped, and the separator is shortlex-least.  Possibility
+    builds the combined automata and multiplies them.  With ``domains`` the
+    valuation space depends on the domains only, so both sides share it.
     """
-    if domains is None and sem is BOX:
-        lhs, rhs = _Masks.of(e1, alphabet, valuation_cap), _Masks.of(e2, alphabet, valuation_cap)
+    if domains is not None:
+        _check_spec_covers(domains, e1, e2)
+
+    def side(e: ParamRegex, space: tuple[str, dict[str, Sequence[str]]]):
+        if sem is BOX:
+            return _Masks(_compiled(e, alphabet), space[1])
+        return _construct(e, alphabet, sem, space, state_cap)
+
+    space = _valuation_space(e1, alphabet, sem, domains, valuation_cap, word_cap)
+    lhs = side(e1, space)
+    if domains is None:  # over letters each side has its own variables
+        space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
+    rhs = side(e2, space)
+    if sem is BOX:
         witness, n_states = _mask_search(
             (lhs.start, rhs.start),
             lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),
@@ -680,14 +709,7 @@ def containment(
             witness=witness,
             stats={"valuations": lhs.total + rhs.total, "states": n_states},
         )
-    if domains is not None:
-        _check_spec_covers(domains, e1, e2)
-    caps = (valuation_cap, word_cap)
-    space = _valuation_space(e1, alphabet, sem, domains, "auto", *caps)
-    lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
-    if domains is None:  # over letters each side has its own variables
-        space = _valuation_space(e2, alphabet, sem, domains, "auto", *caps)
-    rhs, n_rhs = _construct(e2, alphabet, sem, space, state_cap)
+    (lhs, n_lhs), (rhs, n_rhs) = lhs, rhs
     rhs_complement = dfa_to_nfa(complement(determinize(rhs, state_cap)))
     gap = product(lhs, rhs_complement, state_cap)
     empty, witness = is_empty(gap)
@@ -714,7 +736,7 @@ def nonempty_int_reg(
         _check_spec_covers(domains, e)
     if variables(r):
         raise PrxError("the regular constraint must be variable-free")
-    space = _valuation_space(e, alphabet, sem, domains, "auto", valuation_cap, word_cap)
+    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
     lhs, n_vals = _construct(e, alphabet, sem, space, state_cap)
     inter = product(lhs, _compiled(r, alphabet), state_cap)
     empty, witness = is_empty(inter)

@@ -73,15 +73,6 @@ class Valuation:
         return f"{type(self).__name__}({inner})"
 
 
-class FinitaryValuation(Valuation):
-    """A partial valuation, defined exactly on the finite-domain variables."""
-
-    __slots__ = ()
-
-    def defined(self, name: str) -> bool:
-        return name in self
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -150,13 +141,13 @@ def letter_masks(
     valuations and, per variable, one mask per image holding the
     valuations that map the variable to that image.
     """
-    total = math.prod(len(images) for images in choices.values())
+    total = math.prod(map(len, choices.values()))
     masks: dict[str, tuple[int, ...]] = {}
     stride = total
     for name, images in choices.items():
         period, stride = stride, stride // len(images)
         first = _tile((1 << stride) - 1, period, total // period)
-        masks[name] = tuple(first << (i * stride) for i in range(len(images)))
+        masks[name] = tuple([first << (i * stride) for i in range(len(images))])
     return total, masks
 
 
@@ -294,8 +285,14 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, mapping: Mapping[str, str], alphabet: Alphabet) -> "DomainSpec":
-        """Build from the external JSON form {"x": "0*", "y": "00|01"}."""
-        domains = {name: parse(text, alphabet) for name, text in mapping.items()}
+        """Build from the external JSON form {"x": "0*", "y": "00|01"}; a
+        value that is not an expression string is refused."""
+        domains = {}
+        for name, text in mapping.items():
+            if not isinstance(text, str):
+                kind = type(text).__name__
+                raise ValueError(f"domain for {name!r} must be an expression string, not {kind}")
+            domains[name] = parse(text, alphabet)
         return cls(domains, alphabet)
 
     def domain(self, name: str) -> Nfa:
@@ -365,27 +362,6 @@ def domain_choices(
     total = math.prod(len(words) for words in choices.values())
     _check_count(total, valuation_cap, "finitary valuations" if finitary else "valuations")
     return choices
-
-
-def enumerate_finitary_valuations(
-    spec: DomainSpec,
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
-    word_cap: int = DEFAULT_WORD_CAP,
-) -> Iterator[FinitaryValuation]:
-    """Cartesian product over the finite-domain variables only (in variable
-    order, shortlex per variable); infinite-domain variables stay undefined."""
-    for nu in valuations_from(domain_choices(spec, valuation_cap, word_cap, finitary=True)):
-        yield FinitaryValuation(nu.as_dict())
-
-
-def enumerate_word_valuations(
-    spec: DomainSpec,
-    valuation_cap: int = DEFAULT_VALUATION_CAP,
-    word_cap: int = DEFAULT_WORD_CAP,
-) -> Iterator[Valuation]:
-    """Total word-valuations for an all-finite spec (variable order, then
-    shortlex per variable).  Rejects infinite domains."""
-    yield from valuations_from(domain_choices(spec, valuation_cap, word_cap))
 
 
 def apply_finitary(v: Valuation, a: Nfa) -> Nfa:

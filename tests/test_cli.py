@@ -226,6 +226,17 @@ class TestDomains:
                      "--word", "0", "--domains", str(spec), "--fast")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("text,kind", [
+        ('{"x": 1}', "int"), ('{"x": {"a": 1}}', "dict"), ('{"x": ["0", "1"]}', "list"),
+    ])
+    def test_domain_values_that_are_not_strings_exit_2(self, runner, tmp_path, text, kind):
+        spec = tmp_path / "domains.json"
+        spec.write_text(text)
+        res = invoke(runner, "member", "--alphabet", "01", "--expr", "$x",
+                     "--word", "0", "--domains", str(spec))
+        assert res.exit_code == 2
+        assert res.stderr == f"error: domain for 'x' must be an expression string, not {kind}\n"
+        assert res.stdout == ""
 
     def test_json_stats_count_valuations_and_automaton_states(self, runner, tmp_path):
         # Membership: valuations up to the reported one, states of the
@@ -245,10 +256,12 @@ class TestDomains:
                      "--word", "1", "--domains", str(spec), "--output", "json")
         assert json.loads(res.output)["valuation"] == {"y": ""}
         assert json.loads(res.output)["stats"] == {"valuations": 1, "states": 6}
+        # Box nonemptiness steps mask states over the domain words: the
+        # witness "" is found at the start.
         spec.write_text('{"x": "0|1"}')
         res = invoke(runner, "nonempty", "--alphabet", "01", "--expr", "($x|_)1*",
                      "--domains", str(spec), "--output", "json")
-        assert json.loads(res.output)["stats"] == {"valuations": 2, "states": 3}
+        assert json.loads(res.output)["stats"] == {"valuations": 2, "states": 1}
 
 
 class TestBuildNfa:
@@ -464,12 +477,20 @@ class TestErrorsAndStreams:
         ["contains", "--semantics", "box", "--lhs", "(0|1)*$x1$x2(0|1)*",
          "--rhs", "(0|1)*$x1$x2$x3(0|1)*"],
         ["universal", "--semantics", "box", "--expr", "_|(0|1)*(0|1)|$x$y$z"],
-    ], ids=["nonempty-box", "universal-diamond", "contains-box", "universal-box"])
-    def test_mask_searches_honour_the_state_cap(self, runner, args):
+        ["nonempty", "--expr", "(0|1)*$x(0|1)*", "--domains", '{"x": "00|11"}'],
+    ], ids=["nonempty-box", "universal-diamond", "contains-box", "universal-box",
+            "nonempty-box-domains"])
+    def test_mask_searches_honour_the_state_cap(self, runner, tmp_path, args):
+        if "--domains" in args:
+            spec = tmp_path / "domains.json"
+            spec.write_text(args[-1])
+            args = args[:-1] + [str(spec)]
         res = invoke(runner, args[0], "--alphabet", "01", *args[1:], "--max-states", "4")
         assert res.exit_code == 2
         assert res.stderr.startswith("error: ")
         assert res.stdout == ""
+        if "--domains" in args:
+            assert res.stderr == "error: search exceeded the cap of 4 states\n"
 
     def test_universal_box_checks_the_valuation_cap_before_searching(self, runner):
         # At --max-states 1 the search itself would be refused; the 8

@@ -35,8 +35,9 @@ from prx.valuations import (
     Valuation,
     apply_to_nfa,
     apply_to_regex,
+    domain_choices,
     enumerate_valuations,
-    enumerate_word_valuations,
+    valuations_from,
 )
 
 import oracles
@@ -461,7 +462,7 @@ class TestConstructNfaDomains:
             spec = DomainSpec.from_json({n: "_|0|11" for n in names}, AB)
             langs = [
                 oracles.bounded_language(apply_to_regex(nu, e), 4)
-                for nu in enumerate_word_valuations(spec)
+                for nu in valuations_from(domain_choices(spec))
             ]
             want_box = set(frozenset.intersection(*langs)) if langs else set()
             want_dia = set(frozenset.union(*langs)) if langs else set()
@@ -745,6 +746,97 @@ class TestMaskSearch:
         assert (rep.answer, rep.witness, rep.stats) == (
             False, None, {"valuations": 1, "states": 1}
         )
+
+
+def domain_member_oracle(e, choices, bound):
+    """Membership in the certainty and possibility languages of e over the
+    finitary valuations of ``choices``: bounded languages per valuation,
+    the matcher for longer words."""
+    nus = [dict(zip(choices, images)) for images in itertools.product(*choices.values())]
+    reducts = [finitary_reduct(e, nu) for nu in nus]
+    langs = [oracles.bounded_language(r, bound) for r in reducts]
+
+    def member(w, box):
+        if len(w) <= bound:
+            hits = (w in lang for lang in langs)
+        else:
+            hits = (oracles.matches(r, w) for r in reducts)
+        return all(hits) if box else any(hits)
+
+    return member
+
+
+class TestMaskSearchOverDomains:
+    """Box nonemptiness, universality and box containment step mask states
+    over domain words too: against the oracle."""
+
+    def test_random_expressions_match_the_oracle(self):
+        rng = random.Random(4121)
+        bound = 5
+        words = list(oracles.all_words(AB, bound))
+        seen = {"empty image": 0, "longer image": 0, "infinite": 0, "nonempty": 0,
+                "diamond counterexample": 0, "separated": 0}
+        for _ in range(150):
+            e1, spec, choices, _ = random_domain_case(rng, infinite=rng.random() < 0.5)
+            e2 = oracles.random_expr(rng, AB, spec.names, rng.randint(2, 9), var_prob=0.45)
+            images = [u for ws in choices.values() for u in ws]
+            seen["empty image"] += "" in images
+            seen["longer image"] += any(len(u) > 1 for u in images)
+            seen["infinite"] += bool(spec.infinite_variables())
+            member1 = domain_member_oracle(e1, choices, bound)
+            member2 = domain_member_oracle(e2, choices, bound)
+
+            rep = nonemptiness(e1, AB, BOX, domains=spec)
+            assert rep.answer == (rep.witness is not None)
+            assert_first(rep.witness, lambda w: member1(w, True), words)
+            seen["nonempty"] += rep.answer
+
+            for sem in (BOX, DIAMOND):
+                if sem is DIAMOND and spec.infinite_variables():
+                    with pytest.raises(DomainNotFinite):
+                        universality(e1, AB, sem, domains=spec)
+                    continue
+                rep = universality(e1, AB, sem, domains=spec)
+                assert (rep.answer, rep.valuation) == (rep.witness is None, None)
+                assert_first(rep.witness, lambda w: not member1(w, sem is BOX), words)
+                seen["diamond counterexample"] += sem is DIAMOND and not rep.answer
+
+            rep = containment(e1, e2, AB, BOX, domains=spec)
+            assert rep.answer == (rep.witness is None)
+            assert_first(rep.witness, lambda w: member1(w, True) and not member2(w, True), words)
+            seen["separated"] += not rep.answer
+        assert min(seen.values()) >= 10, seen
+
+    def test_chain_states_are_counted(self):
+        # Each two-letter image runs through one chain state.
+        spec = DomainSpec.from_json({"x": "00|11"}, AB)
+        rep = nonemptiness(parse("(0|1)*$x(0|1)*", AB), AB, BOX, domains=spec)
+        assert rep.to_json() == {
+            "answer": True, "witness": "0011", "valuation": None,
+            "stats": {"valuations": 2, "states": 11},
+        }
+
+    def test_empty_image_and_chain_in_one_search(self):
+        # x = "" accepts only the empty word, x = 01 only 0101.
+        spec = DomainSpec.from_json({"x": "_|01"}, AB)
+        rep = nonemptiness(parse("$x$x", AB), AB, BOX, domains=spec)
+        assert (rep.answer, rep.witness) == (False, None)
+        assert membership(parse("$x$x", AB), "", AB, DIAMOND, domains=spec).answer is True
+        assert membership(parse("$x$x", AB), "0101", AB, DIAMOND, domains=spec).answer is True
+
+    def test_an_empty_image_keeps_only_its_own_valuations(self):
+        # x = 0 reads the word "0" into the middle of $x$y, and only y = ""
+        # crosses $y without reading: x = 0, y = 1 is the first to reject.
+        spec = DomainSpec.from_json({"x": "0|1", "y": "_|1"}, AB)
+        rep = membership(parse("$x$y", AB), "0", AB, BOX, domains=spec)
+        assert (rep.answer, rep.valuation) == (False, {"x": "0", "y": "1"})
+
+    def test_state_cap_bounds_the_search(self):
+        spec = DomainSpec.from_json({"x": "00|11"}, AB)
+        e = parse("(0|1)*$x(0|1)*", AB)
+        assert nonemptiness(e, AB, BOX, state_cap=11, domains=spec).answer is True
+        with pytest.raises(StateCapExceeded, match="search exceeded the cap of 10 states"):
+            nonemptiness(e, AB, BOX, state_cap=10, domains=spec)
 
 
 def instance_by_instance(e, alphabet):

@@ -29,17 +29,14 @@ from prx.errors import CountCapExceeded, DomainNotFinite, PrxError
 from prx.syntax import Alphabet, parse, variables
 from prx.valuations import (
     DomainSpec,
-    FinitaryValuation,
     Valuation,
     apply_finitary,
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
     domain_is_finite,
-    enumerate_finitary_valuations,
     enumerate_finite_domain,
     enumerate_valuations,
-    enumerate_word_valuations,
     letter_choices,
     letter_masks,
     valuation_at,
@@ -139,16 +136,17 @@ def test_letter_masks_mixed_radix(radices):
 def test_domain_choices_follow_the_word_enumerations():
     spec = DomainSpec.from_json({"y": "1|00", "x": "0*", "z": "_|0"}, AB01)
     assert domain_choices(spec, finitary=True) == {"y": ["1", "00"], "z": ["", "0"]}
-    finitary = list(enumerate_finitary_valuations(spec))
-    assert [v.as_dict() for v in finitary] == [
-        v.as_dict() for v in valuations_from(domain_choices(spec, finitary=True))
+    assert [v.as_dict() for v in valuations_from(domain_choices(spec, finitary=True))] == [
+        {"y": "1", "z": ""}, {"y": "1", "z": "0"}, {"y": "00", "z": ""}, {"y": "00", "z": "0"},
     ]
     with pytest.raises(DomainNotFinite):
         domain_choices(spec)
     with pytest.raises(CountCapExceeded, match="^4 finitary valuations exceed the cap of 3$"):
         domain_choices(spec, valuation_cap=3, finitary=True)
     finite = DomainSpec.from_json({"y": "1|00", "z": "_|0"}, AB01)
-    assert list(enumerate_word_valuations(finite)) == list(valuations_from(domain_choices(finite)))
+    assert [v.as_dict() for v in valuations_from(domain_choices(finite))] == [
+        {"y": "1", "z": ""}, {"y": "1", "z": "0"}, {"y": "00", "z": ""}, {"y": "00", "z": "0"},
+    ]
 
 # ---------------------------------------------------------------------------
 # apply_to_regex / apply_to_nfa
@@ -281,21 +279,21 @@ def test_domain_spec_from_json():
 
 def test_finitary_valuations_mixed():
     spec = DomainSpec.from_json({"x": "0*", "y": "0|1"}, AB01)
-    vals = list(enumerate_finitary_valuations(spec))
-    assert vals == [FinitaryValuation({"y": "0"}), FinitaryValuation({"y": "1"})]
-    assert all(not v.defined("x") for v in vals)
+    vals = list(valuations_from(domain_choices(spec, finitary=True)))
+    assert vals == [Valuation({"y": "0"}), Valuation({"y": "1"})]
+    assert all("x" not in v for v in vals)
 
 
 def test_finitary_valuations_all_infinite():
     spec = DomainSpec.from_json({"x": "0*"}, AB01)
-    vals = list(enumerate_finitary_valuations(spec))
-    assert vals == [FinitaryValuation({})]
+    vals = list(valuations_from(domain_choices(spec, finitary=True)))
+    assert vals == [Valuation({})]
 
 
 def test_finitary_valuations_all_finite_product():
     ab = Alphabet("01ab")
     spec = DomainSpec.from_json({"x": "0|1", "y": "a|b"}, ab)
-    vals = list(enumerate_finitary_valuations(spec))
+    vals = list(valuations_from(domain_choices(spec, finitary=True)))
     assert len(vals) == 4
     assert vals[0].as_dict() == {"x": "0", "y": "a"}
     assert vals[-1].as_dict() == {"x": "1", "y": "b"}
@@ -304,13 +302,13 @@ def test_finitary_valuations_all_finite_product():
 def test_word_valuations_reject_infinite():
     spec = DomainSpec.from_json({"x": "0*"}, AB01)
     with pytest.raises(DomainNotFinite):
-        list(enumerate_word_valuations(spec))
+        list(valuations_from(domain_choices(spec)))
 
 
 def test_finitary_images_belong_to_their_domains():
     spec = DomainSpec.from_json({"x": "0(0|1)", "y": "10|_", "z": "(01)*"}, AB01)
     domain_exprs = {"x": parse("0(0|1)", AB01), "y": parse("10|_", AB01)}
-    for v in enumerate_finitary_valuations(spec):
+    for v in valuations_from(domain_choices(spec, finitary=True)):
         assert set(v.as_dict()) == {"x", "y"}
         for name, image in v.items():
             assert matches(domain_exprs[name], image)
@@ -324,7 +322,7 @@ def test_apply_finitary_drops_infinite_variable():
     spec = DomainSpec.from_json({"x": "0*"}, AB01)
     e = parse("$x 1", AB01)
     a = remove_epsilon(regex_to_nfa(e, AB01))
-    (fv,) = enumerate_finitary_valuations(spec)
+    (fv,) = valuations_from(domain_choices(spec, finitary=True))
     reduced = apply_finitary(fv, a)
     assert is_empty(reduced) == (True, None)
 
@@ -333,7 +331,7 @@ def test_apply_finitary_keeps_variable_free_part():
     spec = DomainSpec.from_json({"x": "0*"}, AB01)
     e = parse("($x|_)1*", AB01)
     a = remove_epsilon(regex_to_nfa(e, AB01))
-    (fv,) = enumerate_finitary_valuations(spec)
+    (fv,) = valuations_from(domain_choices(spec, finitary=True))
     reduced = apply_finitary(fv, a)
     lang = dfa_walk_language(remove_epsilon(reduced), 5)
     assert lang == {"1" * k for k in range(6)}
@@ -347,11 +345,11 @@ def test_apply_finitary_crosschecks_with_total_valuations():
     a = remove_epsilon(regex_to_nfa(e, AB01))
     finitary = [
         remove_epsilon(expand_extended(apply_finitary(v, a)))
-        for v in enumerate_finitary_valuations(spec)
+        for v in valuations_from(domain_choices(spec, finitary=True))
     ]
     total = [
         remove_epsilon(expand_extended(apply_to_nfa(v, a)))
-        for v in enumerate_word_valuations(spec)
+        for v in valuations_from(domain_choices(spec))
     ]
     lhs = dfa_walk_language(product_all(finitary), 6)
     rhs = dfa_walk_language(product_all(total), 6)
