@@ -15,6 +15,7 @@ nondeterministic one they need not be, see :func:`is_empty`).
 
 from __future__ import annotations
 
+import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -239,43 +240,63 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
 # Label normalization
 
 
-def _eps_closures(a: Nfa) -> list[set[int]]:
-    eps_adj: dict[int, list[int]] = defaultdict(list)
-    for src, label, dst in a.transitions:
-        if label is EPSILON:
-            eps_adj[src].append(dst)
-    closures: list[set[int]] = []
-    for q in range(a.n_states):
-        seen = {q}
-        stack = [q]
-        while stack:
-            p = stack.pop()
-            for r in eps_adj[p]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        closures.append(seen)
-    return closures
-
-
 def remove_epsilon(a: Nfa) -> Nfa:
-    """Language-equivalent NFA without epsilon transitions."""
+    """Language-equivalent NFA without epsilon transitions, on the same states.
+
+    A state gets every non-epsilon edge leaving its epsilon-closure, and is
+    final when the closure holds a final state.  Only states with epsilon
+    edges of their own are searched; every other state is its own closure
+    and keeps its own edges.  The edges come out without duplicates, ordered
+    by source, then label (letters, variables, words, see
+    :func:`_label_sort_key`), then target.
+    """
     _, _, has_word = a.label_kinds()
     if has_word:
         raise ValueError("remove_epsilon expects an automaton without word labels")
-    closures = _eps_closures(a)
-    out: set[tuple[int, Label, int]] = set()
-    by_src: dict[int, list[tuple[Label, int]]] = defaultdict(list)
+    # Per state, its epsilon targets and its other edges as (label sort key,
+    # target, label), with one key per distinct label.
+    keys: dict[Label, tuple[int, str]] = {}
+    eps: dict[int, list[int]] = defaultdict(list)
+    edges: dict[int, list[tuple[tuple[int, str], int, Label]]] = defaultdict(list)
     for src, label, dst in a.transitions:
-        if label is not EPSILON:
-            by_src[src].append((label, dst))
+        if label is EPSILON:
+            eps[src].append(dst)
+            continue
+        key = keys.get(label)
+        if key is None:
+            key = keys[label] = _label_sort_key(label)
+        edges[src].append((key, dst, label))
+    finals = set(a.finals)
+    # Every edge out of every closure as (source, key, target, label).  The
+    # list is built source by source, so one sort orders it at little more
+    # than the cost of sorting each source's edges, and leaves duplicates
+    # next to each other.
+    out: list[tuple[int, tuple[int, str], int, Label]] = []
     for q in range(a.n_states):
-        for p in closures[q]:
-            for label, dst in by_src[p]:
-                out.add((q, label, dst))
-    finals = {q for q in range(a.n_states) if closures[q] & a.finals}
-    ordered = sorted(out, key=lambda t: (t[0], _label_sort_key(t[1]), t[2]))
-    return Nfa(a.n_states, a.initial, finals, ordered, a.alphabet)
+        if q not in eps:
+            seen = (q,)
+        else:
+            seen = {q}
+            stack = [q]
+            while stack:
+                for r in eps.get(stack.pop(), ()):
+                    if r not in seen:
+                        seen.add(r)
+                        stack.append(r)
+            if not seen.isdisjoint(a.finals):
+                finals.add(q)
+        for p in seen:
+            for key, dst, label in edges.get(p, ()):
+                out.append((q, key, dst, label))
+    out.sort()
+    transitions: list[tuple[int, Label, int]] = []
+    last = None
+    for q, _, dst, label in out:
+        edge = (q, label, dst)
+        if edge != last:
+            transitions.append(edge)
+            last = edge
+    return Nfa(a.n_states, a.initial, finals, transitions, a.alphabet)
 
 
 def expand_extended(a: Nfa) -> Nfa:
@@ -703,3 +724,30 @@ def nfa_to_json(a: Nfa) -> dict:
         "finals": sorted(a.finals),
         "transitions": [[src, _json_label(label), dst] for src, label, dst in a.transitions],
     }
+
+
+def export_json(a: Nfa) -> str:
+    """The text of ``json.dumps(nfa_to_json(a), indent=2)``, written directly.
+
+    The standard encoder runs in pure Python when it indents; here each
+    distinct label is encoded once and every transition is one format.
+    """
+    labels: dict[Label, str] = {}
+    for _, label, _ in a.transitions:
+        if label not in labels:
+            ((key, value),) = _json_label(label).items()
+            labels[label] = f'{{\n        "{key}": {json.dumps(value)}\n      }}'
+    finals = ",\n".join(f"    {q}" for q in sorted(a.finals))
+    transitions = ",\n".join(
+        f"    [\n      {src},\n      {labels[label]},\n      {dst}\n    ]"
+        for src, label, dst in a.transitions
+    )
+    return (
+        f'{{\n  "states": {a.n_states},\n  "initial": {a.initial},\n'
+        f'  "finals": {_json_list(finals)},\n  "transitions": {_json_list(transitions)}\n}}'
+    )
+
+
+def _json_list(items: str) -> str:
+    """A second-level list of :func:`export_json`, around its joined items."""
+    return f"[\n{items}\n  ]" if items else "[]"

@@ -20,7 +20,7 @@ from typing import Callable
 
 import click
 
-from .automata import DEFAULT_STATE_CAP, export_dot, nfa_to_json
+from .automata import DEFAULT_STATE_CAP, export_dot, export_json
 from .constructions import (
     FoolingSet,
     family_box_doubleexp,
@@ -43,6 +43,7 @@ from .semantics import (
     construct_nfa,
     containment,
     membership,
+    membership_decider,
     nonemptiness,
     nonempty_int_reg,
     universality,
@@ -332,7 +333,7 @@ def build_nfa(expr, fmt, out, **raw):
         cfg = CliConfig.build(**raw)
         e = parse(expr, cfg.alphabet)
         a = construct_nfa(e, cfg.alphabet, cfg.semantics, **cfg.limits)
-        text = export_dot(a) if fmt == "dot" else json.dumps(nfa_to_json(a), indent=2)
+        text = export_dot(a) if fmt == "dot" else export_json(a)
         if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")
@@ -374,13 +375,22 @@ def _fooling_pairs(kind: str, n: int) -> FoolingSet:
     return fooling_pairs_box(n) if kind == "box" else fooling_pairs_diamond(n)
 
 
-def _fooling_oracle(kind: str, n: int):
-    alphabet = Alphabet("01")
+def _fooling_oracle(kind: str, n: int) -> Callable[[str], bool]:
+    """Membership in the family's language, compiled at the first word, so
+    that an empty pair list is verified without compiling."""
     if kind == "box":
-        e = family_box_doubleexp(n)
-        return lambda w: membership(e, w, alphabet, BOX).answer
-    e = family_diamond_power(n)
-    return lambda w: membership(e, w, alphabet, DIAMOND).answer
+        e, sem = family_box_doubleexp(n), BOX
+    else:
+        e, sem = family_diamond_power(n), DIAMOND
+    decide: Callable[[str], DecisionReport] | None = None
+
+    def member(w: str) -> bool:
+        nonlocal decide
+        if decide is None:
+            decide = membership_decider(e, Alphabet("01"), sem)
+        return decide(w).answer
+
+    return member
 
 
 @fooling.command()

@@ -503,40 +503,62 @@ def membership(
 ) -> DecisionReport:
     """Decide w ∈ L(e) under the chosen semantics in one pass over the word.
 
-    The variable-labelled automaton is simulated once, every state at every
-    position carrying the set of valuations (a bitset, see
-    :func:`letter_masks`) under which it is reachable on the prefix read so
-    far: the word is read letter by letter on the moves of :func:`_moves`,
-    which step letter and word images alike.  The sets on the final states
-    at the end of the word hold the valuations that accept w.  Possibility
-    needs one of them, certainty needs all; the reported valuation is the
-    first accepting (possibility) or rejecting (certainty) one in
-    enumeration order, and ``valuations`` counts the enumeration up to it,
-    or all of it when there is none.
+    The decider of :func:`membership_decider` applied to w: the expression
+    is compiled, and the valuation cap checked, before any letter of w is.
+    """
+    return membership_decider(e, alphabet, sem, valuation_cap, domains, word_cap)(w)
+
+
+def membership_decider(
+    e: ParamRegex,
+    alphabet: Alphabet,
+    sem: Semantics,
+    valuation_cap: int = DEFAULT_VALUATION_CAP,
+    domains: DomainSpec | None = None,
+    word_cap: int = DEFAULT_WORD_CAP,
+) -> Callable[[str], DecisionReport]:
+    """Compile e once for membership, and return the decider of w ∈ L(e).
+
+    The compiled automaton, the valuation space and the moves of
+    :func:`_moves` are built here, so deciding many words costs one pass
+    over each.  The variable-labelled automaton is simulated once per word,
+    every state at every position carrying the set of valuations (a bitset,
+    see :func:`letter_masks`) under which it is reachable on the prefix
+    read so far: the word is read letter by letter on the moves, which step
+    letter and word images alike.  The sets on the final states at the end
+    of the word hold the valuations that accept w.  Possibility needs one
+    of them, certainty needs all; the reported valuation is the first
+    accepting (possibility) or rejecting (certainty) one in enumeration
+    order, and ``valuations`` counts the enumeration up to it, or all of it
+    when there is none.  A letter outside the alphabet raises ``ValueError``.
     """
     base = _compiled(e, alphabet)
     _, choices = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
     side = _Masks(base, choices, prune=False)
-    # Every letter is checked here, also those after the run dies out.
-    letter_ids = [alphabet.index(ch) for ch in w]
-    reach = dict(side.start)
-    for i in letter_ids:
-        reach = _step(reach.items(), side.moves[i])
-        if not reach:
-            break
-    accepted = side.accepting(reach.items())
     want = sem is DIAMOND
-    found = accepted if want else side.full ^ accepted
-    if not found:
+
+    def decide(w: str) -> DecisionReport:
+        # Every letter is checked here, also those after the run dies out.
+        letter_ids = [alphabet.index(ch) for ch in w]
+        reach = dict(side.start)
+        for i in letter_ids:
+            reach = _step(reach.items(), side.moves[i])
+            if not reach:
+                break
+        accepted = side.accepting(reach.items())
+        found = accepted if want else side.full ^ accepted
+        if not found:
+            return DecisionReport(
+                answer=not want, stats={"valuations": side.total, "states": base.n_states}
+            )
+        index = (found & -found).bit_length() - 1
         return DecisionReport(
-            answer=not want, stats={"valuations": side.total, "states": base.n_states}
+            answer=want,
+            valuation=valuation_at(choices, index).as_dict(),
+            stats={"valuations": index + 1, "states": base.n_states},
         )
-    index = (found & -found).bit_length() - 1
-    return DecisionReport(
-        answer=want,
-        valuation=valuation_at(choices, index).as_dict(),
-        stats={"valuations": index + 1, "states": base.n_states},
-    )
+
+    return decide
 
 
 # ---------------------------------------------------------------------------

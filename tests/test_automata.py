@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -28,6 +30,7 @@ from prx.automata import (
     dfa_to_nfa,
     expand_extended,
     export_dot,
+    export_json,
     is_empty,
     is_universal,
     nfa_to_json,
@@ -39,7 +42,9 @@ from prx.automata import (
     union_all,
 )
 from prx.errors import StateCapExceeded
-from prx.syntax import Alphabet, parse
+from prx.semantics import BOX, DIAMOND, construct_nfa
+from prx.syntax import Alphabet, parse, variables
+from prx.valuations import DomainSpec, Valuation, apply_to_nfa
 
 AB01 = Alphabet("01")
 
@@ -119,6 +124,99 @@ def test_remove_epsilon_noop_semantics_on_plain_automaton():
     a = compile_plain("01|10")
     again = remove_epsilon(a)
     assert nfa_bounded_language(again, AB01, 4) == nfa_bounded_language(a, AB01, 4)
+
+
+def _label_key(label):
+    if isinstance(label, str):
+        return (0, label)
+    if isinstance(label, VarLabel):
+        return (1, label.name)
+    if isinstance(label, WordLabel):
+        return (2, label.word)
+    return (3, "")
+
+
+def reference_remove_epsilon(a: Nfa) -> tuple[list, frozenset[int]]:
+    """Transitions and finals of ε-removal by one closure search per state
+    and one sort of every edge (the earlier algorithm, kept as reference)."""
+    eps = defaultdict(list)
+    edges = defaultdict(list)
+    for src, label, dst in a.transitions:
+        if label is EPSILON:
+            eps[src].append(dst)
+        else:
+            edges[src].append((label, dst))
+    out = set()
+    finals = set()
+    for q in range(a.n_states):
+        seen = {q}
+        stack = [q]
+        while stack:
+            for r in eps[stack.pop()]:
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        if seen & a.finals:
+            finals.add(q)
+        for p in seen:
+            for label, dst in edges[p]:
+                out.add((q, label, dst))
+    return sorted(out, key=lambda t: (t[0], _label_key(t[1]), t[2])), frozenset(finals)
+
+
+def _glued(automata: list[Nfa]) -> Nfa:
+    """The automata side by side behind a fresh initial state with an
+    ε-edge into each, as :func:`union_all` glues them."""
+    transitions, finals, offset = [], set(), 1
+    for a in automata:
+        transitions.append((0, EPSILON, a.initial + offset))
+        transitions.extend((src + offset, label, dst + offset) for src, label, dst in a.transitions)
+        finals.update(q + offset for q in a.finals)
+        offset += a.n_states
+    return Nfa(offset, 0, finals, transitions, automata[0].alphabet)
+
+
+def _assert_as_reference(a: Nfa) -> None:
+    got = remove_epsilon(a)
+    transitions, finals = reference_remove_epsilon(a)
+    assert list(got.transitions) == transitions
+    assert got.finals == finals
+    assert (got.n_states, got.initial) == (a.n_states, a.initial)
+
+
+def test_remove_epsilon_matches_the_reference_on_random_expressions():
+    rng = random.Random(5150)
+    for _ in range(300):
+        alphabet = Alphabet(rng.choice(["01", "012"]))
+        e = random_expr(rng, alphabet, ["x", "y"], rng.randint(1, 16))
+        _assert_as_reference(regex_to_nfa(e, alphabet))
+
+
+def test_remove_epsilon_matches_the_reference_on_glued_unions():
+    rng = random.Random(6160)
+    for _ in range(40):
+        alphabet = Alphabet(rng.choice(["01", "012"]))
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            e = random_expr(rng, alphabet, ["x"], rng.randint(1, 10))
+            a = regex_to_nfa(e, alphabet)
+            parts.append(remove_epsilon(a) if rng.random() < 0.7 else a)
+        glued = _glued(parts)
+        _assert_as_reference(glued)
+        # Extra ε-edges and repeated edges, so that closures overlap and
+        # one state reaches the same edge along several paths.
+        extra = [(rng.randrange(glued.n_states), EPSILON, rng.randrange(glued.n_states))
+                 for _ in range(3)]
+        extra += rng.sample(glued.transitions, min(2, len(glued.transitions)))
+        _assert_as_reference(Nfa(glued.n_states, 0, glued.finals,
+                                 glued.transitions + tuple(extra), alphabet))
+
+
+def test_remove_epsilon_matches_the_reference_on_a_long_union_chain():
+    # 500 branches: the reference is quadratic in the chain, and takes about
+    # 20 s on the 2000 branches that tests/test_cli.py decides end to end.
+    a = regex_to_nfa(parse("|".join("01" * 250), AB01), AB01)
+    _assert_as_reference(a)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +484,38 @@ def test_nfa_to_json_shape():
         [0, {"eps": True}, 2],
         [1, {"word": "01"}, 1],
     ]
+
+
+@pytest.mark.parametrize("a", [
+    Nfa(3, 0, {2}, [(0, "0", 1), (1, VarLabel("x"), 2), (0, EPSILON, 2),
+                    (1, WordLabel("01"), 1), (2, "1", 0)], AB01),
+    Nfa(2, 1, (), [(0, "1", 1)], AB01),
+    Nfa(3, 2, {0, 1}, (), AB01),
+    Nfa(1, 0, (), (), AB01),
+    Nfa(2, 0, {1}, [(0, '"', 1), (1, "\\", 0), (0, "é", 0), (1, WordLabel('é"\\'), 1),
+                    (0, VarLabel("x\ty"), 1)], Alphabet('"\\é')),
+], ids=["all-labels", "no-finals", "no-transitions", "empty", "escaped"])
+def test_export_json_is_the_indented_dump(a):
+    assert export_json(a) == json.dumps(nfa_to_json(a), indent=2)
+
+
+def test_export_json_is_the_indented_dump_on_a_sweep():
+    rng = random.Random(7170)
+    for _ in range(150):
+        alphabet = Alphabet(rng.choice(["01", "012"]))
+        e = random_expr(rng, alphabet, ["x", "y"], rng.randint(1, 12))
+        thompson = regex_to_nfa(e, alphabet)
+        image = {name: "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, 3)))
+                 for name in variables(e)}
+        automata = [thompson, remove_epsilon(thompson),
+                    apply_to_nfa(Valuation(image), thompson),
+                    construct_nfa(e, alphabet, rng.choice([BOX, DIAMOND]))]
+        if variables(e) and alphabet == AB01:
+            spec = DomainSpec({name: parse(rng.choice(["0|1", "_|01", "00|1"]), AB01)
+                               for name in variables(e)}, AB01)
+            automata.append(construct_nfa(e, AB01, DIAMOND, domains=spec))
+        for a in automata:
+            assert export_json(a) == json.dumps(nfa_to_json(a), indent=2)
 
 
 # ---------------------------------------------------------------------------

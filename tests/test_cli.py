@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import subprocess
@@ -264,6 +265,40 @@ class TestDomains:
         assert json.loads(res.output)["stats"] == {"valuations": 2, "states": 1}
 
 
+#: sha256 of `build-nfa --alphabet 01 --format json` and `--format dot` output.
+#: The JSON digests are those of `json.dumps(nfa_to_json(a), indent=2)` and a
+#: newline, so they pin `export_json` and the ε-free automata byte for byte.
+_BUILD_NFA_DIGESTS = [
+    ('diamond', '($x1)*',
+     'fd0eac97c47789a30badc47dc51d8e26d07309fe3a37924527acc87aca0a3353',
+     'a8094b1be1a489ec6a76635da400a477942733526e1c75074679f81e1f833823'),
+    ('diamond', '($x1$x2)*',
+     'baafbaf185bfd9b5b9af0ac986555b5dbcd24f40f94fe26aa2dc7492068b84b2',
+     'c7e80c99aadaa54c0a01f37fb9f3c7377a529aeaa9006c977225279683175fac'),
+    ('diamond', '($x1$x2$x3)*',
+     'c92cf0662df1cfe061c50aa6cdf0e40ef2adbd3de3677912a4de732421d78960',
+     '22317cc70fbbc8d0b6ed8cf5f29e00fbae23b394bff2d38080a7d46b2ee445ac'),
+    ('diamond', '($x1$x2$x3$x4)*',
+     'c377fe9c8a73fe1b5acf18868d674b86f8d5cd5390d936679014144b0929e244',
+     '4329f8f7f8658607a8253a3f860560f1d738ccd7bd1826ffac6eb63a05481b99'),
+    ('diamond', '($x1$x2$x3$x4$x5)*',
+     'df491a995608a2309e03bfc4eecb1f2cac4da65daba23956d668bdbfa9bc8273',
+     '30285c74f215c61bb767c1aed67bc872006e538e7f9d2398a9b246324396ecf9'),
+    ('diamond', '($x1$x2$x3$x4$x5$x6)*',
+     '510b6253a5e23c443cdc8513781042f437d3e90ef62ef80ddd35d4d3222a7274',
+     '26095fe8f0e3de403a29da5f158be89fb0add38b2d596210a97456cc241154e9'),
+    ('diamond', '($x1$x2$x3$x4$x5$x6$x7)*',
+     '119092730325bd2a2897e9affd6d6088997295e95437519245a1344d7cd8af47',
+     'add61d1c8a1e2c666019de9094410790d49d3254d542d5e7e718526aa6fc8b7c'),
+    ('box', '((0|1)(0|1))*$x1$x2((0|1)(0|1))*',
+     'c559c8545c6fce29072a05bfbcab0aba142cd249a6e174a37e82ae8c16107e69',
+     'f73f7b35e37d7871fdfb10de858d925055f6c5ca010daaaa8df4decf2b16c364'),
+    ('box', '(0|1)*$x1$x2(0|1)*',
+     '0b632fbe91509df7dbb9c844af6bbd63c5b46145f7f9e5bbcd6605d1c99a9e0d',
+     'c9ff6b21e6a044e4105ce1e51dede9fadc669bde5f6384f9076d1c982a5abad8'),
+]
+
+
 class TestBuildNfa:
     def test_dot_output(self, runner):
         res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", "diamond",
@@ -296,6 +331,15 @@ class TestBuildNfa:
         res = invoke(runner, "build-nfa", "--alphabet", "01", "--expr", "$x", *option)
         assert res.exit_code == 2
         assert "No such option" in res.output
+
+    @pytest.mark.parametrize("semantics,expr,json_digest,dot_digest", _BUILD_NFA_DIGESTS,
+                             ids=[f"{sem}-{expr}" for sem, expr, _, _ in _BUILD_NFA_DIGESTS])
+    def test_output_bytes_are_pinned(self, runner, semantics, expr, json_digest, dot_digest):
+        for fmt, digest in (("json", json_digest), ("dot", dot_digest)):
+            res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", semantics,
+                         "--expr", expr, "--format", fmt)
+            assert res.exit_code == 0
+            assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
 
     def test_domains_construction(self, runner, tmp_path):
         spec = tmp_path / "domains.json"
@@ -340,6 +384,25 @@ class TestFamilyAndFooling:
                      "--pairs", str(bad))
         assert res.exit_code == 1
         assert "not verified" in res.output
+
+    @pytest.mark.parametrize("kind,n,pairs,code,output", [
+        ("diamond", 2, "00\t00\n01\t01\n10\t01\n", 1,
+         "not verified: condition 1 fails at pair 2: 1001 not in the language\n"),
+        ("box", 1, "00011011\t_\n_\t00011011\n", 1,
+         "not verified: condition 2 fails at pairs j=0, i=1: "
+         "0001101100011011 is in the language\n"),
+        ("diamond", 1, "0\t2\n", 2, "error: letter '2' is not in the alphabet\n"),
+        ("box", 1, "0\t2\n", 2, "error: letter '2' is not in the alphabet\n"),
+        ("diamond", 30, "", 0, "verified: every NFA for this language needs at least 0 states\n"),
+        ("box", 30, "0\t2\n", 2, "error: 2147483648 valuations exceed the cap of 1000000\n"),
+    ], ids=["violating-diamond", "violating-box", "foreign-letter-diamond",
+            "foreign-letter-box", "empty-file-compiles-nothing", "cap-before-letter"])
+    def test_fooling_verify_pair_files(self, runner, tmp_path, kind, n, pairs, code, output):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(pairs)
+        res = invoke(runner, "fooling", "verify", "--kind", kind, "--n", str(n),
+                     "--pairs", str(path))
+        assert (res.exit_code, res.output) == (code, output)
 
     def test_fooling_box_verify(self, runner):
         res = invoke(runner, "fooling", "verify", "--kind", "box", "--n", "1")

@@ -15,7 +15,7 @@ from prx.automata import (
     regex_to_nfa,
     remove_epsilon,
 )
-from prx.constructions import family_box_subword, family_diamond_power
+from prx.constructions import family_box_doubleexp, family_box_subword, family_diamond_power
 from prx.errors import CountCapExceeded, DomainNotFinite, PrxError, StateCapExceeded
 from prx.semantics import (
     BOX,
@@ -25,6 +25,7 @@ from prx.semantics import (
     construct_nfa,
     containment,
     membership,
+    membership_decider,
     nonemptiness,
     nonempty_int_reg,
     universality,
@@ -238,6 +239,31 @@ class TestMembershipValuationSets:
             membership(e, "09", AB, BOX, valuation_cap=4)
         with pytest.raises(ValueError, match="^letter '9' is not in the alphabet$"):
             membership(e, "09", AB, BOX, valuation_cap=8)
+
+    def test_one_decider_reports_as_membership_on_every_word(self):
+        rng = random.Random(4222)
+        exprs = [(family_diamond_power(3), AB, None), (family_box_doubleexp(1), AB, None),
+                 (family_box_subword(2), AB, None),
+                 (parse("$x(0|$y)*$x", AB), AB, DomainSpec({"x": parse("_|01", AB),
+                                                            "y": parse("1|00", AB)}, AB))]
+        exprs += [(random_expr_with_k(rng, ABC, i % 4), ABC, None) for i in range(20)]
+        for e, alphabet, domains in exprs:
+            words = list(oracles.all_words(alphabet, 4 if alphabet is AB else 3))
+            words += ["".join(rng.choices(alphabet.letters, k=rng.randint(5, 12)))
+                      for _ in range(10)]
+            for sem in (BOX, DIAMOND):
+                decide = membership_decider(e, alphabet, sem, domains=domains)
+                for w in words:
+                    assert decide(w) == membership(e, w, alphabet, sem, domains=domains)
+
+    def test_decider_checks_the_cap_when_compiled_and_letters_per_word(self):
+        e = parse("$x$y$z", AB)
+        with pytest.raises(CountCapExceeded, match="^8 valuations exceed the cap of 4$"):
+            membership_decider(e, AB, BOX, valuation_cap=4)
+        decide = membership_decider(e, AB, BOX, valuation_cap=8)
+        with pytest.raises(ValueError, match="^letter '9' is not in the alphabet$"):
+            decide("09")
+        assert decide("000") == membership(e, "000", AB, BOX)
 
     def test_full_scan_at_k8(self):
         e = parse("($a|$b|$c|$d|$e|$f|$g|$h|0)*", ABC)
