@@ -7,9 +7,10 @@ domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
 and decides both the same way.  Membership simulates the variable-labelled
 automaton once over the word, carrying a set of valuations per state, so it
 never builds an instance.  Certainty nonemptiness, universality and
-certainty containment step those sets on the same moves, over letters and
-domain words alike, in one breadth-first search over *mask states* that
-stops at the first answer.  Certainty universality over letters runs it to
+certainty containment step those sets on moves built the same way, over
+letters and domain words alike, but on the automaton with its bisimilar
+states merged, in one breadth-first search over *mask states* that stops
+at the first answer.  Certainty universality over letters runs it to
 find the first valuation whose instance is not universal, and determinizes
 that instance alone for its counterexample.  The other problems enumerate
 valuations in the fixed deterministic order and check, union, or intersect
@@ -23,10 +24,11 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
+    Label,
     Nfa,
     VarLabel,
     complement,
@@ -48,6 +50,7 @@ from .valuations import (
     DEFAULT_WORD_CAP,
     DomainSpec,
     Valuation,
+    _tile,
     apply_finitary,
     apply_to_nfa,
     apply_to_regex,
@@ -81,11 +84,12 @@ class DecisionReport:
     examined (membership) or combined (the others).  ``stats["states"]``
     counts the states of the search that produced the answer: the mask
     states discovered for certainty nonemptiness, universality and
-    certainty containment, over letters or domains, and otherwise the
-    states of the automaton the answer was read from (the expression's own
-    for membership; for certainty universality over letters the one
-    instance determinized, or the expression's own when every instance is
-    universal).
+    certainty containment, over letters or domains (each one int of
+    per-state fields over the merged automaton, see :data:`_MaskState`),
+    and otherwise the states of the automaton the answer was read from
+    (the expression's own for membership; for certainty universality over
+    letters the one instance determinized, or the expression's own when
+    every instance is universal).
     """
 
     answer: bool
@@ -227,21 +231,102 @@ def construct_nfa(
 #: valuations the edge keeps, ``None`` for all of them).
 _Moves = list[dict[int, list[tuple[int, int | None]]]]
 
-#: A mask state: the sorted (state, nonzero valuation bitset) pairs reached
-#: on one word, the bitset holding the valuations under which the state is
-#: reached.  States past the automaton's own are positions inside the images
-#: of :func:`_moves`.
-_MaskState = tuple[tuple[int, int], ...]
+#: A mask state of the searches: one int of ``total``-bit fields, field q
+#: holding the valuations under which state q of the merged automaton (see
+#: :func:`_merge`) is reached on one word; past :data:`_PACKED_BITS`, the
+#: sorted (q, valuations) pairs of the nonzero fields.  States past the
+#: automaton's own are positions inside the images of :func:`_moves`.
+_MaskState = int | tuple[tuple[int, int], ...]
+
+
+class _Merged(NamedTuple):
+    """An ε-free automaton with its bisimilar states merged (see
+    :func:`_merge`), in the attributes :func:`_moves` reads from an
+    :class:`~prx.automata.Nfa`."""
+
+    n_states: int
+    initial: int
+    finals: frozenset[int]
+    transitions: list[tuple[int, Label, int]]
+    alphabet: Alphabet
+
+
+def _merge(base: Nfa) -> _Merged:
+    """The ε-free automaton on classes of states: states with the same
+    finality and the same outgoing (label, target class) pairs are merged
+    until no two classes have both.  Merged states are bisimilar, so under
+    every valuation they accept the same words and a search may step the
+    classes in their place.  A class is numbered in the order of its first
+    state, and has that state's edges.
+
+    Every state is visited once, in order; a merge revisits only the
+    predecessors of the states whose class changed, so a long chain of
+    mergeable states costs about one pass rather than one pass per link.
+    """
+    n = base.n_states
+    labels: dict[Label, int] = {}
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for src, label, dst in base.transitions:
+        edges[src].append((labels.setdefault(label, len(labels)), dst))
+        preds[dst].append(src)
+    n_labels = len(labels)
+    finals = base.finals
+    # A class is named by one of its states, which it keeps while the name
+    # lasts; a name absorbed by a merge never names a class again, so a
+    # state found under a signature always stands for the right class.
+    cls = list(range(n))
+    members: dict[int, list[int]] = {}  # the states of each class of two or more
+    found: dict[tuple[bool, int | frozenset[int]], int] = {}  # a state per signature
+    work: Iterable[int] = range(n)
+    while work:
+        again: set[int] = set()
+        for q in work:
+            # A signature codes each (label, target class) pair as one int; a
+            # lone code stands for itself, saving a set on single-edge states.
+            out = edges[q]
+            if len(out) == 1:
+                a, d = out[0]
+                key = q in finals, a + n_labels * cls[d]
+            else:
+                codes = {a + n_labels * cls[d] for a, d in out}
+                key = q in finals, codes.pop() if len(codes) == 1 else frozenset(codes)
+            keep, gone = cls[found.setdefault(key, q)], cls[q]
+            if keep == gone:
+                continue
+            if len(members.get(keep, ())) < len(members.get(gone, ())):
+                keep, gone = gone, keep
+            moved = members.pop(gone, [gone])
+            for p in moved:
+                cls[p] = keep
+                again.update(preds[p])
+            members.setdefault(keep, [keep]).extend(moved)
+        work = again
+    ids: dict[int, int] = {}
+    cls = [ids.setdefault(c, len(ids)) for c in cls]
+    count = len(ids)
+    firsts: list[int] = []
+    for q, c in enumerate(cls):
+        if c == len(firsts):
+            firsts.append(q)
+    by_id = list(labels)
+    transitions = [
+        (c, by_id[a], d)
+        for c, q in enumerate(firsts)
+        for a, d in dict.fromkeys([(a, cls[d]) for a, d in edges[q]])
+    ]
+    return _Merged(
+        count, cls[base.initial], frozenset(cls[q] for q in base.finals), transitions,
+        base.alphabet,
+    )
 
 
 def _moves(
-    base: Nfa,
-    choices: Mapping[str, Sequence[str]],
-    masks: Mapping[str, Sequence[int]],
-    full: int,
-) -> tuple[_Moves, _MaskState]:
-    """The edges of the ε-free automaton under every valuation at once, and
-    the start mask state.
+    base: Nfa | _Merged, choices: Mapping[str, Sequence[str]]
+) -> tuple[int, _Moves, tuple[tuple[int, int], ...], int]:
+    """The edges of the ε-free automaton under every valuation at once: the
+    number of valuations (see :func:`letter_masks`), the moves, the start
+    as (state, valuations) pairs, and the number of states the moves use.
 
     A letter edge keeps every valuation, and an edge ``$x`` keeps, per
     one-letter image of x, the valuations with that image.  A longer image
@@ -252,6 +337,9 @@ def _moves(
     state of which carries the valuations that reach it.  A variable with
     no images (one a finitary valuation leaves undefined) has no edges.
     """
+    total, masks = letter_masks(choices)
+    full = (1 << total) - 1
+    n_states, initial = base.n_states, base.initial
     letters = base.alphabet.letters
     index = dict(zip(letters, range(len(letters))))
     # Per variable, the valuations with each letter as image, in alphabet
@@ -269,7 +357,6 @@ def _moves(
     moves: _Moves = [{} for _ in letters]
     skips: dict[int, list[tuple[int, int]]] = defaultdict(list)  # empty-image edges
     chains: dict[tuple[str, str, int], int] = {}
-    n_states = base.n_states
     for src, label, dst in base.transitions:
         if not isinstance(label, VarLabel):
             moves[index[label]].setdefault(src, []).append((dst, None))
@@ -292,7 +379,7 @@ def _moves(
                 n_states = q + 1
             moves[index[image[0]]].setdefault(src, []).append((first, keep))
     if not skips:
-        return moves, ((base.initial, full),)
+        return total, moves, ((initial, full),), n_states
 
     # Per state with empty-image edges, the valuations under which each
     # state of its closure is reached.
@@ -319,10 +406,12 @@ def _moves(
                         if keep is None or have & keep
                     ]
                     break
-    return moves, tuple(sorted(closures.get(base.initial, ((base.initial, full),))))
+    return total, moves, tuple(sorted(closures.get(initial, ((initial, full),)))), n_states
 
 
-def _prune(moves: _Moves, start: _MaskState, finals: frozenset[int]) -> _MaskState:
+def _prune(
+    moves: _Moves, start: Iterable[tuple[int, int]], finals: frozenset[int]
+) -> list[tuple[int, int]]:
     """Leave out, in place, the edges into states from which no final state
     can be reached, and return the start without such states: they add
     nothing to any accepting set."""
@@ -342,7 +431,7 @@ def _prune(moves: _Moves, start: _MaskState, finals: frozenset[int]) -> _MaskSta
         for row in moves:
             for src, edges in row.items():
                 row[src] = [edge for edge in edges if edge[0] in alive]
-    return tuple(pair for pair in start if pair[0] in alive)
+    return [pair for pair in start if pair[0] in alive]
 
 
 def _step(
@@ -359,43 +448,97 @@ def _step(
     return ahead
 
 
+#: The widest mask state, in bits, that is stepped as one int (see
+#: :class:`_Masks`).  Past it the fields are mostly zero, and stepping the
+#: nonzero ones alone costs less than a shift of every field.
+_PACKED_BITS = 4096
+
+
 class _Masks:
-    """An expression's ε-free automaton run under every valuation of
-    ``choices`` at once, on mask states.  Stepping a mask state is
-    deterministic, and a word leads to the mask state that records, for
-    every valuation, the subset its instance's subset construction reaches
-    on that word.  Membership reads one word, on which :func:`_prune` costs
-    more than it saves; the searches prune."""
+    """An expression's ε-free automaton, its states merged (see
+    :func:`_merge`) and pruned (see :func:`_prune`), run under every
+    valuation of ``choices`` at once on mask states (see
+    :data:`_MaskState`).  Stepping a mask state is deterministic, and a
+    word leads to the mask state that records, for every valuation, the
+    classes of the subset its instance's subset construction reaches on
+    that word.
 
-    __slots__ = ("total", "full", "finals", "moves", "start")
+    A letter moves the fields along its edges grouped by offset: per
+    target offset dst − src, one AND with the valuations each source's
+    edge keeps, and one shift.  When the fields would take more than
+    :data:`_PACKED_BITS` bits, a mask state is instead the sorted
+    (state, valuations) pairs of its nonzero fields, stepped by
+    :func:`_step`.
+    """
 
-    def __init__(self, base: Nfa, choices: Mapping[str, Sequence[str]], prune: bool = True):
-        self.total, masks = letter_masks(choices)
-        self.full = (1 << self.total) - 1
-        self.finals = base.finals
-        self.moves, self.start = _moves(base, choices, masks, self.full)
-        if prune:
-            self.start = _prune(self.moves, self.start, base.finals)
+    __slots__ = ("total", "full", "moves", "finals", "start", "n_fields", "rows", "on_finals",
+                 "halves")
+
+    def __init__(self, base: Nfa, choices: Mapping[str, Sequence[str]]):
+        merged = _merge(base)
+        self.total, self.moves, start, n = _moves(merged, choices)
+        self.full = full = (1 << self.total) - 1
+        self.finals = merged.finals
+        start = _prune(self.moves, start, self.finals)
+        self.n_fields = n
+        self.rows: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] | None = None
+        width = self.total
+        if n * width > _PACKED_BITS:
+            self.start: _MaskState = tuple(sorted(start))
+            return
+        self.rows = []
+        for row in self.moves:
+            groups: dict[int, int] = {}
+            for src, edges in row.items():
+                at = src * width
+                for dst, keep in edges:
+                    kept = (full if keep is None else keep) << at
+                    groups[dst - src] = groups.get(dst - src, 0) | kept
+            self.rows.append((
+                [(mask, offset * width) for offset, mask in groups.items() if offset >= 0],
+                [(mask, -offset * width) for offset, mask in groups.items() if offset < 0],
+            ))
+        self.start = sum(have << q * width for q, have in start)
+        self.on_finals = sum(full << q * width for q in self.finals)
+        # The folds of n fields into one: the upper half onto the lower.
+        self.halves: list[tuple[int, int]] = []
+        while n > 1:
+            n = (n + 1) // 2
+            self.halves.append(((1 << n * width) - 1, n * width))
 
     def step(self, state: _MaskState, i: int) -> _MaskState:
-        return tuple(sorted(_step(state, self.moves[i]).items()))
+        if self.rows is None:
+            return tuple(sorted(_step(state, self.moves[i]).items()))
+        ahead = 0
+        up, down = self.rows[i]
+        for mask, shift in up:
+            ahead |= (state & mask) << shift
+        for mask, shift in down:
+            ahead |= (state & mask) >> shift
+        return ahead
 
-    def accepting(self, state: Iterable[tuple[int, int]]) -> int:
-        """The valuations whose instance accepts at this mask state."""
-        out = 0
-        for q, have in state:
-            if q in self.finals:
+    def fold(self, state: _MaskState) -> int:
+        """The union of the fields: the valuations that reach some state."""
+        if self.rows is None:
+            out = 0
+            for _, have in state:
                 out |= have
-        return out
+            return out
+        for low, shift in self.halves:
+            state = state & low | state >> shift
+        return state
+
+    def accepting(self, state: _MaskState) -> int:
+        """The valuations whose instance accepts at this mask state."""
+        if self.rows is None:
+            return self.fold(pair for pair in state if pair[0] in self.finals)
+        return self.fold(state & self.on_finals)
 
     def alive(self, state: _MaskState) -> bool:
         """Does every valuation reach some state?  If one reaches none, its
         instance rejects every continuation, so no word through this mask
         state is in the certainty language."""
-        out = 0
-        for _, have in state:
-            out |= have
-        return out == self.full
+        return self.fold(state) == self.full
 
     def first_non_universal(self, alphabet: Alphabet, state_cap: int) -> int | None:
         """The index of the first valuation whose instance is not universal,
@@ -404,7 +547,7 @@ class _Masks:
         The mask states reachable on all words together record every
         instance's reachable subsets, so the valuations some of them reject
         are exactly the non-universal ones.  The search goes on past each
-        one it finds, but narrows the bitsets it steps to the valuations
+        one it finds, but narrows the fields it steps to the valuations
         before the least found so far, and stops once that is valuation 0.
         A valuation that reaches a *sure* state, from which every instance
         accepts every word, is rejected by no continuation, so it is kept
@@ -423,22 +566,38 @@ class _Masks:
                 break
             sure = kept
         live = self.full
+        on_live = -1  # packed: the live valuations in every field
+        if self.rows is None:
+            def step(state: _MaskState, i: int) -> _MaskState:
+                ahead = _step(state, self.moves[i])
+                done = 0
+                for q in sure:
+                    done |= ahead.get(q, 0)
+                return tuple(sorted(
+                    (q, narrowed) for q, have in ahead.items()
+                    if (narrowed := have & live if q in sure else have & live & ~done)
+                ))
+        else:
+            width, n = self.total, self.n_fields
+            on_sure = sum(self.full << q * width for q in sure)
 
-        def step(state: _MaskState, i: int) -> _MaskState:
-            ahead = _step(state, self.moves[i])
-            done = 0
-            for q in sure:
-                done |= ahead.get(q, 0)
-            return tuple(sorted(
-                (q, narrowed) for q, have in ahead.items()
-                if (narrowed := have & live if q in sure else have & live & ~done)
-            ))
+            def step(state: _MaskState, i: int) -> _MaskState:
+                ahead = self.step(state, i) & on_live
+                if on_sure:
+                    done = self.fold(ahead & on_sure)
+                    if done == live:
+                        ahead &= on_sure
+                    elif done:
+                        ahead &= on_sure | ~_tile(done, width, n)
+                return ahead
 
         def rejects(state: _MaskState) -> bool:
-            nonlocal live
+            nonlocal live, on_live
             bad = live & ~self.accepting(state)
             if bad:
                 live = (bad & -bad) - 1
+                if self.rows is not None:
+                    on_live = _tile(live, self.total, self.n_fields)
             return not live
 
         _mask_search(self.start, step, alphabet, rejects, lambda s: True, state_cap)
@@ -455,7 +614,9 @@ def _mask_search(
 ) -> tuple[str | None, int]:
     """Breadth-first search from ``start`` for a ``wanted`` node, with the
     letters tried in alphabet order; a node ``keep`` refuses is neither
-    counted nor queued, and no wanted node may be behind one.
+    counted nor queued, and no wanted node may be behind one.  The nodes
+    are mask states of :class:`_Masks` (pairs of them for containment),
+    and the nodes discovered are what ``stats["states"]`` reports.
 
     ``step`` is deterministic, so the word returned, that of the first
     wanted node found, is the shortlex-least word leading to one.  Returns
@@ -534,22 +695,25 @@ def membership_decider(
     """
     base = _compiled(e, alphabet)
     _, choices = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
-    side = _Masks(base, choices, prune=False)
+    total, moves, start, _ = _moves(base, choices)
     want = sem is DIAMOND
 
     def decide(w: str) -> DecisionReport:
         # Every letter is checked here, also those after the run dies out.
         letter_ids = [alphabet.index(ch) for ch in w]
-        reach = dict(side.start)
+        reach = dict(start)
         for i in letter_ids:
-            reach = _step(reach.items(), side.moves[i])
+            reach = _step(reach.items(), moves[i])
             if not reach:
                 break
-        accepted = side.accepting(reach.items())
-        found = accepted if want else side.full ^ accepted
+        accepted = 0
+        for q, have in reach.items():
+            if q in base.finals:
+                accepted |= have
+        found = accepted if want else ((1 << total) - 1) ^ accepted
         if not found:
             return DecisionReport(
-                answer=not want, stats={"valuations": side.total, "states": base.n_states}
+                answer=not want, stats={"valuations": total, "states": base.n_states}
             )
         index = (found & -found).bit_length() - 1
         return DecisionReport(
@@ -648,12 +812,12 @@ def universality(
         # then the first instance is the answer without a search.
         first = 0
         if base.initial in base.finals:
-            first = _Masks(base, choices).first_non_universal(alphabet, state_cap)
-        if first is None:
-            return DecisionReport(
-                answer=True,
-                stats={"valuations": len(alphabet) ** len(choices), "states": base.n_states},
-            )
+            side = _Masks(base, choices)
+            first = side.first_non_universal(alphabet, state_cap)
+            if first is None:
+                return DecisionReport(
+                    answer=True, stats={"valuations": side.total, "states": base.n_states}
+                )
         nu = valuation_at(choices, first)
         d = determinize(apply_to_nfa(nu, base), state_cap)
         _, cex = is_universal(d)

@@ -123,6 +123,16 @@ class TestNonempty:
         assert res.exit_code == 0
         assert res.output == "true\n00110\n"
 
+    def test_box_search_answers_at_its_state_count_and_not_below(self, runner):
+        # The search discovers 203 mask states on its way to the witness.
+        args = ["nonempty", "--alphabet", "01", "--semantics", "box",
+                "--expr", "(0|1)*$x1$x2$x3(0|1)*", "--witness", "--max-states"]
+        res = invoke(runner, *args, "203")
+        assert (res.exit_code, res.output) == (0, "true\n0001011100\n")
+        res = invoke(runner, *args, "202")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: search exceeded the cap of 202 states\n"
+
     def test_fast_star_free(self, runner):
         res = invoke(runner, "nonempty", "--alphabet", "01", "--semantics", "box",
                      "--expr", "($x|0)($y|1)", "--fast", "--witness")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -30,7 +31,10 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.syntax import Alphabet, Concat, EmptySet, Lit, Star, Union, Var, parse, variables
+from prx.semantics import _compiled, _moves, _step, _valuation_space
+from prx.syntax import (
+    Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
+)
 from prx.valuations import (
     DomainSpec,
     Valuation,
@@ -38,11 +42,12 @@ from prx.valuations import (
     apply_to_regex,
     domain_choices,
     enumerate_valuations,
+    valuation_at,
     valuations_from,
 )
 
 import oracles
-from prx import valuations
+from prx import semantics, valuations
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -756,14 +761,21 @@ class TestMaskSearch:
 
     def test_box_nonemptiness_past_the_product_cap(self):
         # The product of the 729 determinized instances needs more than the
-        # default 65 536 states; the search finds the word among 145.
+        # default 65 536 states; the search finds the word among 135.
         e = parse(
             "(0|1|2)*($x1|0|1|2)2($x2|1)($x3|0|1|2)($x4|0)1($x5|0|1|2)($x6|1)(0|1|2)*", ABC
         )
         rep = nonemptiness(e, ABC, BOX)
         assert (rep.answer, rep.witness) == (True, "02100101")
-        assert rep.stats == {"valuations": 729, "states": 145}
+        assert rep.stats == {"valuations": 729, "states": 135}
         assert membership(e, rep.witness, ABC, BOX).answer is True
+
+    def test_a_deep_chain_of_mergeable_states_is_decided(self):
+        # The two 2000-letter tails merge state by state, from the end: the
+        # merge revisits only the states whose successors changed class.
+        e = parse("_|(0|1)*0(0|1){2000}|(0|1)*1(0|1){2000}|$x", AB)
+        rep = universality(e, AB, DIAMOND)
+        assert (rep.answer, rep.witness, rep.stats) == (False, "00", {"valuations": 2, "states": 4})
 
     def test_box_nonemptiness_stops_where_no_final_state_is_reachable(self):
         # No state of (1(01*)01)@ reaches a final one: the search is over
@@ -839,7 +851,7 @@ class TestMaskSearchOverDomains:
         rep = nonemptiness(parse("(0|1)*$x(0|1)*", AB), AB, BOX, domains=spec)
         assert rep.to_json() == {
             "answer": True, "witness": "0011", "valuation": None,
-            "stats": {"valuations": 2, "states": 11},
+            "stats": {"valuations": 2, "states": 8},
         }
 
     def test_empty_image_and_chain_in_one_search(self):
@@ -860,9 +872,9 @@ class TestMaskSearchOverDomains:
     def test_state_cap_bounds_the_search(self):
         spec = DomainSpec.from_json({"x": "00|11"}, AB)
         e = parse("(0|1)*$x(0|1)*", AB)
-        assert nonemptiness(e, AB, BOX, state_cap=11, domains=spec).answer is True
-        with pytest.raises(StateCapExceeded, match="search exceeded the cap of 10 states"):
-            nonemptiness(e, AB, BOX, state_cap=10, domains=spec)
+        assert nonemptiness(e, AB, BOX, state_cap=8, domains=spec).answer is True
+        with pytest.raises(StateCapExceeded, match="search exceeded the cap of 7 states"):
+            nonemptiness(e, AB, BOX, state_cap=7, domains=spec)
 
 
 def instance_by_instance(e, alphabet):
@@ -950,11 +962,11 @@ class TestBoxUniversality:
         }
 
     def test_state_cap_bounds_the_search(self):
-        # Universal through subsets, not through one state: 17 mask states.
+        # Universal through subsets, not through one state: 8 mask states.
         e = parse("_|(0|1)*(0|1)|$x$y$z", AB)
-        assert universality(e, AB, BOX, state_cap=17).answer is True
-        with pytest.raises(StateCapExceeded, match="search exceeded the cap of 16 states"):
-            universality(e, AB, BOX, state_cap=16)
+        assert universality(e, AB, BOX, state_cap=8).answer is True
+        with pytest.raises(StateCapExceeded, match="search exceeded the cap of 7 states"):
+            universality(e, AB, BOX, state_cap=7)
 
     def test_sure_states_end_the_search(self):
         # Determinizing the first instance alone exceeds the cap, but every
@@ -963,6 +975,253 @@ class TestBoxUniversality:
         e = parse("(0|1|2)*|(((1|0)($z|$x))($z|_)|$y)*", ABC)
         rep = universality(e, ABC, BOX, state_cap=5)
         assert (rep.answer, rep.stats) == (True, {"valuations": 27, "states": 38})
+
+
+# ---------------------------------------------------------------------------
+# the mask searches against the sorted-pair mask states they replaced
+
+
+def reference_prune(moves, start, finals):
+    """Leave out the edges into states from which no final state is
+    reachable, and return the start without such states."""
+    back = {}
+    for row in moves:
+        for src, edges in row.items():
+            for dst, _ in edges:
+                back.setdefault(dst, []).append(src)
+    alive = set(finals)
+    work = list(alive)
+    while work:
+        for src in back.get(work.pop(), ()):
+            if src not in alive:
+                alive.add(src)
+                work.append(src)
+    for row in moves:
+        for src, edges in row.items():
+            row[src] = [edge for edge in edges if edge[0] in alive]
+    return tuple(pair for pair in start if pair[0] in alive)
+
+
+class ReferenceMasks:
+    """Mask states as sorted (state, valuation bitset) pairs over the
+    unmerged, pruned moves: one pair per state some valuation reaches."""
+
+    def __init__(self, base, choices):
+        self.total, self.moves, start, _ = _moves(base, choices)
+        self.full = (1 << self.total) - 1
+        self.finals = base.finals
+        self.start = reference_prune(self.moves, start, base.finals)
+
+    def step(self, state, i):
+        return tuple(sorted(_step(state, self.moves[i]).items()))
+
+    def accepting(self, state):
+        out = 0
+        for q, have in state:
+            if q in self.finals:
+                out |= have
+        return out
+
+    def alive(self, state):
+        out = 0
+        for _, have in state:
+            out |= have
+        return out == self.full
+
+    def first_non_universal(self, alphabet, state_cap):
+        sure = set(self.finals)
+        while True:
+            kept = {
+                q for q in sure
+                if all(any(keep is None and dst in sure for dst, keep in row.get(q, ()))
+                       for row in self.moves)
+            }
+            if kept == sure:
+                break
+            sure = kept
+        live = self.full
+
+        def step(state, i):
+            ahead = _step(state, self.moves[i])
+            done = 0
+            for q in sure:
+                done |= ahead.get(q, 0)
+            return tuple(sorted(
+                (q, narrowed) for q, have in ahead.items()
+                if (narrowed := have & live if q in sure else have & live & ~done)
+            ))
+
+        def rejects(state):
+            nonlocal live
+            bad = live & ~self.accepting(state)
+            if bad:
+                live = (bad & -bad) - 1
+            return not live
+
+        reference_mask_search(self.start, step, alphabet, rejects, lambda s: True, state_cap)
+        return None if live == self.full else live.bit_length()
+
+
+def reference_mask_search(start, step, alphabet, wanted, keep, state_cap):
+    """Breadth-first search for the shortlex-least word to a wanted node,
+    and the number of nodes discovered."""
+    if wanted(start):
+        return "", 1
+    parents = {start: None}
+    queue = [start]
+    for node in queue:
+        for i in range(len(alphabet)):
+            nxt = step(node, i)
+            if nxt in parents or not keep(nxt):
+                continue
+            if len(parents) >= state_cap:
+                raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
+            parents[nxt] = (node, i)
+            if wanted(nxt):
+                chars = []
+                link = parents[nxt]
+                while link is not None:
+                    node, i = link
+                    chars.append(alphabet.letters[i])
+                    link = parents[node]
+                return "".join(reversed(chars)), len(parents)
+            queue.append(nxt)
+    return None, len(parents)
+
+
+def reference_search(problem, alphabet, sem, e1, e2=None, domains=None, state_cap=65536):
+    """Box nonemptiness, universality or box containment decided on the
+    sorted-pair mask states."""
+
+    def masks(e):
+        choices = _valuation_space(e, alphabet, sem, domains, 10**6, 10**6)[1]
+        return ReferenceMasks(_compiled(e, alphabet), choices), choices
+
+    side, choices = masks(e1)
+    if problem == "nonempty":
+        witness, n = reference_mask_search(
+            side.start, side.step, alphabet,
+            lambda s: side.accepting(s) == side.full, side.alive, state_cap,
+        )
+        return DecisionReport(witness is not None, witness, None,
+                              {"valuations": side.total, "states": n})
+    if problem == "contains":
+        rhs = masks(e2)[0] if domains is None else ReferenceMasks(_compiled(e2, alphabet), choices)
+        witness, n = reference_mask_search(
+            (side.start, rhs.start),
+            lambda pair, i: (side.step(pair[0], i), rhs.step(pair[1], i)),
+            alphabet,
+            lambda pair: (side.accepting(pair[0]) == side.full
+                          and rhs.accepting(pair[1]) != rhs.full),
+            lambda pair: side.alive(pair[0]),
+            state_cap,
+        )
+        return DecisionReport(witness is None, witness, None,
+                              {"valuations": side.total + rhs.total, "states": n})
+    base = _compiled(e1, alphabet)
+    if sem is BOX and domains is None:
+        first = 0
+        if base.initial in base.finals:
+            first = side.first_non_universal(alphabet, state_cap)
+        if first is None:
+            return DecisionReport(True, None, None,
+                                  {"valuations": side.total, "states": base.n_states})
+        nu = valuation_at(choices, first)
+        d = determinize(apply_to_nfa(nu, base), state_cap)
+        return DecisionReport(False, is_universal(d)[1], nu.as_dict(),
+                              {"valuations": first + 1, "states": d.n_states})
+    cex, n = reference_mask_search(
+        side.start, side.step, alphabet,
+        (lambda s: side.accepting(s) != side.full) if sem is BOX
+        else (lambda s: not side.accepting(s)),
+        lambda s: True, state_cap,
+    )
+    return DecisionReport(cex is None, cex, None, {"valuations": side.total, "states": n})
+
+
+def outcome(decide):
+    try:
+        return decide()
+    except StateCapExceeded as exc:
+        return str(exc)
+
+
+class TestMergedPackedSearch:
+    """Every mask search on the merged automaton answers as on the
+    sorted-pair mask states over the unmerged one: same answer, witness,
+    valuation and cap error, and never more states.  Each sweep runs with
+    the mask states packed into one int, and with every width past the
+    packing limit, so as sorted pairs."""
+
+    @pytest.fixture(autouse=True, params=["packed", "pairs"])
+    def representation(self, request, monkeypatch):
+        if request.param == "pairs":
+            monkeypatch.setattr(semantics, "_PACKED_BITS", 0)
+
+    def compare(self, tally, problem, alphabet, sem, e1, e2=None, domains=None, small_cap=12):
+        for cap in (65536, small_cap):
+            if problem == "nonempty":
+                got = outcome(lambda: nonemptiness(e1, alphabet, sem, state_cap=cap,
+                                                   domains=domains))
+            elif problem == "universal":
+                got = outcome(lambda: universality(e1, alphabet, sem, state_cap=cap,
+                                                   domains=domains))
+            else:
+                got = outcome(lambda: containment(e1, e2, alphabet, sem, state_cap=cap,
+                                                  domains=domains))
+            want = outcome(lambda: reference_search(problem, alphabet, sem, e1, e2, domains, cap))
+            tally["searches"] += 1
+            if isinstance(got, str):
+                assert got == want, (problem, e1, e2)
+                tally["refused"] += 1
+                continue
+            if isinstance(want, str):
+                tally["answered past the old cap"] += 1
+                continue
+            assert (got.answer, got.witness, got.valuation, got.stats["valuations"]) == (
+                want.answer, want.witness, want.valuation, want.stats["valuations"]
+            ), (problem, e1, e2)
+            assert got.stats["states"] <= want.stats["states"], (problem, e1, e2)
+            tally["fewer states"] += got.stats["states"] < want.stats["states"]
+
+    def test_letters(self):
+        rng = random.Random(4131)
+        tally = collections.Counter()
+        for alphabet, count in ((AB, 200), (ABC, 100)):
+            sigma = Lit(alphabet.letters[0])
+            for ch in alphabet.letters[1:]:
+                sigma = Union(sigma, Lit(ch))
+            for _ in range(count):
+                e1, e2 = (
+                    oracles.random_expr(
+                        rng, alphabet, ("x", "y", "z"), rng.randint(3, 14), var_prob=0.4
+                    )
+                    for _ in range(2)
+                )
+                # Wrapped so that the box universality search runs, and now
+                # and then finds every instance universal; behind $x the sure
+                # states of Σ* are reached under some valuations only.
+                wrapped = Union(Epsilon(), Union(Concat(Star(sigma), sigma), e1))
+                partly = Union(Concat(Var("x"), Star(sigma)), wrapped)
+                self.compare(tally, "nonempty", alphabet, BOX, e1)
+                self.compare(tally, "universal", alphabet, BOX, wrapped)
+                self.compare(tally, "universal", alphabet, BOX, partly)
+                self.compare(tally, "universal", alphabet, DIAMOND, e1)
+                self.compare(tally, "contains", alphabet, BOX, e1, e2)
+        assert min(tally.values()) >= 10, tally
+
+    def test_domains(self):
+        rng = random.Random(4133)
+        tally = collections.Counter()
+        for _ in range(300):
+            e1, spec, _, _ = random_domain_case(rng, infinite=rng.random() < 0.5)
+            e2 = oracles.random_expr(rng, AB, spec.names, rng.randint(2, 9), var_prob=0.45)
+            self.compare(tally, "nonempty", AB, BOX, e1, domains=spec, small_cap=2)
+            self.compare(tally, "universal", AB, BOX, e1, domains=spec, small_cap=2)
+            if not spec.infinite_variables():
+                self.compare(tally, "universal", AB, DIAMOND, e1, domains=spec, small_cap=2)
+            self.compare(tally, "contains", AB, BOX, e1, e2, domains=spec, small_cap=2)
+        assert min(tally.values()) >= 10, tally
 
 
 # ---------------------------------------------------------------------------
