@@ -233,16 +233,15 @@ _Moves = list[dict[int, list[tuple[int, int | None]]]]
 
 #: A mask state of the searches: one int of ``total``-bit fields, field q
 #: holding the valuations under which state q of the merged automaton (see
-#: :func:`_merge`) is reached on one word; past :data:`_PACKED_BITS`, the
-#: sorted (q, valuations) pairs of the nonzero fields.  States past the
-#: automaton's own are positions inside the images of :func:`_moves`.
-_MaskState = int | tuple[tuple[int, int], ...]
+#: :func:`_merge`) is reached on one word.  States past the automaton's own
+#: are positions inside the images of :func:`_moves`.
+_MaskState = int
 
 
 class _Merged(NamedTuple):
-    """An ε-free automaton with its bisimilar states merged (see
-    :func:`_merge`), in the attributes :func:`_moves` reads from an
-    :class:`~prx.automata.Nfa`."""
+    """An ε-free automaton on its states reachable from the start, with
+    its bisimilar states merged (see :func:`_merge`), in the attributes
+    :func:`_moves` reads from an :class:`~prx.automata.Nfa`."""
 
     n_states: int
     initial: int
@@ -252,24 +251,36 @@ class _Merged(NamedTuple):
 
 
 def _merge(base: Nfa) -> _Merged:
-    """The ε-free automaton on classes of states: states with the same
-    finality and the same outgoing (label, target class) pairs are merged
-    until no two classes have both.  Merged states are bisimilar, so under
-    every valuation they accept the same words and a search may step the
-    classes in their place.  A class is numbered in the order of its first
-    state, and has that state's edges.
+    """The ε-free automaton on classes of its states reachable from the
+    start: states with the same finality and the same outgoing (label,
+    target class) pairs are merged until no two classes have both.  Merged
+    states are bisimilar, so under every valuation they accept the same
+    words and a search may step the classes in their place; the states no
+    word reaches take part in no search and are left out.  A class is
+    numbered in the order of its first state, and has that state's edges.
 
-    Every state is visited once, in order; a merge revisits only the
-    predecessors of the states whose class changed, so a long chain of
-    mergeable states costs about one pass rather than one pass per link.
+    Every state is visited once, last first, so that along the forward
+    edges of the compiled automaton a target is mostly merged before its
+    sources.  A merge queues for another pass only those predecessors of
+    the states whose class changed that this pass has already visited, so
+    a long chain of mergeable states costs about one pass rather than one
+    pass per link.
     """
     n = base.n_states
     labels: dict[Label, int] = {}
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
     for src, label, dst in base.transitions:
         edges[src].append((labels.setdefault(label, len(labels)), dst))
-        preds[dst].append(src)
+    preds: dict[int, list[int]] = {base.initial: []}  # per state reached
+    order = [base.initial]
+    for q in order:
+        for _, d in edges[q]:
+            if d in preds:
+                preds[d].append(q)
+            else:
+                preds[d] = [q]
+                order.append(d)
+    order.sort()
     n_labels = len(labels)
     finals = base.finals
     # A class is named by one of its states, which it keeps while the name
@@ -278,10 +289,12 @@ def _merge(base: Nfa) -> _Merged:
     cls = list(range(n))
     members: dict[int, list[int]] = {}  # the states of each class of two or more
     found: dict[tuple[bool, int | frozenset[int]], int] = {}  # a state per signature
-    work: Iterable[int] = range(n)
+    work = order
     while work:
+        ahead = set(work)  # the states still to visit in this pass
         again: set[int] = set()
-        for q in work:
+        for q in reversed(work):
+            ahead.discard(q)
             # A signature codes each (label, target class) pair as one int; a
             # lone code stands for itself, saving a set on single-edge states.
             out = edges[q]
@@ -299,24 +312,23 @@ def _merge(base: Nfa) -> _Merged:
             moved = members.pop(gone, [gone])
             for p in moved:
                 cls[p] = keep
-                again.update(preds[p])
+                for r in preds[p]:
+                    if r not in ahead:
+                        again.add(r)
             members.setdefault(keep, [keep]).extend(moved)
-        work = again
+        work = sorted(again)
     ids: dict[int, int] = {}
-    cls = [ids.setdefault(c, len(ids)) for c in cls]
-    count = len(ids)
     firsts: list[int] = []
-    for q, c in enumerate(cls):
-        if c == len(firsts):
+    for q in order:
+        if ids.setdefault(cls[q], len(firsts)) == len(firsts):
             firsts.append(q)
     by_id = list(labels)
-    transitions = [
-        (c, by_id[a], d)
-        for c, q in enumerate(firsts)
-        for a, d in dict.fromkeys([(a, cls[d]) for a, d in edges[q]])
-    ]
+    transitions = list(dict.fromkeys([
+        (c, by_id[a], ids[cls[d]]) for c, q in enumerate(firsts) for a, d in edges[q]
+    ]))
     return _Merged(
-        count, cls[base.initial], frozenset(cls[q] for q in base.finals), transitions,
+        len(firsts), ids[cls[base.initial]],
+        frozenset(ids[cls[q]] for q in base.finals if q in preds), transitions,
         base.alphabet,
     )
 
@@ -448,12 +460,6 @@ def _step(
     return ahead
 
 
-#: The widest mask state, in bits, that is stepped as one int (see
-#: :class:`_Masks`).  Past it the fields are mostly zero, and stepping the
-#: nonzero ones alone costs less than a shift of every field.
-_PACKED_BITS = 4096
-
-
 class _Masks:
     """An expression's ε-free automaton, its states merged (see
     :func:`_merge`) and pruned (see :func:`_prune`), run under every
@@ -465,10 +471,7 @@ class _Masks:
 
     A letter moves the fields along its edges grouped by offset: per
     target offset dst − src, one AND with the valuations each source's
-    edge keeps, and one shift.  When the fields would take more than
-    :data:`_PACKED_BITS` bits, a mask state is instead the sorted
-    (state, valuations) pairs of its nonzero fields, stepped by
-    :func:`_step`.
+    edge keeps, and one shift.
     """
 
     __slots__ = ("total", "full", "moves", "finals", "start", "n_fields", "rows", "on_finals",
@@ -481,12 +484,8 @@ class _Masks:
         self.finals = merged.finals
         start = _prune(self.moves, start, self.finals)
         self.n_fields = n
-        self.rows: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] | None = None
         width = self.total
-        if n * width > _PACKED_BITS:
-            self.start: _MaskState = tuple(sorted(start))
-            return
-        self.rows = []
+        self.rows: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
         for row in self.moves:
             groups: dict[int, int] = {}
             for src, edges in row.items():
@@ -498,7 +497,7 @@ class _Masks:
                 [(mask, offset * width) for offset, mask in groups.items() if offset >= 0],
                 [(mask, -offset * width) for offset, mask in groups.items() if offset < 0],
             ))
-        self.start = sum(have << q * width for q, have in start)
+        self.start: _MaskState = sum(have << q * width for q, have in start)
         self.on_finals = sum(full << q * width for q in self.finals)
         # The folds of n fields into one: the upper half onto the lower.
         self.halves: list[tuple[int, int]] = []
@@ -507,8 +506,6 @@ class _Masks:
             self.halves.append(((1 << n * width) - 1, n * width))
 
     def step(self, state: _MaskState, i: int) -> _MaskState:
-        if self.rows is None:
-            return tuple(sorted(_step(state, self.moves[i]).items()))
         ahead = 0
         up, down = self.rows[i]
         for mask, shift in up:
@@ -519,19 +516,12 @@ class _Masks:
 
     def fold(self, state: _MaskState) -> int:
         """The union of the fields: the valuations that reach some state."""
-        if self.rows is None:
-            out = 0
-            for _, have in state:
-                out |= have
-            return out
         for low, shift in self.halves:
             state = state & low | state >> shift
         return state
 
     def accepting(self, state: _MaskState) -> int:
         """The valuations whose instance accepts at this mask state."""
-        if self.rows is None:
-            return self.fold(pair for pair in state if pair[0] in self.finals)
         return self.fold(state & self.on_finals)
 
     def alive(self, state: _MaskState) -> bool:
@@ -565,39 +555,27 @@ class _Masks:
             if kept == sure:
                 break
             sure = kept
+        width, n = self.total, self.n_fields
         live = self.full
-        on_live = -1  # packed: the live valuations in every field
-        if self.rows is None:
-            def step(state: _MaskState, i: int) -> _MaskState:
-                ahead = _step(state, self.moves[i])
-                done = 0
-                for q in sure:
-                    done |= ahead.get(q, 0)
-                return tuple(sorted(
-                    (q, narrowed) for q, have in ahead.items()
-                    if (narrowed := have & live if q in sure else have & live & ~done)
-                ))
-        else:
-            width, n = self.total, self.n_fields
-            on_sure = sum(self.full << q * width for q in sure)
+        on_live = -1  # the live valuations in every field
+        on_sure = sum(self.full << q * width for q in sure)
 
-            def step(state: _MaskState, i: int) -> _MaskState:
-                ahead = self.step(state, i) & on_live
-                if on_sure:
-                    done = self.fold(ahead & on_sure)
-                    if done == live:
-                        ahead &= on_sure
-                    elif done:
-                        ahead &= on_sure | ~_tile(done, width, n)
-                return ahead
+        def step(state: _MaskState, i: int) -> _MaskState:
+            ahead = self.step(state, i) & on_live
+            if on_sure:
+                done = self.fold(ahead & on_sure)
+                if done == live:
+                    ahead &= on_sure
+                elif done:
+                    ahead &= on_sure | ~_tile(done, width, n)
+            return ahead
 
         def rejects(state: _MaskState) -> bool:
             nonlocal live, on_live
             bad = live & ~self.accepting(state)
             if bad:
                 live = (bad & -bad) - 1
-                if self.rows is not None:
-                    on_live = _tile(live, self.total, self.n_fields)
+                on_live = _tile(live, width, n)
             return not live
 
         _mask_search(self.start, step, alphabet, rejects, lambda s: True, state_cap)

@@ -47,7 +47,7 @@ from prx.valuations import (
 )
 
 import oracles
-from prx import semantics, valuations
+from prx import valuations
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -1149,14 +1149,7 @@ def outcome(decide):
 class TestMergedPackedSearch:
     """Every mask search on the merged automaton answers as on the
     sorted-pair mask states over the unmerged one: same answer, witness,
-    valuation and cap error, and never more states.  Each sweep runs with
-    the mask states packed into one int, and with every width past the
-    packing limit, so as sorted pairs."""
-
-    @pytest.fixture(autouse=True, params=["packed", "pairs"])
-    def representation(self, request, monkeypatch):
-        if request.param == "pairs":
-            monkeypatch.setattr(semantics, "_PACKED_BITS", 0)
+    valuation and cap error, and never more states."""
 
     def compare(self, tally, problem, alphabet, sem, e1, e2=None, domains=None, small_cap=12):
         for cap in (65536, small_cap):
