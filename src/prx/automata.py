@@ -483,96 +483,6 @@ def determinize(a: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return Dfa(len(ids), 0, finals, rows, a.alphabet)
 
 
-def complement(d: Dfa) -> Dfa:
-    """Flip finals; sound because every Dfa here is total."""
-    return Dfa(
-        d.n_states,
-        d.initial,
-        frozenset(range(d.n_states)) - d.finals,
-        d.delta,
-        d.alphabet,
-    )
-
-
-def dfa_to_nfa(d: Dfa) -> Nfa:
-    transitions = [
-        (q, letter, d.delta[q][i])
-        for q in range(d.n_states)
-        for i, letter in enumerate(d.alphabet.letters)
-    ]
-    return Nfa(d.n_states, d.initial, d.finals, transitions, d.alphabet)
-
-
-def product_all(automata: Sequence[Nfa], state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
-    """Determinized synchronized product of many automata (their intersection).
-
-    Components are determinized (and de-duplicated) first, then the tuple
-    space is explored lazily from the joint initial state, pruning tuples
-    from which some component can no longer accept.  This keeps intersections
-    over many valuations feasible where materializing iterated pairwise
-    products would not be.
-    """
-    if not automata:
-        raise ValueError("product_all needs at least one automaton")
-    alphabet = automata[0].alphabet
-    dfas: list[Dfa] = []
-    seen_sigs: set = set()
-    for a in automata:
-        if a.alphabet != alphabet:
-            raise ValueError("product_all expects a shared alphabet")
-        d = determinize(a, state_cap)
-        sig = (d.n_states, d.initial, d.finals, d.delta)
-        if sig not in seen_sigs:
-            seen_sigs.add(sig)
-            dfas.append(d)
-
-    # Per component, states from which no final is reachable; tuples touching
-    # one of these are dead and never enqueued.
-    dead: list[set[int]] = []
-    for d in dfas:
-        rev: dict[int, list[int]] = defaultdict(list)
-        for q in range(d.n_states):
-            for t in d.delta[q]:
-                rev[t].append(q)
-        alive = set(d.finals)
-        stack = list(d.finals)
-        while stack:
-            q = stack.pop()
-            for p in rev[q]:
-                if p not in alive:
-                    alive.add(p)
-                    stack.append(p)
-        dead.append(set(range(d.n_states)) - alive)
-
-    start = tuple(d.initial for d in dfas)
-    transitions: list[tuple[int, Label, int]] = []
-    finals: set[int] = set()
-    if any(q in dead[i] for i, q in enumerate(start)):
-        return Nfa(1, 0, (), (), alphabet)
-    ids: dict[tuple[int, ...], int] = {start: 0}
-    queue: deque[tuple[int, ...]] = deque([start])
-    n_letters = len(alphabet.letters)
-    while queue:
-        state = queue.popleft()
-        sid = ids[state]
-        if all(q in d.finals for q, d in zip(state, dfas)):
-            finals.add(sid)
-        for li in range(n_letters):
-            nxt = tuple(d.delta[q][li] for q, d in zip(state, dfas))
-            if any(q in dead[i] for i, q in enumerate(nxt)):
-                continue
-            nid = ids.get(nxt)
-            if nid is None:
-                if len(ids) >= state_cap:
-                    raise StateCapExceeded(
-                        f"product exceeded the cap of {state_cap} states"
-                    )
-                nid = ids[nxt] = len(ids)
-                queue.append(nxt)
-            transitions.append((sid, alphabet.letters[li], nid))
-    return Nfa(len(ids), 0, finals, transitions, alphabet)
-
-
 # ---------------------------------------------------------------------------
 # Decision procedures
 

@@ -188,7 +188,7 @@ def fooling_pairs_diamond(n: int, pair_cap: int = DEFAULT_PAIR_CAP) -> FoolingSe
     the possibility language of :func:`family_diamond_power`."""
     if n < 1:
         raise ValueError("n must be positive")
-    if 2**n > pair_cap:
+    if pair_cap < 1 << min(n, pair_cap.bit_length() + 1):  # 2^n > pair_cap, 2^n not built
         raise CountCapExceeded(f"2^{n} pairs exceed the cap of {pair_cap}")
     words = ["".join(bits) for bits in itertools.product("01", repeat=n)]
     return FoolingSet(tuple((w, w) for w in words))
@@ -201,13 +201,16 @@ def fooling_pairs_box(n: int, pair_cap: int = DEFAULT_PAIR_CAP) -> FoolingSet:
     :func:`family_box_doubleexp`."""
     if n < 1:
         raise ValueError("n must be positive")
-    block = ["".join(bits) for bits in itertools.product("01", repeat=n + 1)]
+    # At least 2^(2^n) pairs: past n = 12 too many digits to print, past 63 to store.
+    if n > 12 and (n > 63 or pair_cap.bit_length() <= 1 << n):
+        raise CountCapExceeded(f"C(2^{n + 1}, 2^{n}) subset pairs exceed the cap of {pair_cap}")
     half = 2**n
-    count = math.comb(len(block), half)
+    count = math.comb(2 * half, half)
     if count > pair_cap:
         raise CountCapExceeded(
             f"{count} subset pairs exceed the cap of {pair_cap} (practical up to n=2)"
         )
+    block = ["".join(bits) for bits in itertools.product("01", repeat=n + 1)]
     pairs = []
     indices = range(len(block))
     for chosen in itertools.combinations(indices, half):

@@ -4,18 +4,16 @@ The certainty language of an expression is the intersection of the languages
 of all its substitution instances; the possibility language is their union.
 Variables range over the letters, or over the words of per-variable regular
 domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
-and decides both the same way.  Membership simulates the variable-labelled
-automaton once over the word, carrying a set of valuations per state, so it
-never builds an instance.  Certainty nonemptiness, universality and
-certainty containment step those sets on moves built the same way, over
-letters and domain words alike, but on the automaton with its bisimilar
-states merged, in one breadth-first search over *mask states* that stops
-at the first answer.  Certainty universality over letters runs it to
-find the first valuation whose instance is not universal, and determinizes
-that instance alone for its counterexample.  The other problems enumerate
-valuations in the fixed deterministic order and check, union, or intersect
-the substituted automata.  Either way a reported valuation is the first
-one in enumeration order.  Nothing is approximated: caps make the
+and decides both the same way.  One engine steps the variable-labelled
+automaton under every valuation at once, on *mask states*.  Membership runs
+it once over the word.  Certainty nonemptiness, universality and containment
+search mask states of the automaton with its bisimilar states merged, and
+stop at the first answer.  The certainty automaton, and the complement that
+possibility containment needs, number the mask states of the automaton as
+compiled.  Only the possibility union glues substituted automata, and only
+certainty universality over letters determinizes an instance: the first one
+that is not universal, for its counterexample.  A reported valuation is the
+first one in enumeration order.  Nothing is approximated: caps make the
 exponential cases fail loudly instead.
 """
 
@@ -31,14 +29,11 @@ from .automata import (
     Label,
     Nfa,
     VarLabel,
-    complement,
     determinize,
-    dfa_to_nfa,
     expand_extended,
     is_empty,
     is_universal,
     product,
-    product_all,
     regex_to_nfa,
     remove_epsilon,
     union_all,
@@ -193,12 +188,76 @@ def _construct(
     state_cap: int,
 ) -> tuple[Nfa, int]:
     """The combined automaton over the valuation space (see
-    :func:`_valuation_space`), and the number of instances combined."""
+    :func:`_valuation_space`), and the number of valuations combined.
+
+    Possibility glues the instances into one union.  Certainty numbers the
+    mask states of the compiled automaton, the tuples of the instances'
+    subsets, and drops those where some instance can no longer accept (see
+    :meth:`_Masks.coreachable`).  A finitary instance gives each word edge
+    a chain of its own, an enumerated one each occurrence of a variable.
+    """
     route, choices = space
-    instances = list(_instances(e, alphabet, route, choices))
     if sem is DIAMOND:
+        instances = list(_instances(e, alphabet, route, choices))
         return union_all(instances, alphabet), len(instances)
-    return product_all(instances, state_cap), len(instances)
+    masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
+    on_live = masks.coreachable()
+
+    def alive(state: _MaskState) -> bool:
+        return masks.fold(state & on_live) == masks.full
+
+    if not alive(masks.start):
+        return Nfa(1, 0, (), (), alphabet), masks.total
+    states, transitions = _numbered(masks, alphabet, masks.start, alive, state_cap, "product")
+    finals = [q for q, state in enumerate(states) if masks.accepting(state) == masks.full]
+    return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
+
+
+def _complement(
+    e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Sequence[str]], state_cap: int
+) -> tuple[Nfa, int]:
+    """The complement of the possibility language, and the number of
+    valuations: the subset construction on the union of the instances, as
+    :func:`~prx.automata.determinize` numbers it, with its finals flipped.
+    The union's start is entered by no edge, so it is a node of its own;
+    the empty mask state is the sink, added last if no word reaches it."""
+    masks = _instance_masks(e, alphabet, choices)
+    states, transitions = _numbered(
+        masks, alphabet, None, lambda state: True, state_cap, "determinization"
+    )
+    if 0 not in states:
+        if len(states) >= state_cap:
+            raise StateCapExceeded(f"determinization exceeded the cap of {state_cap} states")
+        transitions += [(len(states), letter, len(states)) for letter in alphabet.letters]
+        states.append(0)
+    finals = [q for q, state in enumerate(states) if not masks.accepting(state)]
+    return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
+
+
+def _numbered(
+    masks: _Masks, alphabet: Alphabet, start: Hashable, keep: Callable[[_MaskState], bool],
+    state_cap: int, what: str,
+) -> tuple[list[_MaskState], list[tuple[int, Label, int]]]:
+    """The mask states ``keep`` accepts reached from the start, node 0 named
+    ``start``, numbered breadth-first with the letters in alphabet order,
+    and the edges between them in that order; past ``state_cap`` of them,
+    :class:`~prx.errors.StateCapExceeded` says "``what`` exceeded"."""
+    ids: dict[Hashable, int] = {start: 0}
+    states = [masks.start]
+    transitions: list[tuple[int, Label, int]] = []
+    for src, state in enumerate(states):  # grows while it is read
+        for i, letter in enumerate(alphabet.letters):
+            nxt = masks.step(state, i)
+            dst = ids.get(nxt)
+            if dst is None:
+                if not keep(nxt):
+                    continue
+                if len(ids) >= state_cap:
+                    raise StateCapExceeded(f"{what} exceeded the cap of {state_cap} states")
+                dst = ids[nxt] = len(states)
+                states.append(nxt)
+            transitions.append((src, letter, dst))
+    return states, transitions
 
 
 def construct_nfa(
@@ -214,10 +273,11 @@ def construct_nfa(
     """Variable-free NFA for the certainty/possibility language.
 
     Possibility: nondeterministic union over all substituted automata.
-    Certainty: determinized synchronized product over all of them (with
-    duplicate components collapsed and dead tuples pruned).  With
-    ``domains`` the variables range over their regular domains; ``route``
-    then picks how the instances are made (see :func:`_valuation_space`).
+    Certainty: the synchronized product of their subset constructions,
+    without the tuples where some instance can no longer accept (see
+    :func:`_construct`).  With ``domains`` the variables range over their
+    regular domains; ``route`` then picks how the instances are made (see
+    :func:`_valuation_space`).
     """
     space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap, route)
     return _construct(e, alphabet, sem, space, state_cap)[0]
@@ -231,10 +291,10 @@ def construct_nfa(
 #: valuations the edge keeps, ``None`` for all of them).
 _Moves = list[dict[int, list[tuple[int, int | None]]]]
 
-#: A mask state of the searches: one int of ``total``-bit fields, field q
-#: holding the valuations under which state q of the merged automaton (see
-#: :func:`_merge`) is reached on one word.  States past the automaton's own
-#: are positions inside the images of :func:`_moves`.
+#: A mask state: one int of ``total``-bit fields, field q holding the
+#: valuations under which state q of the automaton (merged, see
+#: :func:`_merge`, in the searches) is reached on one word.  States past the
+#: automaton's own are positions inside the images of :func:`_moves`.
 _MaskState = int
 
 
@@ -334,7 +394,7 @@ def _merge(base: Nfa) -> _Merged:
 
 
 def _moves(
-    base: Nfa | _Merged, choices: Mapping[str, Sequence[str]]
+    base: Nfa | _Merged, choices: Mapping[str, Sequence[str]], chain_per_edge: bool = False
 ) -> tuple[int, _Moves, tuple[tuple[int, int], ...], int]:
     """The edges of the ε-free automaton under every valuation at once: the
     number of valuations (see :func:`letter_masks`), the moves, the start
@@ -343,11 +403,12 @@ def _moves(
     A letter edge keeps every valuation, and an edge ``$x`` keeps, per
     one-letter image of x, the valuations with that image.  A longer image
     runs through a chain of states numbered after the automaton's own, one
-    chain per (variable, image, target), and only the chain's first edge
-    keeps a mask.  An empty image is followed at once: every edge target,
-    and the start, stands for its closure under empty-image edges, each
-    state of which carries the valuations that reach it.  A variable with
-    no images (one a finitary valuation leaves undefined) has no edges.
+    chain per (variable, image, target), or per edge and image with
+    ``chain_per_edge``, and only the chain's first edge keeps a mask.  An
+    empty image is followed at once: every edge target, and the start,
+    stands for its closure under empty-image edges, each state of which
+    carries the valuations that reach it.  A variable with no images (one a
+    finitary valuation leaves undefined) has no edges.
     """
     total, masks = letter_masks(choices)
     full = (1 << total) - 1
@@ -368,7 +429,7 @@ def _moves(
             words[name] = list(by_image.items())
     moves: _Moves = [{} for _ in letters]
     skips: dict[int, list[tuple[int, int]]] = defaultdict(list)  # empty-image edges
-    chains: dict[tuple[str, str, int], int] = {}
+    chains: dict[tuple, int] = {}
     for src, label, dst in base.transitions:
         if not isinstance(label, VarLabel):
             moves[index[label]].setdefault(src, []).append((dst, None))
@@ -381,9 +442,10 @@ def _moves(
             if not image:
                 skips[src].append((dst, keep))
                 continue
-            first = chains.get((name, image, dst))
+            key = (src, name, image, dst) if chain_per_edge else (name, image, dst)
+            first = chains.get(key)
             if first is None:
-                first = chains[name, image, dst] = q = n_states
+                first = chains[key] = q = n_states
                 for ch in image[1:-1]:
                     moves[index[ch]][q] = [(q + 1, None)]
                     q += 1
@@ -461,13 +523,11 @@ def _step(
 
 
 class _Masks:
-    """An expression's ε-free automaton, its states merged (see
-    :func:`_merge`) and pruned (see :func:`_prune`), run under every
-    valuation of ``choices`` at once on mask states (see
-    :data:`_MaskState`).  Stepping a mask state is deterministic, and a
-    word leads to the mask state that records, for every valuation, the
-    classes of the subset its instance's subset construction reaches on
-    that word.
+    """Moves of :func:`_moves` packed to run under every valuation at once
+    on mask states (see :data:`_MaskState`).  Stepping a mask state is
+    deterministic, and a word leads to the mask state that records, for
+    every valuation, the subset its instance's subset construction reaches
+    on that word: see :func:`_search_masks` and :func:`_instance_masks`.
 
     A letter moves the fields along its edges grouped by offset: per
     target offset dst − src, one AND with the valuations each source's
@@ -477,16 +537,13 @@ class _Masks:
     __slots__ = ("total", "full", "moves", "finals", "start", "n_fields", "rows", "on_finals",
                  "halves")
 
-    def __init__(self, base: Nfa, choices: Mapping[str, Sequence[str]]):
-        merged = _merge(base)
-        self.total, self.moves, start, n = _moves(merged, choices)
-        self.full = full = (1 << self.total) - 1
-        self.finals = merged.finals
-        start = _prune(self.moves, start, self.finals)
-        self.n_fields = n
-        width = self.total
+    def __init__(self, total: int, moves: _Moves, start: Iterable[tuple[int, int]],
+                 n_fields: int, finals: frozenset[int]):
+        self.total, self.moves, self.n_fields, self.finals = total, moves, n_fields, finals
+        self.full = full = (1 << total) - 1
+        width = total
         self.rows: list[tuple[list[tuple[int, int]], list[tuple[int, int]]]] = []
-        for row in self.moves:
+        for row in moves:
             groups: dict[int, int] = {}
             for src, edges in row.items():
                 at = src * width
@@ -498,9 +555,10 @@ class _Masks:
                 [(mask, -offset * width) for offset, mask in groups.items() if offset < 0],
             ))
         self.start: _MaskState = sum(have << q * width for q, have in start)
-        self.on_finals = sum(full << q * width for q in self.finals)
+        self.on_finals = sum(full << q * width for q in finals)
         # The folds of n fields into one: the upper half onto the lower.
         self.halves: list[tuple[int, int]] = []
+        n = n_fields
         while n > 1:
             n = (n + 1) // 2
             self.halves.append(((1 << n * width) - 1, n * width))
@@ -529,6 +587,25 @@ class _Masks:
         instance rejects every continuation, so no word through this mask
         state is in the certainty language."""
         return self.fold(state) == self.full
+
+    def coreachable(self) -> _MaskState:
+        """Per field, the valuations under which its state can reach a final
+        state, from one backward fixpoint over the moves."""
+        back: dict[int, list[tuple[int, int | None]]] = defaultdict(list)
+        for row in self.moves:
+            for src, edges in row.items():
+                for dst, keep in edges:
+                    back[dst].append((src, keep))
+        reach = dict.fromkeys(self.finals, self.full)
+        work = list(reach)
+        while work:
+            dst = work.pop()
+            for src, keep in back.get(dst, ()):
+                new = (reach[dst] if keep is None else reach[dst] & keep) & ~reach.get(src, 0)
+                if new:
+                    reach[src] = reach.get(src, 0) | new
+                    work.append(src)
+        return sum(have << q * self.total for q, have in reach.items())
 
     def first_non_universal(self, alphabet: Alphabet, state_cap: int) -> int | None:
         """The index of the first valuation whose instance is not universal,
@@ -580,6 +657,22 @@ class _Masks:
 
         _mask_search(self.start, step, alphabet, rejects, lambda s: True, state_cap)
         return None if live == self.full else live.bit_length()
+
+
+def _search_masks(base: Nfa, choices: Mapping[str, Sequence[str]]) -> _Masks:
+    """The masks the searches step: the merged automaton's moves (see
+    :func:`_merge`), pruned (see :func:`_prune`)."""
+    merged = _merge(base)
+    total, moves, start, n_fields = _moves(merged, choices)
+    return _Masks(total, moves, _prune(moves, start, merged.finals), n_fields, merged.finals)
+
+
+def _instance_masks(e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Sequence[str]],
+                    chain_per_edge: bool = False) -> _Masks:
+    """The masks of the compiled automaton's own moves, unmerged and
+    unpruned, whose fields are the subsets of the instances."""
+    base = _compiled(e, alphabet)
+    return _Masks(*_moves(base, choices, chain_per_edge), base.finals)
 
 
 def _mask_search(
@@ -745,7 +838,7 @@ def nonemptiness(
             witness=witness,
             stats={"valuations": n_vals, "states": combined.n_states},
         )
-    side = _Masks(_compiled(e, alphabet), space[1])
+    side = _search_masks(_compiled(e, alphabet), space[1])
     witness, n_states = _mask_search(
         side.start, side.step, alphabet,
         wanted=lambda s: side.accepting(s) == side.full,
@@ -790,7 +883,7 @@ def universality(
         # then the first instance is the answer without a search.
         first = 0
         if base.initial in base.finals:
-            side = _Masks(base, choices)
+            side = _search_masks(base, choices)
             first = side.first_non_universal(alphabet, state_cap)
             if first is None:
                 return DecisionReport(
@@ -805,7 +898,7 @@ def universality(
             valuation=nu.as_dict(),
             stats={"valuations": first + 1, "states": d.n_states},
         )
-    side = _Masks(base, choices)
+    side = _search_masks(base, choices)
     cex, n_states = _mask_search(
         side.start, side.step, alphabet,
         wanted=(lambda s: side.accepting(s) != side.full) if sem is BOX
@@ -841,46 +934,43 @@ def containment(
     pairs of mask states, one per side, breadth-first for a pair where e1
     accepts under every valuation and e2 not under some; pairs whose e1 side
     is dead are dropped, and the separator is shortlex-least.  Possibility
-    builds the combined automata and multiplies them.  With ``domains`` the
-    valuation space depends on the domains only, so both sides share it.
+    multiplies e1's union with e2's complement (see :func:`_complement`).
+    With ``domains`` the valuation space depends on the domains only, so
+    both sides share it.
     """
     if domains is not None:
         _check_spec_covers(domains, e1, e2)
 
-    def side(e: ParamRegex, space: tuple[str, dict[str, Sequence[str]]]):
-        if sem is BOX:
-            return _Masks(_compiled(e, alphabet), space[1])
-        return _construct(e, alphabet, sem, space, state_cap)
-
     space = _valuation_space(e1, alphabet, sem, domains, valuation_cap, word_cap)
-    lhs = side(e1, space)
+    rhs_space = space
     if domains is None:  # over letters each side has its own variables
-        space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
-    rhs = side(e2, space)
-    if sem is BOX:
-        witness, n_states = _mask_search(
-            (lhs.start, rhs.start),
-            lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),
-            alphabet,
-            wanted=lambda pair: (
-                lhs.accepting(pair[0]) == lhs.full and rhs.accepting(pair[1]) != rhs.full
-            ),
-            keep=lambda pair: lhs.alive(pair[0]),
-            state_cap=state_cap,
-        )
+        rhs_space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
+    if sem is DIAMOND:
+        lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
+        rhs_complement, n_rhs = _complement(e2, alphabet, rhs_space[1], state_cap)
+        gap = product(lhs, rhs_complement, state_cap)
+        empty, witness = is_empty(gap)
         return DecisionReport(
-            answer=witness is None,
+            answer=empty,
             witness=witness,
-            stats={"valuations": lhs.total + rhs.total, "states": n_states},
+            stats={"valuations": n_lhs + n_rhs, "states": gap.n_states},
         )
-    (lhs, n_lhs), (rhs, n_rhs) = lhs, rhs
-    rhs_complement = dfa_to_nfa(complement(determinize(rhs, state_cap)))
-    gap = product(lhs, rhs_complement, state_cap)
-    empty, witness = is_empty(gap)
+    lhs = _search_masks(_compiled(e1, alphabet), space[1])
+    rhs = _search_masks(_compiled(e2, alphabet), rhs_space[1])
+    witness, n_states = _mask_search(
+        (lhs.start, rhs.start),
+        lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),
+        alphabet,
+        wanted=lambda pair: (
+            lhs.accepting(pair[0]) == lhs.full and rhs.accepting(pair[1]) != rhs.full
+        ),
+        keep=lambda pair: lhs.alive(pair[0]),
+        state_cap=state_cap,
+    )
     return DecisionReport(
-        answer=empty,
+        answer=witness is None,
         witness=witness,
-        stats={"valuations": n_lhs + n_rhs, "states": gap.n_states},
+        stats={"valuations": lhs.total + rhs.total, "states": n_states},
     )
 
 

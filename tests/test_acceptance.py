@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from click.testing import CliRunner
 
 import oracles
-from prx.automata import determinize, is_empty, product_all
+from prx.automata import determinize, is_empty
+from reference_automata import product_all
 from prx.cli import main as cli_main
 from prx.constructions import (
     family_box_doubleexp,

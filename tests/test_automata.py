@@ -25,9 +25,7 @@ from prx.automata import (
     VarLabel,
     WordLabel,
     accepts,
-    complement,
     determinize,
-    dfa_to_nfa,
     expand_extended,
     export_dot,
     export_json,
@@ -35,7 +33,6 @@ from prx.automata import (
     is_universal,
     nfa_to_json,
     product,
-    product_all,
     regex_to_nfa,
     remove_epsilon,
     trim,
@@ -45,6 +42,7 @@ from prx.errors import StateCapExceeded
 from prx.semantics import BOX, DIAMOND, construct_nfa
 from prx.syntax import Alphabet, parse, variables
 from prx.valuations import DomainSpec, Valuation, apply_to_nfa
+from reference_automata import complement, dfa_to_nfa, product_all
 
 AB01 = Alphabet("01")
 

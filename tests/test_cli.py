@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -308,6 +309,19 @@ _BUILD_NFA_DIGESTS = [
      'c9ff6b21e6a044e4105ce1e51dede9fadc669bde5f6384f9076d1c982a5abad8'),
 ]
 
+# Certainty over domains, on the enumerate and the finitary route, where
+# several sources of one $x edge start the same image's chain.
+_DOMAIN_BUILD_NFA_DIGESTS = [
+    ('box', '(0|1)*$x 1', '{"x": "01|1|_"}',
+     'e664e2df7a5b36086fe0412c427ccdca11db242aac576b28f43749402b3618ac',
+     'daef78006f88394ac21e4bd7076bc3ab60df7c328024843a96bf8fc6dfd215fd'),
+    ('box', '(0|1)*$x(0|1)*|$y', '{"x": "01|10", "y": "1*"}',
+     '9af332349a8c598f8e09cbdd284b37bb610f7ff80c4fd4b2de944336404f5e23',
+     '8c6602ac5f6c890fe5d19e989e32892d53d145db8750e819aee90b0528e86595'),
+]
+_PINNED = [(sem, expr, None, j, d) for sem, expr, j, d in _BUILD_NFA_DIGESTS]
+_PINNED += _DOMAIN_BUILD_NFA_DIGESTS
+
 
 class TestBuildNfa:
     def test_dot_output(self, runner):
@@ -342,14 +356,38 @@ class TestBuildNfa:
         assert res.exit_code == 2
         assert "No such option" in res.output
 
-    @pytest.mark.parametrize("semantics,expr,json_digest,dot_digest", _BUILD_NFA_DIGESTS,
-                             ids=[f"{sem}-{expr}" for sem, expr, _, _ in _BUILD_NFA_DIGESTS])
-    def test_output_bytes_are_pinned(self, runner, semantics, expr, json_digest, dot_digest):
+    @pytest.mark.parametrize(
+        "semantics,expr,domains,json_digest,dot_digest", _PINNED,
+        ids=[f"{sem}-{expr}" + (f"-{doms}" if doms else "") for sem, expr, doms, _, _ in _PINNED],
+    )
+    def test_output_bytes_are_pinned(self, runner, tmp_path, semantics, expr, domains,
+                                     json_digest, dot_digest):
+        extra = []
+        if domains is not None:
+            spec = tmp_path / "domains.json"
+            spec.write_text(domains)
+            extra = ["--domains", str(spec)]
         for fmt, digest in (("json", json_digest), ("dot", dot_digest)):
             res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", semantics,
-                         "--expr", expr, "--format", fmt)
+                         "--expr", expr, "--format", fmt, *extra)
             assert res.exit_code == 0
             assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+    def test_certainty_caps_count_the_product_only(self, runner):
+        # No instance is determinized on its own, so a cap that one
+        # instance's subset construction passed lets the product answer,
+        # or is passed by the product instead.
+        res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", "box",
+                     "--expr", "$x$y", "--max-states", "1", "--format", "dot")
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert res.stdout == (
+            'digraph nfa {\n  rankdir=LR;\n  __start [shape=point, label=""];\n'
+            '  q0 [shape=circle, label="q0"];\n  __start -> q0;\n}\n\n'
+        )
+        res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", "box",
+                     "--expr", "(0|1)*$x(0|1)*", "--max-states", "2")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: product exceeded the cap of 2 states\n"
 
     def test_domains_construction(self, runner, tmp_path):
         spec = tmp_path / "domains.json"
@@ -386,6 +424,14 @@ class TestFamilyAndFooling:
         res = invoke(runner, "fooling", "verify", "--kind", "diamond", "--n", "2")
         assert res.exit_code == 0
         assert "at least 4 states" in res.output
+
+    @pytest.mark.parametrize("n", [13, 16, 40])
+    def test_fooling_box_count_is_refused_before_any_pair_is_built(self, runner, n):
+        started = time.perf_counter()
+        res = invoke(runner, "fooling", "verify", "--kind", "box", "--n", str(n))
+        assert time.perf_counter() - started < 1
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: C(2^{n + 1}, 2^{n}) subset pairs exceed the cap of 100000\n"
 
     def test_fooling_verify_rejects_wrong_pairs(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
+import time
 
 import pytest
 
-from prx.automata import is_empty, product_all
+from prx.automata import is_empty
 from prx.constructions import (
     FoolingSet,
     doubly_exponential_word_note,
@@ -23,6 +25,7 @@ from prx.semantics import BOX, DIAMOND, construct_nfa, membership, nonemptiness
 from prx.syntax import Alphabet, parse, print_regex, variables
 
 import oracles
+from reference_automata import product_all
 
 AB = Alphabet("01")
 
@@ -159,6 +162,23 @@ class TestFoolingPairs:
             fooling_pairs_box(4)
         with pytest.raises(CountCapExceeded):
             fooling_pairs_diamond(3, pair_cap=4)
+        # Up to n = 12 the refusal prints the exact count; past it the
+        # count is refused before it, or any pair, is built.
+        with pytest.raises(CountCapExceeded, match=r"^601080390 subset pairs exceed the cap "
+                           r"of 100000 \(practical up to n=2\)$"):
+            fooling_pairs_box(4)
+        with pytest.raises(CountCapExceeded, match=f"^{math.comb(8192, 4096)} subset pairs"):
+            fooling_pairs_box(12)
+        for n in (13, 16, 40):
+            started = time.perf_counter()
+            with pytest.raises(CountCapExceeded,
+                               match=rf"^C\(2\^{n + 1}, 2\^{n}\) subset pairs exceed the cap "
+                                     r"of 100000$"):
+                fooling_pairs_box(n)
+            assert time.perf_counter() - started < 1
+        with pytest.raises(CountCapExceeded, match=r"^2\^40 pairs exceed the cap of 100000$"):
+            fooling_pairs_diamond(40)
+        assert len(fooling_pairs_diamond(3, pair_cap=8)) == 8
 
 
 class TestVerifyFoolingSet:

@@ -11,10 +11,12 @@ import pytest
 from prx.automata import (
     accepts,
     determinize,
+    expand_extended,
     is_empty,
     is_universal,
     regex_to_nfa,
     remove_epsilon,
+    union_all,
 )
 from prx.constructions import family_box_doubleexp, family_box_subword, family_diamond_power
 from prx.errors import CountCapExceeded, DomainNotFinite, PrxError, StateCapExceeded
@@ -31,13 +33,14 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.semantics import _compiled, _moves, _step, _valuation_space
+from prx.semantics import _complement, _compiled, _moves, _step, _valuation_space
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
 )
 from prx.valuations import (
     DomainSpec,
     Valuation,
+    apply_finitary,
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
@@ -48,6 +51,7 @@ from prx.valuations import (
 
 import oracles
 from prx import valuations
+from reference_automata import complement, dfa_to_nfa, product_all
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -1214,6 +1218,97 @@ class TestMergedPackedSearch:
             if not spec.infinite_variables():
                 self.compare(tally, "universal", AB, DIAMOND, e1, domains=spec, small_cap=2)
             self.compare(tally, "contains", AB, BOX, e1, e2, domains=spec, small_cap=2)
+        assert min(tally.values()) >= 10, tally
+
+
+# ---------------------------------------------------------------------------
+# the combined automata built on mask states against the instances combined
+
+
+def reference_instances(e, alphabet, route, choices):
+    """The substituted automata, one per valuation, in enumeration order."""
+    if route == "enumerate":
+        return [remove_epsilon(regex_to_nfa(apply_to_regex(nu, e), alphabet))
+                for nu in valuations_from(choices)]
+    base = _compiled(e, alphabet)
+    if route == "letters":
+        return [apply_to_nfa(nu, base) for nu in valuations_from(choices)]
+    return [remove_epsilon(expand_extended(apply_finitary(nu, base)))
+            for nu in valuations_from(choices)]
+
+
+def built(build):
+    """The automaton as (states, initial, finals, transitions in order), or
+    the text of the cap it exceeded."""
+    try:
+        a = build()
+    except StateCapExceeded as exc:
+        return str(exc)
+    return a.n_states, a.initial, sorted(a.finals), list(a.transitions)
+
+
+# Sources of one $x edge that start the same image's chain: the finitary
+# instances give each edge a chain of its own, the enumerated ones share it.
+SHARED_CHAINS = (
+    ("(0|1)*$x 1", {"x": "01|1|_"}),
+    ("(0|1)*$x(0|1)*|$y", {"x": "01|10", "y": "1*"}),
+    ("(0*$x)*|$y", {"x": "01|0", "y": "1*"}),
+    ("0*$x", {"x": "011|0"}),
+)
+
+
+class TestCombinedOnMaskStates:
+    """The certainty product and the possibility complement, built on mask
+    states, against the instances' subset constructions combined: the same
+    states, finals and transitions in order, and the same cap errors, but
+    for the certainty product, which determinizes no instance on its own."""
+
+    def compare(self, tally, e, alphabet, route, choices, small_cap, spec=None):
+        by_route = {} if spec is None else {"domains": spec, "route": route}
+        instances = reference_instances(e, alphabet, route, choices)
+        for cap in (65536, small_cap):
+            got = built(lambda: construct_nfa(e, alphabet, BOX, state_cap=cap, **by_route))
+            want = built(lambda: product_all(instances, cap))
+            if isinstance(want, str) and want.startswith("determinization"):
+                assert got == f"product exceeded the cap of {cap} states" or not isinstance(
+                    got, str), (e, route)
+                tally["box refusal changed"] += 1
+            else:
+                assert got == want, (e, route)
+                tally["box refused" if isinstance(got, str) else "box"] += 1
+            if route == "finitary":
+                continue
+            got = built(lambda: _complement(e, alphabet, choices, cap)[0])
+            want = built(lambda: dfa_to_nfa(
+                complement(determinize(union_all(instances, alphabet), cap))
+            ))
+            assert got == want, (e, route)
+            tally["complement refused" if isinstance(got, str) else "complement"] += 1
+
+    def test_letters(self):
+        rng = random.Random(4141)
+        tally = collections.Counter()
+        for alphabet, count in ((AB, 400), (ABC, 200)):
+            for _ in range(count):
+                e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 14),
+                                        var_prob=0.4)
+                choices = _valuation_space(e, alphabet, BOX, None, 10**6, 10**4)[1]
+                self.compare(tally, e, alphabet, "letters", choices, small_cap=4)
+        assert min(tally.values()) >= 10, tally
+
+    def test_domains(self):
+        rng = random.Random(4143)
+        tally = collections.Counter()
+        cases = [(parse(text, AB), DomainSpec.from_json(mapping, AB))
+                 for text, mapping in SHARED_CHAINS]
+        for _ in range(400):
+            e, spec, _, _ = random_domain_case(rng, infinite=rng.random() < 0.4)
+            cases.append((e, spec))
+        for e, spec in cases:
+            routes = ["finitary"] if spec.infinite_variables() else ["enumerate", "finitary"]
+            for route in routes:
+                choices = _valuation_space(e, AB, BOX, spec, 10**6, 10**4, route)[1]
+                self.compare(tally, e, AB, route, choices, small_cap=3, spec=spec)
         assert min(tally.values()) >= 10, tally
 
 

@@ -21,7 +21,6 @@ from prx.automata import (
     determinize,
     expand_extended,
     is_empty,
-    product_all,
     regex_to_nfa,
     remove_epsilon,
 )
@@ -42,6 +41,7 @@ from prx.valuations import (
     valuation_at,
     valuations_from,
 )
+from reference_automata import product_all
 
 AB01 = Alphabet("01")
 
