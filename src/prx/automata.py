@@ -416,32 +416,6 @@ def product(a: Nfa, b: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
     return Nfa(len(ids), 0, finals, transitions, a.alphabet)
 
 
-def union_all(automata: Sequence[Nfa], alphabet: Alphabet | None = None) -> Nfa:
-    """Nondeterministic choice between the automata (empty list gives the
-    empty language, which is why an alphabet may be supplied explicitly)."""
-    if not automata:
-        if alphabet is None:
-            raise ValueError("union_all of an empty list needs an explicit alphabet")
-        return Nfa(1, 0, (), (), alphabet)
-    alphabet = automata[0].alphabet
-    transitions: list[tuple[int, Label, int]] = []
-    finals: set[int] = set()
-    offset = 1
-    for a in automata:
-        has_eps, has_var, has_word = a.label_kinds()
-        if has_var or has_word:
-            raise ValueError("union_all expects variable-free automata without word labels")
-        if a.alphabet != alphabet:
-            raise ValueError("union_all expects a shared alphabet")
-        transitions.append((0, EPSILON, a.initial + offset))
-        for src, label, dst in a.transitions:
-            transitions.append((src + offset, label, dst + offset))
-        finals.update(q + offset for q in a.finals)
-        offset += a.n_states
-    glued = Nfa(offset, 0, finals, transitions, alphabet)
-    return remove_epsilon(glued)
-
-
 def determinize(a: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Subset construction; the sink (empty subset) is always materialized.
 

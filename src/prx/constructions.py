@@ -36,6 +36,9 @@ _FRESH_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789
 #: Enumerating the box fooling family needs C(2^(n+1), 2^n) pairs; past this
 #: cap the request is refused rather than left to grind.
 DEFAULT_PAIR_CAP = 100000
+#: Verifying n pairs decides n·(n − 1) ordered pairs for condition 2; past
+#: this many the request is refused before the first decision.
+ORDERED_PAIR_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,16 @@ def verify_fooling_set(
     Condition (1): every u_i·v_i is in the language.  Condition (2): u_j·v_i
     is outside it whenever j ≠ i.  If both hold, any NFA for the language
     has at least len(p) states, and (True, len(p), None) is returned;
-    otherwise (False, 0, description-of-first-violation).
+    otherwise (False, 0, description-of-first-violation).  Raises
+    :class:`~prx.errors.CountCapExceeded` before any membership decision
+    when the ordered pairs exceed :data:`ORDERED_PAIR_CAP`.
     """
     pairs = list(p)
+    ordered = len(pairs) * (len(pairs) - 1)
+    if ordered > ORDERED_PAIR_CAP:
+        raise CountCapExceeded(
+            f"{ordered} ordered pairs exceed the cap of {ORDERED_PAIR_CAP}"
+        )
     for i, (u, v) in enumerate(pairs):
         if not member(u + v):
             return False, 0, f"condition 1 fails at pair {i}: {(u + v) or '_'} not in the language"

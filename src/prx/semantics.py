@@ -10,7 +10,8 @@ it once over the word.  Certainty nonemptiness, universality and containment
 search mask states of the automaton with its bisimilar states merged, and
 stop at the first answer.  The certainty automaton, and the complement that
 possibility containment needs, number the mask states of the automaton as
-compiled.  Only the possibility union glues substituted automata, and only
+compiled.  The possibility union glues the instances' edges in one pass,
+over letters relabelled straight from the compiled automaton.  Only
 certainty universality over letters determinizes an instance: the first one
 that is not universal, for its counterexample.  A reported valuation is the
 first one in enumeration order.  Nothing is approximated: caps make the
@@ -22,21 +23,20 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
+    EPSILON,
     Label,
     Nfa,
     VarLabel,
     determinize,
-    expand_extended,
     is_empty,
     is_universal,
     product,
     regex_to_nfa,
     remove_epsilon,
-    union_all,
 )
 from .errors import DomainNotFinite, PrxError, StateCapExceeded
 from .syntax import Alphabet, ParamRegex, variables
@@ -46,7 +46,6 @@ from .valuations import (
     DomainSpec,
     Valuation,
     _tile,
-    apply_finitary,
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
@@ -117,7 +116,7 @@ def _check_spec_covers(spec: DomainSpec, *exprs: ParamRegex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Valuations and instances
+# Valuations
 
 
 def _valuation_space(
@@ -127,7 +126,6 @@ def _valuation_space(
     domains: DomainSpec | None,
     valuation_cap: int,
     word_cap: int,
-    route: str = "auto",
 ) -> tuple[str, dict[str, Sequence[str]]]:
     """The route the instances come from, and the images of each variable.
 
@@ -137,43 +135,18 @@ def _valuation_space(
     regular: it is the intersection over the finitary valuations, which
     leave the infinite-domain variables undefined and drop their
     transitions ("finitary").  The possibility language over an infinite
-    domain may be nonregular, so that combination is refused.  ``route``
-    "auto" picks by finiteness; "enumerate" or "finitary" forces one, so
-    that their agreement is testable.
+    domain may be nonregular, so that combination is refused.
     """
     if domains is None:
-        if route != "auto":
-            raise ValueError("a route applies to regular domains only")
         return "letters", letter_choices(variables(e), alphabet, valuation_cap)
     _check_spec_covers(domains, e)
-    if route not in ("auto", "enumerate", "finitary"):
-        raise ValueError(f"unknown route {route!r}")
-    all_finite = not domains.infinite_variables()
-    if sem is DIAMOND and not all_finite:
+    finitary = bool(domains.infinite_variables())
+    if sem is DIAMOND and finitary:
         raise DomainNotFinite(
             "the possibility language over an infinite domain need not be regular"
         )
-    if route == "enumerate" and not all_finite:
-        raise DomainNotFinite("the enumerate route requires all domains finite")
-    if route == "auto":
-        route = "enumerate" if all_finite else "finitary"
-    return route, domain_choices(domains, valuation_cap, word_cap, finitary=route == "finitary")
-
-
-def _instances(
-    e: ParamRegex, alphabet: Alphabet, route: str, choices: dict[str, Sequence[str]]
-) -> Iterator[Nfa]:
-    """The substituted automata, one per valuation, in enumeration order."""
-    if route == "enumerate":
-        for nu in valuations_from(choices):
-            yield remove_epsilon(regex_to_nfa(apply_to_regex(nu, e), alphabet))
-        return
-    base = _compiled(e, alphabet)
-    for nu in valuations_from(choices):
-        if route == "letters":
-            yield apply_to_nfa(nu, base)
-        else:
-            yield remove_epsilon(expand_extended(apply_finitary(nu, base)))
+    route = "finitary" if finitary else "enumerate"
+    return route, domain_choices(domains, valuation_cap, word_cap, finitary=finitary)
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +163,34 @@ def _construct(
     """The combined automaton over the valuation space (see
     :func:`_valuation_space`), and the number of valuations combined.
 
-    Possibility glues the instances into one union.  Certainty numbers the
-    mask states of the compiled automaton, the tuples of the instances'
-    subsets, and drops those where some instance can no longer accept (see
-    :meth:`_Masks.coreachable`).  A finitary instance gives each word edge
-    a chain of its own, an enumerated one each occurrence of a variable.
+    Possibility glues the instances into one union: a new start 0 with an
+    ε-edge into each instance's start, the instances' states numbered after
+    it in enumeration order, and the ε-edges removed.  Over letters each
+    instance is the compiled automaton with every variable edge relabelled
+    by its image letter; an enumerated one is compiled from the substituted
+    expression.  Certainty numbers the mask states of the compiled
+    automaton, the tuples of the instances' subsets, and drops those where
+    some instance can no longer accept (see :meth:`_Masks.coreachable`).  A
+    finitary instance gives each word edge a chain of its own, an
+    enumerated one each occurrence of a variable.
     """
     route, choices = space
     if sem is DIAMOND:
-        instances = list(_instances(e, alphabet, route, choices))
-        return union_all(instances, alphabet), len(instances)
+        base = _compiled(e, alphabet) if route == "letters" else None
+        transitions: list[tuple[int, Label, int]] = []
+        finals: list[int] = []
+        offset, n_vals = 1, 0
+        for nu in valuations_from(choices):
+            a = base or _compiled(apply_to_regex(nu, e), alphabet)
+            transitions.append((0, EPSILON, offset + a.initial))
+            for src, label, dst in a.transitions:
+                if isinstance(label, VarLabel):
+                    label = nu[label.name]
+                transitions.append((src + offset, label, dst + offset))
+            finals.extend(q + offset for q in a.finals)
+            offset += a.n_states
+            n_vals += 1
+        return remove_epsilon(Nfa(offset, 0, finals, transitions, alphabet)), n_vals
     masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
     on_live = masks.coreachable()
 
@@ -267,7 +258,6 @@ def construct_nfa(
     valuation_cap: int = DEFAULT_VALUATION_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
     domains: DomainSpec | None = None,
-    route: str = "auto",
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> Nfa:
     """Variable-free NFA for the certainty/possibility language.
@@ -276,10 +266,10 @@ def construct_nfa(
     Certainty: the synchronized product of their subset constructions,
     without the tuples where some instance can no longer accept (see
     :func:`_construct`).  With ``domains`` the variables range over their
-    regular domains; ``route`` then picks how the instances are made (see
-    :func:`_valuation_space`).
+    regular domains: total valuations when every domain is finite, finitary
+    ones otherwise (see :func:`_valuation_space`).
     """
-    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap, route)
+    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
     return _construct(e, alphabet, sem, space, state_cap)[0]
 
 

@@ -185,26 +185,17 @@ def apply_to_regex(v: Valuation, e: ParamRegex) -> ParamRegex:
 def apply_to_nfa(v: Valuation, a: Nfa) -> Nfa:
     """Relabel variable transitions by their image letters (or word labels
     for longer images, epsilon for the empty word); states are untouched."""
-    return _relabel(v, a, drop_unbound=False)
-
-
-def _relabel(v: Valuation, a: Nfa, drop_unbound: bool) -> Nfa:
     transitions = []
     for src, label, dst in a.transitions:
         if isinstance(label, VarLabel):
-            if label.name not in v:
-                if drop_unbound:
-                    continue
-                raise PrxError(f"valuation does not bind variable {label.name!r}")
             image = v[label.name]
             if image == "":
-                transitions.append((src, EPSILON, dst))
+                label = EPSILON
             elif len(image) == 1:
-                transitions.append((src, image, dst))
+                label = image
             else:
-                transitions.append((src, WordLabel(image), dst))
-        else:
-            transitions.append((src, label, dst))
+                label = WordLabel(image)
+        transitions.append((src, label, dst))
     return Nfa(a.n_states, a.initial, a.finals, transitions, a.alphabet)
 
 
@@ -362,10 +353,3 @@ def domain_choices(
     total = math.prod(len(words) for words in choices.values())
     _check_count(total, valuation_cap, "finitary valuations" if finitary else "valuations")
     return choices
-
-
-def apply_finitary(v: Valuation, a: Nfa) -> Nfa:
-    """Letter transitions kept; variable transitions substituted when the
-    variable is defined and dropped when it is not (the reduced automaton
-    composed with the finitary substitution)."""
-    return _relabel(v, a, drop_unbound=True)

@@ -1,10 +1,12 @@
 """The per-instance constructions the library no longer uses, kept as the
-tests' reference for the automata built on mask states.
+tests' reference for the automata it builds in one pass.
 
 :func:`product_all` determinizes every instance and explores the tuples of
 their states; :func:`complement` and :func:`dfa_to_nfa` turn the subset
 construction of a union of instances into the complement automaton that
-possibility containment multiplies with.
+possibility containment multiplies with.  :func:`union_all` glues separate
+instances, made with :func:`~prx.valuations.apply_to_nfa` or
+:func:`apply_finitary`, into the possibility automaton.
 """
 
 from __future__ import annotations
@@ -12,8 +14,59 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Sequence
 
-from prx.automata import DEFAULT_STATE_CAP, Dfa, Label, Nfa, determinize
+from prx.automata import (
+    DEFAULT_STATE_CAP, EPSILON, Dfa, Label, Nfa, VarLabel, WordLabel, determinize,
+    remove_epsilon,
+)
 from prx.errors import StateCapExceeded
+from prx.syntax import Alphabet
+from prx.valuations import Valuation
+
+
+def apply_finitary(v: Valuation, a: Nfa) -> Nfa:
+    """Letter transitions kept; variable transitions substituted when the
+    variable is defined and dropped when it is not (the reduced automaton
+    composed with the finitary substitution)."""
+    transitions = []
+    for src, label, dst in a.transitions:
+        if isinstance(label, VarLabel):
+            if label.name not in v:
+                continue
+            image = v[label.name]
+            if image == "":
+                label = EPSILON
+            elif len(image) == 1:
+                label = image
+            else:
+                label = WordLabel(image)
+        transitions.append((src, label, dst))
+    return Nfa(a.n_states, a.initial, a.finals, transitions, a.alphabet)
+
+
+def union_all(automata: Sequence[Nfa], alphabet: Alphabet | None = None) -> Nfa:
+    """Nondeterministic choice between the automata (empty list gives the
+    empty language, which is why an alphabet may be supplied explicitly)."""
+    if not automata:
+        if alphabet is None:
+            raise ValueError("union_all of an empty list needs an explicit alphabet")
+        return Nfa(1, 0, (), (), alphabet)
+    alphabet = automata[0].alphabet
+    transitions: list[tuple[int, Label, int]] = []
+    finals: set[int] = set()
+    offset = 1
+    for a in automata:
+        has_eps, has_var, has_word = a.label_kinds()
+        if has_var or has_word:
+            raise ValueError("union_all expects variable-free automata without word labels")
+        if a.alphabet != alphabet:
+            raise ValueError("union_all expects a shared alphabet")
+        transitions.append((0, EPSILON, a.initial + offset))
+        for src, label, dst in a.transitions:
+            transitions.append((src + offset, label, dst + offset))
+        finals.update(q + offset for q in a.finals)
+        offset += a.n_states
+    glued = Nfa(offset, 0, finals, transitions, alphabet)
+    return remove_epsilon(glued)
 
 
 def complement(d: Dfa) -> Dfa:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from click.testing import CliRunner
 
 import oracles
-from prx.automata import determinize, is_empty
+from prx.automata import DEFAULT_STATE_CAP, determinize, is_empty
 from reference_automata import product_all
 from prx.cli import main as cli_main
 from prx.constructions import (
@@ -43,8 +43,9 @@ from prx.semantics import (
     nonemptiness,
     universality,
 )
+from prx.semantics import _construct
 from prx.syntax import Alphabet, is_simple, parse, size, star_height, variables
-from prx.valuations import DomainSpec
+from prx.valuations import DomainSpec, domain_choices
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -421,14 +422,16 @@ def test_criterion_6_domain_routes_consistency():
             if not expected:
                 break
 
-        built = construct_nfa(e, AB, BOX, domains=spec, route="finitary")
+        finitary = ("finitary", domain_choices(spec, finitary=True))
+        built = _construct(e, AB, BOX, finitary, DEFAULT_STATE_CAP)[0]
         got = _nfa_language(built, words)
         assert got == (expected or frozenset())
         if checked % 10 == 0:
             assert oracles.nfa_bounded_language(built, AB, 6) == got
 
         if all_finite:
-            via_enumeration = construct_nfa(e, AB, BOX, domains=spec, route="enumerate")
+            total = ("enumerate", domain_choices(spec))
+            via_enumeration = _construct(e, AB, BOX, total, DEFAULT_STATE_CAP)[0]
             assert _nfa_language(via_enumeration, words) == got
             dia = frozenset()
             for combo in itertools.product(*(word_lists[n] for n in names)):

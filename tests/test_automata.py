@@ -36,13 +36,12 @@ from prx.automata import (
     regex_to_nfa,
     remove_epsilon,
     trim,
-    union_all,
 )
 from prx.errors import StateCapExceeded
 from prx.semantics import BOX, DIAMOND, construct_nfa
 from prx.syntax import Alphabet, parse, variables
 from prx.valuations import DomainSpec, Valuation, apply_to_nfa
-from reference_automata import complement, dfa_to_nfa, product_all
+from reference_automata import complement, dfa_to_nfa, product_all, union_all
 
 AB01 = Alphabet("01")
 

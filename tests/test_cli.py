@@ -433,6 +433,13 @@ class TestFamilyAndFooling:
         assert (res.exit_code, res.stdout) == (2, "")
         assert res.stderr == f"error: C(2^{n + 1}, 2^{n}) subset pairs exceed the cap of 100000\n"
 
+    def test_fooling_verify_refuses_too_many_ordered_pairs(self, runner):
+        started = time.perf_counter()
+        res = invoke(runner, "fooling", "verify", "--kind", "box", "--n", "3")
+        assert time.perf_counter() - started < 1
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: 165624030 ordered pairs exceed the cap of 10000000\n"
+
     def test_fooling_verify_rejects_wrong_pairs(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("00\t00\n00\t11\n")

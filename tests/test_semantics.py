@@ -16,7 +16,6 @@ from prx.automata import (
     is_universal,
     regex_to_nfa,
     remove_epsilon,
-    union_all,
 )
 from prx.constructions import family_box_doubleexp, family_box_subword, family_diamond_power
 from prx.errors import CountCapExceeded, DomainNotFinite, PrxError, StateCapExceeded
@@ -33,14 +32,13 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.semantics import _complement, _compiled, _moves, _step, _valuation_space
+from prx.semantics import _complement, _compiled, _construct, _moves, _step, _valuation_space
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
 )
 from prx.valuations import (
     DomainSpec,
     Valuation,
-    apply_finitary,
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
@@ -51,7 +49,7 @@ from prx.valuations import (
 
 import oracles
 from prx import valuations
-from reference_automata import complement, dfa_to_nfa, product_all
+from reference_automata import apply_finitary, complement, dfa_to_nfa, product_all, union_all
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -471,15 +469,10 @@ class TestConstructNfaDomains:
             spec = DomainSpec.from_json(
                 {n: "0|1|00" for n in variables(e)}, AB
             )
-            via_enum = construct_nfa(e, AB, BOX, domains=spec, route="enumerate")
-            via_fin = construct_nfa(e, AB, BOX, domains=spec, route="finitary")
+            via_enum = _construct(e, AB, BOX, ("enumerate", domain_choices(spec)), 65536)[0]
+            finitary = ("finitary", domain_choices(spec, finitary=True))
+            via_fin = _construct(e, AB, BOX, finitary, 65536)[0]
             assert nfa_language(via_enum, 5) == nfa_language(via_fin, 5)
-
-    def test_enumerate_route_requires_finite(self):
-        e = parse("$x", AB)
-        spec = DomainSpec.from_json({"x": "1*"}, AB)
-        with pytest.raises(DomainNotFinite):
-            construct_nfa(e, AB, BOX, domains=spec, route="enumerate")
 
     def test_missing_domain_rejected(self):
         e = parse("$x$y", AB)
@@ -572,11 +565,6 @@ class TestDecideDomains:
                     rep = membership(e, w, AB, sem, domains=spec)
                     assert rep.answer == accepts(a, w)
 
-    def test_unknown_route(self):
-        spec = DomainSpec.from_json({"x": "0"}, AB)
-        with pytest.raises(ValueError):
-            construct_nfa(parse("$x", AB), AB, BOX, domains=spec, route="minimization")
-
 
 def finitary_reduct(e, nu):
     """e with the variables nu defines replaced by their images and the
@@ -658,7 +646,8 @@ class TestMembershipOverDomains:
         for _ in range(80):
             e, spec, choices, words = random_domain_case(rng, infinite=True)
             infinite += bool(spec.infinite_variables())
-            reduced = construct_nfa(e, AB, BOX, domains=spec, route="finitary")
+            finitary = ("finitary", domain_choices(spec, finitary=True))
+            reduced = _construct(e, AB, BOX, finitary, 65536)[0]
             for w in words:
                 rep = membership(e, w, AB, BOX, domains=spec)
                 want = domain_scan_outcome(e, w, choices, box=True)
@@ -1259,15 +1248,16 @@ SHARED_CHAINS = (
 
 class TestCombinedOnMaskStates:
     """The certainty product and the possibility complement, built on mask
-    states, against the instances' subset constructions combined: the same
-    states, finals and transitions in order, and the same cap errors, but
-    for the certainty product, which determinizes no instance on its own."""
+    states, against the instances' subset constructions combined, and the
+    possibility union, glued in one pass, against the instances glued one
+    by one: the same states, finals and transitions in order, and the same
+    cap errors, but for the certainty product, which determinizes no
+    instance on its own."""
 
     def compare(self, tally, e, alphabet, route, choices, small_cap, spec=None):
-        by_route = {} if spec is None else {"domains": spec, "route": route}
         instances = reference_instances(e, alphabet, route, choices)
         for cap in (65536, small_cap):
-            got = built(lambda: construct_nfa(e, alphabet, BOX, state_cap=cap, **by_route))
+            got = built(lambda: _construct(e, alphabet, BOX, (route, choices), cap)[0])
             want = built(lambda: product_all(instances, cap))
             if isinstance(want, str) and want.startswith("determinization"):
                 assert got == f"product exceeded the cap of {cap} states" or not isinstance(
@@ -1278,6 +1268,9 @@ class TestCombinedOnMaskStates:
                 tally["box refused" if isinstance(got, str) else "box"] += 1
             if route == "finitary":
                 continue
+            got = built(lambda: construct_nfa(e, alphabet, DIAMOND, state_cap=cap, domains=spec))
+            assert got == built(lambda: union_all(instances, alphabet)), (e, route)
+            tally["union"] += 1
             got = built(lambda: _complement(e, alphabet, choices, cap)[0])
             want = built(lambda: dfa_to_nfa(
                 complement(determinize(union_all(instances, alphabet), cap))
@@ -1307,7 +1300,7 @@ class TestCombinedOnMaskStates:
         for e, spec in cases:
             routes = ["finitary"] if spec.infinite_variables() else ["enumerate", "finitary"]
             for route in routes:
-                choices = _valuation_space(e, AB, BOX, spec, 10**6, 10**4, route)[1]
+                choices = domain_choices(spec, finitary=route == "finitary")
                 self.compare(tally, e, AB, route, choices, small_cap=3, spec=spec)
         assert min(tally.values()) >= 10, tally
 

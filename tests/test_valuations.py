@@ -29,7 +29,6 @@ from prx.syntax import Alphabet, parse, variables
 from prx.valuations import (
     DomainSpec,
     Valuation,
-    apply_finitary,
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
@@ -41,7 +40,7 @@ from prx.valuations import (
     valuation_at,
     valuations_from,
 )
-from reference_automata import product_all
+from reference_automata import apply_finitary, product_all
 
 AB01 = Alphabet("01")
 
