@@ -1,4 +1,4 @@
-"""NFA/DFA representations and the standard automata toolbox.
+"""The NFA representation and the standard automata toolbox.
 
 Automata live over a declared :class:`~prx.syntax.Alphabet`.  Transition
 labels are plain one-character strings for letters, :class:`VarLabel` for
@@ -7,7 +7,7 @@ word-labeled ("extended") transitions, which only appear on the regular-
 domain path and are expanded away by :func:`expand_extended`.
 
 Everything is immutable after construction and every algorithm is
-deterministic: subsets, products and witnesses are explored with letters in
+deterministic: products and witnesses are explored with letters in
 alphabet declaration order, so shortest witnesses on a deterministic
 automaton are also lexicographically least among the shortest (on a
 nondeterministic one they need not be, see :func:`is_empty`).
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import StateCapExceeded
 from .syntax import (
@@ -34,9 +34,9 @@ from .syntax import (
     _walk,
 )
 
-#: Default bound on determinization/product growth; the certainty-semantics
-#: problems are exponential in the worst case, so constructions fail loudly
-#: past this many states instead of thrashing.
+#: Default bound on the states a construction or search may build; the
+#: certainty-semantics problems are exponential in the worst case, so
+#: constructions fail loudly past this many states instead of thrashing.
 DEFAULT_STATE_CAP = 65536
 
 
@@ -137,49 +137,6 @@ class Nfa:
             f"Nfa(states={self.n_states}, finals={sorted(self.finals)}, "
             f"transitions={len(self.transitions)})"
         )
-
-
-class Dfa:
-    """A complete DFA: total transition function over the alphabet's letters."""
-
-    __slots__ = ("n_states", "initial", "finals", "delta", "alphabet")
-
-    def __init__(
-        self,
-        n_states: int,
-        initial: int,
-        finals: Iterable[int],
-        delta: Sequence[Sequence[int]],
-        alphabet: Alphabet,
-    ):
-        finals = frozenset(finals)
-        delta = tuple(tuple(row) for row in delta)
-        if len(delta) != n_states:
-            raise ValueError("delta must have one row per state")
-        if any(len(row) != len(alphabet) for row in delta):
-            raise ValueError("delta rows must cover the whole alphabet")
-        if any(not 0 <= t < n_states for row in delta for t in row):
-            raise ValueError("delta target out of range")
-        if not 0 <= initial < n_states or any(not 0 <= q < n_states for q in finals):
-            raise ValueError("state out of range")
-        self.n_states = n_states
-        self.initial = initial
-        self.finals = finals
-        self.delta = delta
-        self.alphabet = alphabet
-
-    def run(self, w: str) -> int:
-        """State reached from the initial state on w."""
-        state = self.initial
-        for ch in w:
-            state = self.delta[state][self.alphabet.index(ch)]
-        return state
-
-    def accepts_word(self, w: str) -> bool:
-        return self.run(w) in self.finals
-
-    def __repr__(self):
-        return f"Dfa(states={self.n_states}, finals={sorted(self.finals)})"
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +320,13 @@ def trim(a: Nfa) -> Nfa:
 # Boolean combinations
 
 
-def _require_plain(a: Nfa, op: str, allow_eps: bool = False) -> None:
+def _require_plain(a: Nfa, op: str) -> None:
     has_eps, has_var, has_word = a.label_kinds()
     if has_var:
         raise ValueError(f"{op} expects variable-free automata")
     if has_word:
         raise ValueError(f"{op} expects automata without word labels")
-    if has_eps and not allow_eps:
+    if has_eps:
         raise ValueError(f"{op} expects epsilon-free automata")
 
 
@@ -414,47 +371,6 @@ def product(a: Nfa, b: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
                         queue.append(nxt)
                     transitions.append((sid, letter, nid))
     return Nfa(len(ids), 0, finals, transitions, a.alphabet)
-
-
-def determinize(a: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Subset construction; the sink (empty subset) is always materialized.
-
-    Raises :class:`~prx.errors.StateCapExceeded` once more than ``state_cap``
-    subsets become reachable — a loud signal that the instance is beyond
-    desk scale.
-    """
-    _require_plain(a, "determinize")
-    adj = _letter_adjacency(a)
-    letters = a.alphabet.letters
-    start = frozenset({a.initial})
-    ids: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    rows: list[list[int]] = []
-    queue: deque[frozenset[int]] = deque([start])
-    while queue:
-        subset = queue.popleft()
-        row = []
-        for letter in letters:
-            target = frozenset(q for s in subset for q in adj.get((s, letter), ()))
-            tid = ids.get(target)
-            if tid is None:
-                if len(ids) >= state_cap:
-                    raise StateCapExceeded(
-                        f"determinization exceeded the cap of {state_cap} states"
-                    )
-                tid = ids[target] = len(ids)
-                order.append(target)
-                queue.append(target)
-            row.append(tid)
-        rows.append(row)
-    if frozenset() not in ids:
-        if len(ids) >= state_cap:
-            raise StateCapExceeded(f"determinization exceeded the cap of {state_cap} states")
-        sink = ids[frozenset()] = len(ids)
-        order.append(frozenset())
-        rows.append([sink] * len(letters))
-    finals = {ids[s] for s in order if s & a.finals}
-    return Dfa(len(ids), 0, finals, rows, a.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -529,33 +445,6 @@ def is_empty(a: Nfa) -> tuple[bool, str | None]:
                         cur = prev
                     return False, "".join(reversed(chars))
                 queue.append(dst)
-    return True, None
-
-
-def is_universal(d: Dfa) -> tuple[bool, str | None]:
-    """(universality, witness): witness is the shortest rejected word."""
-    if d.initial not in d.finals:
-        return False, ""
-    parents: dict[int, tuple[int, str]] = {}
-    visited = {d.initial}
-    queue: deque[int] = deque([d.initial])
-    while queue:
-        q = queue.popleft()
-        for i, letter in enumerate(d.alphabet.letters):
-            dst = d.delta[q][i]
-            if dst in visited:
-                continue
-            visited.add(dst)
-            parents[dst] = (q, letter)
-            if dst not in d.finals:
-                chars = []
-                cur = dst
-                while cur != d.initial:
-                    prev, ch = parents[cur]
-                    chars.append(ch)
-                    cur = prev
-                return False, "".join(reversed(chars))
-            queue.append(dst)
     return True, None
 
 

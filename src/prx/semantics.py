@@ -11,11 +11,12 @@ search mask states of the automaton with its bisimilar states merged, and
 stop at the first answer.  The certainty automaton, and the complement that
 possibility containment needs, number the mask states of the automaton as
 compiled.  The possibility union glues the instances' edges in one pass,
-over letters relabelled straight from the compiled automaton.  Only
-certainty universality over letters determinizes an instance: the first one
-that is not universal, for its counterexample.  A reported valuation is the
-first one in enumeration order.  Nothing is approximated: caps make the
-exponential cases fail loudly instead.
+over letters relabelled straight from the compiled automaton.  Certainty
+universality over letters takes its counterexample from the first instance
+that is not universal, complemented on the mask states of that one
+valuation.  A reported valuation is the first one in enumeration order.
+Nothing is approximated: caps make the exponential cases fail loudly
+instead.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .automata import (
     Label,
     Nfa,
     VarLabel,
-    determinize,
     is_empty,
-    is_universal,
     product,
     regex_to_nfa,
     remove_epsilon,
@@ -82,8 +81,8 @@ class DecisionReport:
     per-state fields over the merged automaton, see :data:`_MaskState`),
     and otherwise the states of the automaton the answer was read from
     (the expression's own for membership; for certainty universality over
-    letters the one instance determinized, or the expression's own when
-    every instance is universal).
+    letters the complement of the first instance that is not universal, or
+    the expression's own when every instance is universal).
     """
 
     answer: bool
@@ -204,17 +203,16 @@ def _construct(
     return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
 
 
-def _complement(
-    e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Sequence[str]], state_cap: int
-) -> tuple[Nfa, int]:
-    """The complement of the possibility language, and the number of
-    valuations: the subset construction on the union of the instances, as
-    :func:`~prx.automata.determinize` numbers it, with its finals flipped.
-    The union's start is entered by no edge, so it is a node of its own;
-    the empty mask state is the sink, added last if no word reaches it."""
-    masks = _instance_masks(e, alphabet, choices)
+def _complement(masks: _Masks, alphabet: Alphabet, start: Hashable, state_cap: int) -> Nfa:
+    """The complement of the language the masks accept under some
+    valuation: their mask states numbered from node 0, keyed ``start``,
+    with the finals flipped.  The key is ``None`` for a union of instances,
+    whose start is entered by no edge and so is a node of its own, and
+    ``masks.start`` for one instance, whose start subset can be entered
+    again.  The empty mask state is the sink, added last if no word
+    reaches it."""
     states, transitions = _numbered(
-        masks, alphabet, None, lambda state: True, state_cap, "determinization"
+        masks, alphabet, start, lambda state: True, state_cap, "determinization"
     )
     if 0 not in states:
         if len(states) >= state_cap:
@@ -222,7 +220,7 @@ def _complement(
         transitions += [(len(states), letter, len(states)) for letter in alphabet.letters]
         states.append(0)
     finals = [q for q, state in enumerate(states) if not masks.accepting(state)]
-    return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
+    return Nfa(len(states), 0, finals, transitions, alphabet)
 
 
 def _numbered(
@@ -861,7 +859,8 @@ def universality(
     instance is universal.  One breadth-first search over mask states finds
     the first valuation whose instance is not (see
     :meth:`_Masks.first_non_universal`), and only that instance is
-    determinized; the counterexample is the shortlex-least word it rejects.
+    complemented (see :func:`_complement`); the counterexample is the
+    shortlex-least word it rejects.
     Otherwise mask states are searched breadth-first for one whose final
     states miss some valuation (certainty) or hold none (possibility), for
     the shortlex-least word outside the language.
@@ -880,13 +879,15 @@ def universality(
                     answer=True, stats={"valuations": side.total, "states": base.n_states}
                 )
         nu = valuation_at(choices, first)
-        d = determinize(apply_to_nfa(nu, base), state_cap)
-        _, cex = is_universal(d)
+        instance = _Masks(*_moves(base, {name: (image,) for name, image in nu.items()}),
+                          base.finals)
+        rejected = _complement(instance, alphabet, instance.start, state_cap)
+        _, cex = is_empty(rejected)
         return DecisionReport(
             answer=False,
             witness=cex,
             valuation=nu.as_dict(),
-            stats={"valuations": first + 1, "states": d.n_states},
+            stats={"valuations": first + 1, "states": rejected.n_states},
         )
     side = _search_masks(base, choices)
     cex, n_states = _mask_search(
@@ -937,13 +938,13 @@ def containment(
         rhs_space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
     if sem is DIAMOND:
         lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
-        rhs_complement, n_rhs = _complement(e2, alphabet, rhs_space[1], state_cap)
-        gap = product(lhs, rhs_complement, state_cap)
+        rhs = _instance_masks(e2, alphabet, rhs_space[1])
+        gap = product(lhs, _complement(rhs, alphabet, None, state_cap), state_cap)
         empty, witness = is_empty(gap)
         return DecisionReport(
             answer=empty,
             witness=witness,
-            stats={"valuations": n_lhs + n_rhs, "states": gap.n_states},
+            stats={"valuations": n_lhs + rhs.total, "states": gap.n_states},
         )
     lhs = _search_masks(_compiled(e1, alphabet), space[1])
     rhs = _search_masks(_compiled(e2, alphabet), rhs_space[1])

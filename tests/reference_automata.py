@@ -1,26 +1,141 @@
 """The per-instance constructions the library no longer uses, kept as the
 tests' reference for the automata it builds in one pass.
 
-:func:`product_all` determinizes every instance and explores the tuples of
-their states; :func:`complement` and :func:`dfa_to_nfa` turn the subset
-construction of a union of instances into the complement automaton that
-possibility containment multiplies with.  :func:`union_all` glues separate
-instances, made with :func:`~prx.valuations.apply_to_nfa` or
-:func:`apply_finitary`, into the possibility automaton.
+:func:`determinize` is the subset construction of one automaton, as a
+:class:`Dfa`, and :func:`is_universal` reads its shortlex-least rejected
+word.  :func:`product_all` determinizes every instance and explores the
+tuples of their states; :func:`complement` and :func:`dfa_to_nfa` turn the
+subset construction of a union of instances, or of one instance, into the
+complement automaton that possibility containment multiplies with and
+certainty universality reads its counterexample from.  :func:`union_all`
+glues separate instances, made with :func:`~prx.valuations.apply_to_nfa`
+or :func:`apply_finitary`, into the possibility automaton.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from prx.automata import (
-    DEFAULT_STATE_CAP, EPSILON, Dfa, Label, Nfa, VarLabel, WordLabel, determinize,
-    remove_epsilon,
+    DEFAULT_STATE_CAP, EPSILON, Label, Nfa, VarLabel, WordLabel, remove_epsilon,
 )
 from prx.errors import StateCapExceeded
 from prx.syntax import Alphabet
 from prx.valuations import Valuation
+
+
+class Dfa:
+    """A complete DFA: total transition function over the alphabet's letters."""
+
+    __slots__ = ("n_states", "initial", "finals", "delta", "alphabet")
+
+    def __init__(
+        self,
+        n_states: int,
+        initial: int,
+        finals: Iterable[int],
+        delta: Sequence[Sequence[int]],
+        alphabet: Alphabet,
+    ):
+        finals = frozenset(finals)
+        delta = tuple(tuple(row) for row in delta)
+        if len(delta) != n_states:
+            raise ValueError("delta must have one row per state")
+        if any(len(row) != len(alphabet) for row in delta):
+            raise ValueError("delta rows must cover the whole alphabet")
+        if any(not 0 <= t < n_states for row in delta for t in row):
+            raise ValueError("delta target out of range")
+        if not 0 <= initial < n_states or any(not 0 <= q < n_states for q in finals):
+            raise ValueError("state out of range")
+        self.n_states = n_states
+        self.initial = initial
+        self.finals = finals
+        self.delta = delta
+        self.alphabet = alphabet
+
+    def run(self, w: str) -> int:
+        """State reached from the initial state on w."""
+        state = self.initial
+        for ch in w:
+            state = self.delta[state][self.alphabet.index(ch)]
+        return state
+
+    def accepts_word(self, w: str) -> bool:
+        return self.run(w) in self.finals
+
+    def __repr__(self):
+        return f"Dfa(states={self.n_states}, finals={sorted(self.finals)})"
+
+
+def determinize(a: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """Subset construction of an automaton over letters only; the sink
+    (empty subset) is always materialized.  Raises
+    :class:`~prx.errors.StateCapExceeded` once more than ``state_cap``
+    subsets become reachable."""
+    if any(not isinstance(label, str) for _, label, _ in a.transitions):
+        raise ValueError("determinize expects an automaton over letters only")
+    adj: dict[tuple[int, str], set[int]] = defaultdict(set)
+    for src, label, dst in a.transitions:
+        adj[(src, label)].add(dst)
+    letters = a.alphabet.letters
+    start = frozenset({a.initial})
+    ids: dict[frozenset[int], int] = {start: 0}
+    order: list[frozenset[int]] = [start]
+    rows: list[list[int]] = []
+    queue: deque[frozenset[int]] = deque([start])
+    while queue:
+        subset = queue.popleft()
+        row = []
+        for letter in letters:
+            target = frozenset(q for s in subset for q in adj.get((s, letter), ()))
+            tid = ids.get(target)
+            if tid is None:
+                if len(ids) >= state_cap:
+                    raise StateCapExceeded(
+                        f"determinization exceeded the cap of {state_cap} states"
+                    )
+                tid = ids[target] = len(ids)
+                order.append(target)
+                queue.append(target)
+            row.append(tid)
+        rows.append(row)
+    if frozenset() not in ids:
+        if len(ids) >= state_cap:
+            raise StateCapExceeded(f"determinization exceeded the cap of {state_cap} states")
+        sink = ids[frozenset()] = len(ids)
+        order.append(frozenset())
+        rows.append([sink] * len(letters))
+    finals = {ids[s] for s in order if s & a.finals}
+    return Dfa(len(ids), 0, finals, rows, a.alphabet)
+
+
+def is_universal(d: Dfa) -> tuple[bool, str | None]:
+    """(universality, witness): witness is the shortest rejected word, the
+    least of them with letters in alphabet order."""
+    if d.initial not in d.finals:
+        return False, ""
+    parents: dict[int, tuple[int, str]] = {}
+    visited = {d.initial}
+    queue: deque[int] = deque([d.initial])
+    while queue:
+        q = queue.popleft()
+        for i, letter in enumerate(d.alphabet.letters):
+            dst = d.delta[q][i]
+            if dst in visited:
+                continue
+            visited.add(dst)
+            parents[dst] = (q, letter)
+            if dst not in d.finals:
+                chars = []
+                cur = dst
+                while cur != d.initial:
+                    prev, ch = parents[cur]
+                    chars.append(ch)
+                    cur = prev
+                return False, "".join(reversed(chars))
+            queue.append(dst)
+    return True, None
 
 
 def apply_finitary(v: Valuation, a: Nfa) -> Nfa:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from click.testing import CliRunner
 
 import oracles
-from prx.automata import DEFAULT_STATE_CAP, determinize, is_empty
-from reference_automata import product_all
+from prx.automata import DEFAULT_STATE_CAP, is_empty
+from reference_automata import determinize, product_all
 from prx.cli import main as cli_main
 from prx.constructions import (
     family_box_doubleexp,

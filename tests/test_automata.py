@@ -20,17 +20,14 @@ from oracles import (
 )
 from prx.automata import (
     EPSILON,
-    Dfa,
     Nfa,
     VarLabel,
     WordLabel,
     accepts,
-    determinize,
     expand_extended,
     export_dot,
     export_json,
     is_empty,
-    is_universal,
     nfa_to_json,
     product,
     regex_to_nfa,
@@ -41,7 +38,9 @@ from prx.errors import StateCapExceeded
 from prx.semantics import BOX, DIAMOND, construct_nfa
 from prx.syntax import Alphabet, parse, variables
 from prx.valuations import DomainSpec, Valuation, apply_to_nfa
-from reference_automata import complement, dfa_to_nfa, product_all, union_all
+from reference_automata import (
+    Dfa, complement, determinize, dfa_to_nfa, is_universal, product_all, union_all,
+)
 
 AB01 = Alphabet("01")
 

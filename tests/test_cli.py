@@ -176,6 +176,22 @@ class TestUniversalContainsIntersect:
             '"stats": {"valuations": 1, "states": 14}}\n'
         )
 
+    # The instance of x=0 has five subsets with the empty one: that of the
+    # first expression is appended after the search, that of the second is
+    # reached by an edge.
+    @pytest.mark.parametrize("expr", ["(0|1)*0|$x", "$x(0|1)*"])
+    def test_universal_box_caps_the_counterexample_instance(self, runner, expr):
+        args = ("universal", "--alphabet", "01", "--semantics", "box", "--expr", expr)
+        res = invoke(runner, *args, "--max-states", "4")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: determinization exceeded the cap of 4 states\n"
+        res = invoke(runner, *args, "--max-states", "5", "--output", "json")
+        assert (res.exit_code, res.stderr) == (1, "")
+        assert res.stdout == (
+            '{"answer": false, "witness": "", "valuation": {"x": "0"}, '
+            '"stats": {"valuations": 1, "states": 5}}\n'
+        )
+
     def test_contains_counterexample(self, runner):
         res = invoke(runner, "contains", "--alphabet", "01", "--semantics", "diamond",
                      "--lhs", "$x$y", "--rhs", "$x$x", "--witness")

@@ -9,11 +9,11 @@ import random
 import pytest
 
 from prx.automata import (
+    Nfa,
+    VarLabel,
     accepts,
-    determinize,
     expand_extended,
     is_empty,
-    is_universal,
     regex_to_nfa,
     remove_epsilon,
 )
@@ -32,7 +32,9 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.semantics import _complement, _compiled, _construct, _moves, _step, _valuation_space
+from prx.semantics import (
+    _complement, _compiled, _construct, _instance_masks, _Masks, _moves, _step, _valuation_space,
+)
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
 )
@@ -49,7 +51,9 @@ from prx.valuations import (
 
 import oracles
 from prx import valuations
-from reference_automata import apply_finitary, complement, dfa_to_nfa, product_all, union_all
+from reference_automata import (
+    apply_finitary, complement, determinize, dfa_to_nfa, is_universal, product_all, union_all,
+)
 
 AB = Alphabet("01")
 ABC = Alphabet("012")
@@ -1271,7 +1275,9 @@ class TestCombinedOnMaskStates:
             got = built(lambda: construct_nfa(e, alphabet, DIAMOND, state_cap=cap, domains=spec))
             assert got == built(lambda: union_all(instances, alphabet)), (e, route)
             tally["union"] += 1
-            got = built(lambda: _complement(e, alphabet, choices, cap)[0])
+            got = built(lambda: _complement(
+                _instance_masks(e, alphabet, choices), alphabet, None, cap
+            ))
             want = built(lambda: dfa_to_nfa(
                 complement(determinize(union_all(instances, alphabet), cap))
             ))
@@ -1303,6 +1309,50 @@ class TestCombinedOnMaskStates:
                 choices = domain_choices(spec, finitary=route == "finitary")
                 self.compare(tally, e, AB, route, choices, small_cap=3, spec=spec)
         assert min(tally.values()) >= 10, tally
+
+
+class TestInstanceComplement:
+    """The complement of one instance that box universality reads its
+    counterexample from, numbered on the mask states of one valuation,
+    against the instance's subset construction with its finals flipped:
+    the same states, finals and transitions in order, and the same cap
+    errors."""
+
+    def test_every_letter_valuation(self):
+        rng = random.Random(4147)
+        tally = collections.Counter()
+        for alphabet, count in ((AB, 150), (ABC, 50)):
+            for _ in range(count):
+                e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 14),
+                                        var_prob=0.4)
+                base = _compiled(e, alphabet)
+                choices = _valuation_space(e, alphabet, BOX, None, 10**6, 10**4)[1]
+                for nu in valuations_from(choices):
+                    instance = apply_to_nfa(nu, base)
+                    # As universality builds it.
+                    masks = _Masks(*_moves(base, {n: (image,) for n, image in nu.items()}),
+                                   base.finals)
+                    for cap in (1, 2, 3, 4, 6, 65536):
+                        got = built(lambda: _complement(masks, alphabet, masks.start, cap))
+                        want = built(lambda: dfa_to_nfa(
+                            complement(determinize(instance, cap))
+                        ))
+                        assert got == want, (e, nu, cap)
+                        tally["refused" if isinstance(got, str) else "built"] += 1
+        assert min(tally.values()) >= 10, tally
+
+    def test_start_entered_again(self):
+        # No compiled automaton has an edge into its start; this one does,
+        # so under x = 1 its start subset is node 0 again on 0.
+        a = Nfa(2, 0, {1}, [(0, "0", 0), (0, VarLabel("x"), 1)], AB)
+        loops = []
+        for image in AB.letters:
+            masks = _Masks(*_moves(a, {"x": (image,)}), a.finals)
+            got = built(lambda: _complement(masks, AB, masks.start, 65536))
+            instance = apply_to_nfa(Valuation({"x": image}), a)
+            assert got == built(lambda: dfa_to_nfa(complement(determinize(instance))))
+            loops.append((0, "0", 0) in got[3])
+        assert loops == [False, True]
 
 
 # ---------------------------------------------------------------------------

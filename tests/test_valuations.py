@@ -18,7 +18,6 @@ from oracles import (
 from prx.automata import (
     Nfa,
     WordLabel,
-    determinize,
     expand_extended,
     is_empty,
     regex_to_nfa,
@@ -40,7 +39,7 @@ from prx.valuations import (
     valuation_at,
     valuations_from,
 )
-from reference_automata import apply_finitary, product_all
+from reference_automata import apply_finitary, determinize, product_all
 
 AB01 = Alphabet("01")
 
