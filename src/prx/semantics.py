@@ -203,16 +203,14 @@ def _construct(
     return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
 
 
-def _complement(masks: _Masks, alphabet: Alphabet, start: Hashable, state_cap: int) -> Nfa:
+def _complement(masks: _Masks, alphabet: Alphabet, state_cap: int) -> Nfa:
     """The complement of the language the masks accept under some
-    valuation: their mask states numbered from node 0, keyed ``start``,
-    with the finals flipped.  The key is ``None`` for a union of instances,
-    whose start is entered by no edge and so is a node of its own, and
-    ``masks.start`` for one instance, whose start subset can be entered
-    again.  The empty mask state is the sink, added last if no word
-    reaches it."""
+    valuation: their mask states numbered from node 0, with the finals
+    flipped.  No compiled automaton has an edge into its start, so node 0
+    is a node of its own.  The empty mask state is the sink, added last if
+    no word reaches it."""
     states, transitions = _numbered(
-        masks, alphabet, start, lambda state: True, state_cap, "determinization"
+        masks, alphabet, None, lambda state: True, state_cap, "determinization"
     )
     if 0 not in states:
         if len(states) >= state_cap:
@@ -881,7 +879,7 @@ def universality(
         nu = valuation_at(choices, first)
         instance = _Masks(*_moves(base, {name: (image,) for name, image in nu.items()}),
                           base.finals)
-        rejected = _complement(instance, alphabet, instance.start, state_cap)
+        rejected = _complement(instance, alphabet, state_cap)
         _, cex = is_empty(rejected)
         return DecisionReport(
             answer=False,
@@ -939,7 +937,7 @@ def containment(
     if sem is DIAMOND:
         lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
         rhs = _instance_masks(e2, alphabet, rhs_space[1])
-        gap = product(lhs, _complement(rhs, alphabet, None, state_cap), state_cap)
+        gap = product(lhs, _complement(rhs, alphabet, state_cap), state_cap)
         empty, witness = is_empty(gap)
         return DecisionReport(
             answer=empty,

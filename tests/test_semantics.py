@@ -9,8 +9,6 @@ import random
 import pytest
 
 from prx.automata import (
-    Nfa,
-    VarLabel,
     accepts,
     expand_extended,
     is_empty,
@@ -1275,9 +1273,7 @@ class TestCombinedOnMaskStates:
             got = built(lambda: construct_nfa(e, alphabet, DIAMOND, state_cap=cap, domains=spec))
             assert got == built(lambda: union_all(instances, alphabet)), (e, route)
             tally["union"] += 1
-            got = built(lambda: _complement(
-                _instance_masks(e, alphabet, choices), alphabet, None, cap
-            ))
+            got = built(lambda: _complement(_instance_masks(e, alphabet, choices), alphabet, cap))
             want = built(lambda: dfa_to_nfa(
                 complement(determinize(union_all(instances, alphabet), cap))
             ))
@@ -1333,26 +1329,13 @@ class TestInstanceComplement:
                     masks = _Masks(*_moves(base, {n: (image,) for n, image in nu.items()}),
                                    base.finals)
                     for cap in (1, 2, 3, 4, 6, 65536):
-                        got = built(lambda: _complement(masks, alphabet, masks.start, cap))
+                        got = built(lambda: _complement(masks, alphabet, cap))
                         want = built(lambda: dfa_to_nfa(
                             complement(determinize(instance, cap))
                         ))
                         assert got == want, (e, nu, cap)
                         tally["refused" if isinstance(got, str) else "built"] += 1
         assert min(tally.values()) >= 10, tally
-
-    def test_start_entered_again(self):
-        # No compiled automaton has an edge into its start; this one does,
-        # so under x = 1 its start subset is node 0 again on 0.
-        a = Nfa(2, 0, {1}, [(0, "0", 0), (0, VarLabel("x"), 1)], AB)
-        loops = []
-        for image in AB.letters:
-            masks = _Masks(*_moves(a, {"x": (image,)}), a.finals)
-            got = built(lambda: _complement(masks, AB, masks.start, 65536))
-            instance = apply_to_nfa(Valuation({"x": image}), a)
-            assert got == built(lambda: dfa_to_nfa(complement(determinize(instance))))
-            loops.append((0, "0", 0) in got[3])
-        assert loops == [False, True]
 
 
 # ---------------------------------------------------------------------------
