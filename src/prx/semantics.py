@@ -10,8 +10,9 @@ it once over the word.  Certainty nonemptiness, universality and containment
 search mask states of the automaton with its bisimilar states merged, and
 stop at the first answer.  The certainty automaton, and the complement that
 possibility containment needs, number the mask states of the automaton as
-compiled.  The possibility union glues the instances' edges in one pass,
-over letters relabelled straight from the compiled automaton.  Certainty
+compiled, on its states reachable from the start.  The possibility union
+glues the instances' edges in one pass without ε-edges, over letters
+relabelled straight from the compiled automaton.  Certainty
 universality over letters takes its counterexample from the first instance
 that is not universal, complemented on the mask states of that one
 valuation.  A reported valuation is the first one in enumeration order.
@@ -24,11 +25,12 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
-    EPSILON,
     Label,
     Nfa,
     VarLabel,
@@ -162,34 +164,25 @@ def _construct(
     """The combined automaton over the valuation space (see
     :func:`_valuation_space`), and the number of valuations combined.
 
-    Possibility glues the instances into one union: a new start 0 with an
-    ε-edge into each instance's start, the instances' states numbered after
-    it in enumeration order, and the ε-edges removed.  Over letters each
-    instance is the compiled automaton with every variable edge relabelled
-    by its image letter; an enumerated one is compiled from the substituted
-    expression.  Certainty numbers the mask states of the compiled
-    automaton, the tuples of the instances' subsets, and drops those where
-    some instance can no longer accept (see :meth:`_Masks.coreachable`).  A
-    finitary instance gives each word edge a chain of its own, an
-    enumerated one each occurrence of a variable.
+    Possibility glues the instances into one union without ε-edges (see
+    :func:`_union`): a new start 0 with the edges of every instance's start,
+    and the instances' states numbered after it in enumeration order.  Over
+    letters each instance is the compiled automaton with every variable
+    edge relabelled by its image letter; an enumerated one is compiled from
+    the substituted expression.  Certainty numbers the mask states of the
+    compiled automaton on its states reachable from the start (see
+    :func:`_instance_masks`), the tuples of the instances' subsets, and
+    drops those where some instance can no longer accept (see
+    :meth:`_Masks.coreachable`).  A finitary instance gives each word edge
+    a chain of its own, an enumerated one each occurrence of a variable.
     """
     route, choices = space
     if sem is DIAMOND:
         base = _compiled(e, alphabet) if route == "letters" else None
-        transitions: list[tuple[int, Label, int]] = []
-        finals: list[int] = []
-        offset, n_vals = 1, 0
-        for nu in valuations_from(choices):
-            a = base or _compiled(apply_to_regex(nu, e), alphabet)
-            transitions.append((0, EPSILON, offset + a.initial))
-            for src, label, dst in a.transitions:
-                if isinstance(label, VarLabel):
-                    label = nu[label.name]
-                transitions.append((src + offset, label, dst + offset))
-            finals.extend(q + offset for q in a.finals)
-            offset += a.n_states
-            n_vals += 1
-        return remove_epsilon(Nfa(offset, 0, finals, transitions, alphabet)), n_vals
+        return _union((
+            (base or _compiled(apply_to_regex(nu, e), alphabet), nu)
+            for nu in valuations_from(choices)
+        ), alphabet)
     masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
     on_live = masks.coreachable()
 
@@ -201,6 +194,52 @@ def _construct(
     states, transitions = _numbered(masks, alphabet, masks.start, alive, state_cap, "product")
     finals = [q for q, state in enumerate(states) if masks.accepting(state) == masks.full]
     return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
+
+
+def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet) -> tuple[Nfa, int]:
+    """The union of the ε-free instances, each a compiled automaton with the
+    valuation that relabels its variable edges, glued without ε-edges, and
+    the number of instances.
+
+    Node 0 has the edges of every instance's start, and is final when one
+    of those starts is; each instance's states follow in turn.  The edges
+    come out ordered by source, letter and target, without duplicates, as
+    :func:`~prx.automata.remove_epsilon` would leave them: a compiled
+    automaton's edges are in that order already, and relabelling can only
+    reorder, or make equal, the edges of a state with two or more of them,
+    one a variable edge, so only those are sorted again.
+    """
+    starts: list[tuple[int, Label, int]] = []
+    transitions: list[tuple[int, Label, int]] = []
+    finals: list[int] = []
+    offset, n_vals, last = 1, 0, None
+    for a, nu in instances:
+        if a is not last:  # each compiled automaton is coded once
+            last = a
+            labels: dict[Label, int] = {}
+            coded = [(src, labels.setdefault(label, len(labels)), dst)
+                     for src, label, dst in a.transitions]
+            out_of_start = [(code, dst) for src, code, dst in coded if src == a.initial]
+            # The (first, end) edge indices of each state to sort again.
+            runs: list[tuple[int, int]] = []
+            end = 0
+            for _, group in groupby(a.transitions, key=itemgetter(0)):
+                first, group = end, list(group)
+                end += len(group)
+                if len(group) > 1 and any(isinstance(label, VarLabel) for _, label, _ in group):
+                    runs.append((first, end))
+        image = [nu[label.name] if isinstance(label, VarLabel) else label for label in labels]
+        edges = [(src + offset, image[code], dst + offset) for src, code, dst in coded]
+        for first, end in reversed(runs):  # a shorter run moves only the edges after it
+            edges[first:end] = sorted(set(edges[first:end]))
+        transitions += edges
+        starts += [(0, image[code], dst + offset) for code, dst in out_of_start]
+        if a.initial in a.finals:
+            finals.append(0)
+        finals += [q + offset for q in a.finals]
+        offset += a.n_states
+        n_vals += 1
+    return Nfa(offset, 0, finals, sorted(set(starts)) + transitions, alphabet), n_vals
 
 
 def _complement(masks: _Masks, alphabet: Alphabet, state_cap: int) -> Nfa:
@@ -258,9 +297,11 @@ def construct_nfa(
 ) -> Nfa:
     """Variable-free NFA for the certainty/possibility language.
 
-    Possibility: nondeterministic union over all substituted automata.
-    Certainty: the synchronized product of their subset constructions,
-    without the tuples where some instance can no longer accept (see
+    Possibility: nondeterministic union over all substituted automata,
+    glued without ε-edges under a start of its own.  Certainty: the
+    synchronized product of their subset constructions, without the tuples
+    where some instance can no longer accept, numbered on mask states whose
+    fields are the compiled automaton's reachable states (see
     :func:`_construct`).  With ``domains`` the variables range over their
     regular domains: total valuations when every domain is finite, finitary
     ones otherwise (see :func:`_valuation_space`).
@@ -278,32 +319,60 @@ def construct_nfa(
 _Moves = list[dict[int, list[tuple[int, int | None]]]]
 
 #: A mask state: one int of ``total``-bit fields, field q holding the
-#: valuations under which state q of the automaton (merged, see
-#: :func:`_merge`, in the searches) is reached on one word.  States past the
+#: valuations under which state q of the automaton (its states reachable
+#: from the start, see :func:`_reachable`, and merged, see :func:`_merge`,
+#: in the searches) is reached on one word.  States past the
 #: automaton's own are positions inside the images of :func:`_moves`.
 _MaskState = int
 
 
-class _Merged(NamedTuple):
-    """An ε-free automaton on its states reachable from the start, with
-    its bisimilar states merged (see :func:`_merge`), in the attributes
-    :func:`_moves` reads from an :class:`~prx.automata.Nfa`."""
+class _Automaton(NamedTuple):
+    """An ε-free automaton in the attributes :func:`_moves` reads from an
+    :class:`~prx.automata.Nfa`, built without an automaton's checks: the
+    part of one reachable from its start (see :func:`_reachable`), or that
+    part with its bisimilar states merged (see :func:`_merge`)."""
 
     n_states: int
     initial: int
     finals: frozenset[int]
-    transitions: list[tuple[int, Label, int]]
+    transitions: list[tuple[int, Label, int]] | tuple[tuple[int, Label, int], ...]
     alphabet: Alphabet
 
 
-def _merge(base: Nfa) -> _Merged:
-    """The ε-free automaton on classes of its states reachable from the
-    start: states with the same finality and the same outgoing (label,
-    target class) pairs are merged until no two classes have both.  Merged
-    states are bisimilar, so under every valuation they accept the same
-    words and a search may step the classes in their place; the states no
-    word reaches take part in no search and are left out.  A class is
-    numbered in the order of its first state, and has that state's edges.
+def _reachable(base: Nfa) -> Nfa | _Automaton:
+    """The ε-free automaton on its states reachable from the start, kept in
+    their order and numbered from 0, with their edges in order; ``base``
+    itself when every state is reachable.  The states no word reaches take
+    part in no search and hold no valuation in any mask state."""
+    n = base.n_states
+    targets: list[list[int]] = [[] for _ in range(n)]
+    for src, _, dst in base.transitions:
+        targets[src].append(dst)
+    seen = {base.initial}
+    order = [base.initial]
+    for q in order:
+        for d in targets[q]:
+            if d not in seen:
+                seen.add(d)
+                order.append(d)
+    if len(order) == n:
+        return base
+    ids = {q: i for i, q in enumerate(sorted(order))}
+    return _Automaton(
+        len(ids), ids[base.initial], frozenset(ids[q] for q in base.finals if q in ids),
+        [(ids[src], label, ids[dst]) for src, label, dst in base.transitions if src in ids],
+        base.alphabet,
+    )
+
+
+def _merge(base: Nfa | _Automaton) -> _Automaton:
+    """The ε-free automaton, every state of which is reachable from the
+    start (see :func:`_reachable`), on classes of its states: states with
+    the same finality and the same outgoing (label, target class) pairs are
+    merged until no two classes have both.  Merged states are bisimilar, so
+    under every valuation they accept the same words and a search may step
+    the classes in their place.  A class is numbered in the order of its
+    first state, and has that state's edges.
 
     Every state is visited once, last first, so that along the forward
     edges of the compiled automaton a target is mostly merged before its
@@ -315,18 +384,10 @@ def _merge(base: Nfa) -> _Merged:
     n = base.n_states
     labels: dict[Label, int] = {}
     edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n)]
     for src, label, dst in base.transitions:
         edges[src].append((labels.setdefault(label, len(labels)), dst))
-    preds: dict[int, list[int]] = {base.initial: []}  # per state reached
-    order = [base.initial]
-    for q in order:
-        for _, d in edges[q]:
-            if d in preds:
-                preds[d].append(q)
-            else:
-                preds[d] = [q]
-                order.append(d)
-    order.sort()
+        preds[dst].append(src)
     n_labels = len(labels)
     finals = base.finals
     # A class is named by one of its states, which it keeps while the name
@@ -335,7 +396,7 @@ def _merge(base: Nfa) -> _Merged:
     cls = list(range(n))
     members: dict[int, list[int]] = {}  # the states of each class of two or more
     found: dict[tuple[bool, int | frozenset[int]], int] = {}  # a state per signature
-    work = order
+    work = list(range(n))
     while work:
         ahead = set(work)  # the states still to visit in this pass
         again: set[int] = set()
@@ -365,22 +426,21 @@ def _merge(base: Nfa) -> _Merged:
         work = sorted(again)
     ids: dict[int, int] = {}
     firsts: list[int] = []
-    for q in order:
+    for q in range(n):
         if ids.setdefault(cls[q], len(firsts)) == len(firsts):
             firsts.append(q)
     by_id = list(labels)
     transitions = list(dict.fromkeys([
         (c, by_id[a], ids[cls[d]]) for c, q in enumerate(firsts) for a, d in edges[q]
     ]))
-    return _Merged(
-        len(firsts), ids[cls[base.initial]],
-        frozenset(ids[cls[q]] for q in base.finals if q in preds), transitions,
-        base.alphabet,
+    return _Automaton(
+        len(firsts), ids[cls[base.initial]], frozenset(ids[cls[q]] for q in finals),
+        transitions, base.alphabet,
     )
 
 
 def _moves(
-    base: Nfa | _Merged, choices: Mapping[str, Sequence[str]], chain_per_edge: bool = False
+    base: Nfa | _Automaton, choices: Mapping[str, Sequence[str]], chain_per_edge: bool = False
 ) -> tuple[int, _Moves, tuple[tuple[int, int], ...], int]:
     """The edges of the ε-free automaton under every valuation at once: the
     number of valuations (see :func:`letter_masks`), the moves, the start
@@ -648,16 +708,20 @@ class _Masks:
 def _search_masks(base: Nfa, choices: Mapping[str, Sequence[str]]) -> _Masks:
     """The masks the searches step: the merged automaton's moves (see
     :func:`_merge`), pruned (see :func:`_prune`)."""
-    merged = _merge(base)
+    merged = _merge(_reachable(base))
     total, moves, start, n_fields = _moves(merged, choices)
     return _Masks(total, moves, _prune(moves, start, merged.finals), n_fields, merged.finals)
 
 
 def _instance_masks(e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Sequence[str]],
                     chain_per_edge: bool = False) -> _Masks:
-    """The masks of the compiled automaton's own moves, unmerged and
-    unpruned, whose fields are the subsets of the instances."""
-    base = _compiled(e, alphabet)
+    """The masks of the compiled automaton's own moves on its states
+    reachable from the start (see :func:`_reachable`), unmerged and
+    unpruned, whose fields are the subsets of the instances.  The states no
+    word reaches would only add fields that every mask state leaves empty,
+    so the mask states, and their numbering, are those of the whole
+    compiled automaton."""
+    base = _reachable(_compiled(e, alphabet))
     return _Masks(*_moves(base, choices, chain_per_edge), base.finals)
 
 

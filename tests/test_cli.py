@@ -317,6 +317,10 @@ _BUILD_NFA_DIGESTS = [
     ('diamond', '($x1$x2$x3$x4$x5$x6$x7)*',
      '119092730325bd2a2897e9affd6d6088997295e95437519245a1344d7cd8af47',
      'add61d1c8a1e2c666019de9094410790d49d3254d542d5e7e718526aa6fc8b7c'),
+    # Relabelling moves the start's letter edge 1 behind its variable edges 0.
+    ('diamond', '($x|$y|1)*0',
+     '79ae279cf8d04f89ac7bef1c27570c470fb3447086cd9093c9fc1ed634e0ee0b',
+     '84852c9abb347165d506aaa4e975a4029bb91ddb4bfeb5c412c943f75ea10d27'),
     ('box', '((0|1)(0|1))*$x1$x2((0|1)(0|1))*',
      'c559c8545c6fce29072a05bfbcab0aba142cd249a6e174a37e82ae8c16107e69',
      'f73f7b35e37d7871fdfb10de858d925055f6c5ca010daaaa8df4decf2b16c364'),
