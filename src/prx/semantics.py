@@ -320,8 +320,8 @@ _Moves = list[dict[int, list[tuple[int, int | None]]]]
 
 #: A mask state: one int of ``total``-bit fields, field q holding the
 #: valuations under which state q of the automaton (its states reachable
-#: from the start, see :func:`_reachable`, and merged, see :func:`_merge`,
-#: in the searches) is reached on one word.  States past the
+#: from the start, see :func:`_reachable`, merged in the searches, see
+#: :func:`_merge`) is reached on one word.  States past the
 #: automaton's own are positions inside the images of :func:`_moves`.
 _MaskState = int
 
@@ -335,44 +335,56 @@ class _Automaton(NamedTuple):
     n_states: int
     initial: int
     finals: frozenset[int]
-    transitions: list[tuple[int, Label, int]] | tuple[tuple[int, Label, int], ...]
+    transitions: list[tuple[int, Label, int]]
     alphabet: Alphabet
+
+
+def _walk(
+    base: Nfa,
+) -> tuple[dict[Label, int], list[list[tuple[int, int]]], dict[int, list[int]], list[int]]:
+    """One walk from the start of the ε-free automaton: its labels coded in
+    order of first use, each state's edges as (label code, target), the
+    predecessors of every state reached, and those states in their order."""
+    labels: dict[Label, int] = {}
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(base.n_states)]
+    for src, label, dst in base.transitions:
+        edges[src].append((labels.setdefault(label, len(labels)), dst))
+    preds: dict[int, list[int]] = {base.initial: []}  # per state reached
+    order = [base.initial]
+    for q in order:
+        for _, d in edges[q]:
+            if d in preds:
+                preds[d].append(q)
+            else:
+                preds[d] = [q]
+                order.append(d)
+    order.sort()
+    return labels, edges, preds, order
 
 
 def _reachable(base: Nfa) -> Nfa | _Automaton:
     """The ε-free automaton on its states reachable from the start, kept in
-    their order and numbered from 0, with their edges in order; ``base``
-    itself when every state is reachable.  The states no word reaches take
-    part in no search and hold no valuation in any mask state."""
-    n = base.n_states
-    targets: list[list[int]] = [[] for _ in range(n)]
-    for src, _, dst in base.transitions:
-        targets[src].append(dst)
-    seen = {base.initial}
-    order = [base.initial]
-    for q in order:
-        for d in targets[q]:
-            if d not in seen:
-                seen.add(d)
-                order.append(d)
-    if len(order) == n:
+    their order and numbered from 0, each with its edges; ``base`` itself
+    when every state is reachable."""
+    labels, edges, _, order = _walk(base)
+    if len(order) == base.n_states:
         return base
-    ids = {q: i for i, q in enumerate(sorted(order))}
+    ids = {q: i for i, q in enumerate(order)}
+    by_id = list(labels)
     return _Automaton(
-        len(ids), ids[base.initial], frozenset(ids[q] for q in base.finals if q in ids),
-        [(ids[src], label, ids[dst]) for src, label, dst in base.transitions if src in ids],
-        base.alphabet,
+        len(order), ids[base.initial], frozenset(ids[q] for q in base.finals if q in ids),
+        [(ids[q], by_id[a], ids[d]) for q in order for a, d in edges[q]], base.alphabet,
     )
 
 
-def _merge(base: Nfa | _Automaton) -> _Automaton:
-    """The ε-free automaton, every state of which is reachable from the
-    start (see :func:`_reachable`), on classes of its states: states with
-    the same finality and the same outgoing (label, target class) pairs are
-    merged until no two classes have both.  Merged states are bisimilar, so
-    under every valuation they accept the same words and a search may step
-    the classes in their place.  A class is numbered in the order of its
-    first state, and has that state's edges.
+def _merge(base: Nfa) -> _Automaton:
+    """The ε-free automaton on classes of its states reachable from the
+    start: states with the same finality and the same outgoing (label,
+    target class) pairs are merged until no two classes have both.  Merged
+    states are bisimilar, so under every valuation they accept the same
+    words and a search may step the classes in their place; the states no
+    word reaches take part in no search and are left out.  A class is
+    numbered in the order of its first state, and has that state's edges.
 
     Every state is visited once, last first, so that along the forward
     edges of the compiled automaton a target is mostly merged before its
@@ -381,22 +393,16 @@ def _merge(base: Nfa | _Automaton) -> _Automaton:
     a long chain of mergeable states costs about one pass rather than one
     pass per link.
     """
-    n = base.n_states
-    labels: dict[Label, int] = {}
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for src, label, dst in base.transitions:
-        edges[src].append((labels.setdefault(label, len(labels)), dst))
-        preds[dst].append(src)
+    labels, edges, preds, order = _walk(base)
     n_labels = len(labels)
     finals = base.finals
     # A class is named by one of its states, which it keeps while the name
     # lasts; a name absorbed by a merge never names a class again, so a
     # state found under a signature always stands for the right class.
-    cls = list(range(n))
+    cls = list(range(base.n_states))
     members: dict[int, list[int]] = {}  # the states of each class of two or more
     found: dict[tuple[bool, int | frozenset[int]], int] = {}  # a state per signature
-    work = list(range(n))
+    work = order
     while work:
         ahead = set(work)  # the states still to visit in this pass
         again: set[int] = set()
@@ -426,7 +432,7 @@ def _merge(base: Nfa | _Automaton) -> _Automaton:
         work = sorted(again)
     ids: dict[int, int] = {}
     firsts: list[int] = []
-    for q in range(n):
+    for q in order:
         if ids.setdefault(cls[q], len(firsts)) == len(firsts):
             firsts.append(q)
     by_id = list(labels)
@@ -434,8 +440,9 @@ def _merge(base: Nfa | _Automaton) -> _Automaton:
         (c, by_id[a], ids[cls[d]]) for c, q in enumerate(firsts) for a, d in edges[q]
     ]))
     return _Automaton(
-        len(firsts), ids[cls[base.initial]], frozenset(ids[cls[q]] for q in finals),
-        transitions, base.alphabet,
+        len(firsts), ids[cls[base.initial]],
+        frozenset(ids[cls[q]] for q in base.finals if q in preds), transitions,
+        base.alphabet,
     )
 
 
@@ -708,7 +715,7 @@ class _Masks:
 def _search_masks(base: Nfa, choices: Mapping[str, Sequence[str]]) -> _Masks:
     """The masks the searches step: the merged automaton's moves (see
     :func:`_merge`), pruned (see :func:`_prune`)."""
-    merged = _merge(_reachable(base))
+    merged = _merge(base)
     total, moves, start, n_fields = _moves(merged, choices)
     return _Masks(total, moves, _prune(moves, start, merged.finals), n_fields, merged.finals)
 
