@@ -12,12 +12,11 @@ stop at the first answer.  The certainty automaton, and the complement that
 possibility containment needs, number the mask states of the automaton as
 compiled, on its states reachable from the start.  The possibility union
 glues the instances' edges in one pass without ε-edges, over letters
-relabelled straight from the compiled automaton.  Certainty
-universality over letters takes its counterexample from the first instance
-that is not universal, complemented on the mask states of that one
-valuation.  A reported valuation is the first one in enumeration order.
-Nothing is approximated: caps make the exponential cases fail loudly
-instead.
+relabelled straight from the compiled automaton.  Certainty universality
+over letters takes its counterexample from the first instance that is not
+universal, complemented on the mask states of that one valuation.  A
+reported valuation is the first one in enumeration order.  Nothing is
+approximated: caps make the exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
@@ -319,10 +318,10 @@ def construct_nfa(
 _Moves = list[dict[int, list[tuple[int, int | None]]]]
 
 #: A mask state: one int of ``total``-bit fields, field q holding the
-#: valuations under which state q of the automaton (its states reachable
-#: from the start, see :func:`_reachable`, merged in the searches, see
-#: :func:`_merge`) is reached on one word.  States past the
-#: automaton's own are positions inside the images of :func:`_moves`.
+#: valuations under which state q of the automaton (on its reachable states,
+#: see :func:`_reachable`, and merged in the searches, see :func:`_merge`)
+#: is reached on one word.  States past the automaton's own are positions
+#: inside the images of :func:`_moves`.
 _MaskState = int
 
 
