@@ -7,10 +7,10 @@ word-labeled ("extended") transitions, which only appear on the regular-
 domain path and are expanded away by :func:`expand_extended`.
 
 Everything is immutable after construction and every algorithm is
-deterministic: products and witnesses are explored with letters in
-alphabet declaration order, so shortest witnesses on a deterministic
-automaton are also lexicographically least among the shortest (on a
-nondeterministic one they need not be, see :func:`is_empty`).
+deterministic: searches try letters in alphabet declaration order, so
+shortest witnesses on a deterministic automaton are also lexicographically
+least among the shortest (on a nondeterministic one they need not be, see
+:func:`is_empty`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from .errors import StateCapExceeded
 from .syntax import (
@@ -317,63 +317,6 @@ def trim(a: Nfa) -> Nfa:
 
 
 # ---------------------------------------------------------------------------
-# Boolean combinations
-
-
-def _require_plain(a: Nfa, op: str) -> None:
-    has_eps, has_var, has_word = a.label_kinds()
-    if has_var:
-        raise ValueError(f"{op} expects variable-free automata")
-    if has_word:
-        raise ValueError(f"{op} expects automata without word labels")
-    if has_eps:
-        raise ValueError(f"{op} expects epsilon-free automata")
-
-
-def _letter_adjacency(a: Nfa) -> dict[tuple[int, str], set[int]]:
-    adj: dict[tuple[int, str], set[int]] = defaultdict(set)
-    for src, label, dst in a.transitions:
-        adj[(src, label)].add(dst)
-    return adj
-
-
-def product(a: Nfa, b: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
-    """Synchronized product: accepts the intersection of the two languages;
-    raises :class:`~prx.errors.StateCapExceeded` past ``state_cap`` states."""
-    _require_plain(a, "product")
-    _require_plain(b, "product")
-    if a.alphabet != b.alphabet:
-        raise ValueError("product expects a shared alphabet")
-    adj_a = _letter_adjacency(a)
-    adj_b = _letter_adjacency(b)
-    start = (a.initial, b.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    queue: deque[tuple[int, int]] = deque([start])
-    transitions: list[tuple[int, Label, int]] = []
-    finals: set[int] = set()
-    while queue:
-        pair = queue.popleft()
-        sid = ids[pair]
-        qa, qb = pair
-        if qa in a.finals and qb in b.finals:
-            finals.add(sid)
-        for letter in a.alphabet:
-            for da in sorted(adj_a.get((qa, letter), ())):
-                for db in sorted(adj_b.get((qb, letter), ())):
-                    nxt = (da, db)
-                    nid = ids.get(nxt)
-                    if nid is None:
-                        if len(ids) >= state_cap:
-                            raise StateCapExceeded(
-                                f"product exceeded the cap of {state_cap} states"
-                            )
-                        nid = ids[nxt] = len(ids)
-                        queue.append(nxt)
-                    transitions.append((sid, letter, nid))
-    return Nfa(len(ids), 0, finals, transitions, a.alphabet)
-
-
-# ---------------------------------------------------------------------------
 # Decision procedures
 
 
@@ -408,12 +351,23 @@ def accepts(a: Nfa, w: str) -> bool:
     return False
 
 
+def _targets(a: Nfa) -> dict[tuple[int, int], list[int]]:
+    """Per (state, letter index) of an automaton over letters, the targets
+    of its edges in increasing order."""
+    index = {letter: i for i, letter in enumerate(a.alphabet.letters)}
+    targets: dict[tuple[int, int], set[int]] = defaultdict(set)
+    for src, label, dst in a.transitions:
+        targets[(src, index[label])].add(dst)
+    return {key: sorted(dsts) for key, dsts in targets.items()}
+
+
 def is_empty(a: Nfa) -> tuple[bool, str | None]:
     """(emptiness, witness): witness is a shortest accepted word, found by
-    breadth-first search with letters in alphabet order.  It is also the
-    lexicographically least of the shortest on a deterministic automaton;
-    on a nondeterministic one the search tries every letter from one state
-    before any from the next state reached by the same word."""
+    breadth-first search with letters in alphabet order (see
+    :func:`_search`).  It is also the lexicographically least of the
+    shortest on a deterministic automaton; on a nondeterministic one the
+    search tries every letter from one state before any from the next
+    state reached by the same word."""
     has_eps, has_var, has_word = a.label_kinds()
     if has_var:
         raise ValueError("is_empty expects a variable-free automaton")
@@ -422,30 +376,51 @@ def is_empty(a: Nfa) -> tuple[bool, str | None]:
         has_eps = a.label_kinds()[0]
     if has_eps:
         a = remove_epsilon(a)
-    adj = _letter_adjacency(a)
-    if a.initial in a.finals:
-        return False, ""
-    parents: dict[int, tuple[int, str]] = {}
-    visited = {a.initial}
-    queue: deque[int] = deque([a.initial])
+    targets = _targets(a)
+    letters = range(len(a.alphabet))
+    # The search discovers at most every state, so the cap never refuses it.
+    witness, _ = _search(
+        a.initial, lambda q: [(i, dst) for i in letters for dst in targets.get((q, i), ())],
+        a.finals.__contains__, a.alphabet, a.n_states,
+    )
+    return witness is None, witness
+
+
+def _search(
+    start: Hashable,
+    successors: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
+    wanted: Callable[[Hashable], bool],
+    alphabet: Alphabet,
+    state_cap: int,
+) -> tuple[str | None, int]:
+    """Breadth-first search from ``start`` for a ``wanted`` node, trying the
+    (letter index, node) pairs ``successors`` gives in their order.  Returns
+    the word of the first wanted node found (``None`` if there is none) and
+    the number of nodes discovered; raises
+    :class:`~prx.errors.StateCapExceeded` once that would exceed
+    ``state_cap``."""
+    if wanted(start):
+        return "", 1
+    parents: dict[Hashable, tuple[Hashable, int] | None] = {start: None}
+    queue: deque[Hashable] = deque([start])
     while queue:
-        q = queue.popleft()
-        for letter in a.alphabet:
-            for dst in sorted(adj.get((q, letter), ())):
-                if dst in visited:
-                    continue
-                visited.add(dst)
-                parents[dst] = (q, letter)
-                if dst in a.finals:
-                    chars = []
-                    cur = dst
-                    while cur != a.initial:
-                        prev, ch = parents[cur]
-                        chars.append(ch)
-                        cur = prev
-                    return False, "".join(reversed(chars))
-                queue.append(dst)
-    return True, None
+        node = queue.popleft()
+        for i, nxt in successors(node):
+            if nxt in parents:
+                continue
+            if len(parents) >= state_cap:
+                raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
+            parents[nxt] = (node, i)
+            if wanted(nxt):
+                chars = []
+                link = parents[nxt]
+                while link is not None:
+                    node, i = link
+                    chars.append(alphabet.letters[i])
+                    link = parents[node]
+                return "".join(reversed(chars)), len(parents)
+            queue.append(nxt)
+    return None, len(parents)
 
 
 # ---------------------------------------------------------------------------

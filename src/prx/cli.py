@@ -333,12 +333,12 @@ def build_nfa(expr, fmt, out, **raw):
         cfg = CliConfig.build(**raw)
         e = parse(expr, cfg.alphabet)
         a = construct_nfa(e, cfg.alphabet, cfg.semantics, **cfg.limits)
-        text = export_dot(a) if fmt == "dot" else export_json(a)
+        text = export_dot(a) if fmt == "dot" else export_json(a) + "\n"
         if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         else:
-            _echo(text)
+            _echo(text, nl=False)
     except _ERRORS as err:
         _fail(str(err))
     sys.exit(0)

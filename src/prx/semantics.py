@@ -6,17 +6,18 @@ Variables range over the letters, or over the words of per-variable regular
 domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
 and decides both the same way.  One engine steps the variable-labelled
 automaton under every valuation at once, on *mask states*.  Membership runs
-it once over the word.  Certainty nonemptiness, universality and containment
-search mask states of the automaton with its bisimilar states merged, and
-stop at the first answer.  The certainty automaton, and the complement that
-possibility containment needs, number the mask states of the automaton as
-compiled, on its states reachable from the start.  The possibility union
-glues the instances' edges in one pass without ε-edges, over letters
-relabelled straight from the compiled automaton.  Certainty universality
-over letters takes its counterexample from the first instance that is not
-universal, complemented on the mask states of that one valuation.  A
-reported valuation is the first one in enumeration order.  Nothing is
-approximated: caps make the exponential cases fail loudly instead.
+it once over the word.  Every other decision is one breadth-first search
+that stops at the first answer, over mask states of the automaton with its
+bisimilar states merged, or over pairs of them with the states of another
+automaton; no decision builds a product or a complement.  Certainty
+universality over letters takes its counterexample from the first instance
+that is not universal, searched on the mask states of that one valuation.
+The possibility union glues the instances' edges in one pass without
+ε-edges, over letters relabelled straight from the compiled automaton.  The
+certainty automaton numbers the mask states of the automaton as compiled,
+on its states reachable from the start.  A reported valuation is the first
+one in enumeration order.  Nothing is approximated: caps make the
+exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .automata import (
     Label,
     Nfa,
     VarLabel,
+    _search,
+    _targets,
     is_empty,
-    product,
     regex_to_nfa,
     remove_epsilon,
 )
@@ -76,14 +78,12 @@ class DecisionReport:
     witnesses or refutes the answer, when one exists; ``stats`` records how
     much work was done.  ``stats["valuations"]`` counts the valuations
     examined (membership) or combined (the others).  ``stats["states"]``
-    counts the states of the search that produced the answer: the mask
-    states discovered for certainty nonemptiness, universality and
-    certainty containment, over letters or domains (each one int of
-    per-state fields over the merged automaton, see :data:`_MaskState`),
-    and otherwise the states of the automaton the answer was read from
-    (the expression's own for membership; for certainty universality over
-    letters the complement of the first instance that is not universal, or
-    the expression's own when every instance is universal).
+    counts the nodes discovered by the search that gave the answer: mask
+    states (see :data:`_MaskState`), or pairs of them with mask states or
+    automaton states.  Membership reports the states of the expression's
+    own automaton, and so does certainty universality over letters when
+    every instance is universal; possibility nonemptiness reports those of
+    the automaton it searched.
     """
 
     answer: bool
@@ -184,13 +184,25 @@ def _construct(
         ), alphabet)
     masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
     on_live = masks.coreachable()
-
-    def alive(state: _MaskState) -> bool:
-        return masks.fold(state & on_live) == masks.full
-
-    if not alive(masks.start):
+    if masks.fold(masks.start & on_live) != masks.full:
         return Nfa(1, 0, (), (), alphabet), masks.total
-    states, transitions = _numbered(masks, alphabet, masks.start, alive, state_cap, "product")
+    # The live mask states, numbered breadth-first with the letters in
+    # alphabet order, and the edges between them in that order.
+    ids: dict[_MaskState, int] = {masks.start: 0}
+    states = [masks.start]
+    transitions: list[tuple[int, Label, int]] = []
+    for src, state in enumerate(states):  # grows while it is read
+        for i, letter in enumerate(alphabet.letters):
+            nxt = masks.step(state, i)
+            dst = ids.get(nxt)
+            if dst is None:
+                if masks.fold(nxt & on_live) != masks.full:
+                    continue
+                if len(ids) >= state_cap:
+                    raise StateCapExceeded(f"product exceeded the cap of {state_cap} states")
+                dst = ids[nxt] = len(states)
+                states.append(nxt)
+            transitions.append((src, letter, dst))
     finals = [q for q, state in enumerate(states) if masks.accepting(state) == masks.full]
     return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
 
@@ -239,50 +251,6 @@ def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet) -> tu
         offset += a.n_states
         n_vals += 1
     return Nfa(offset, 0, finals, sorted(set(starts)) + transitions, alphabet), n_vals
-
-
-def _complement(masks: _Masks, alphabet: Alphabet, state_cap: int) -> Nfa:
-    """The complement of the language the masks accept under some
-    valuation: their mask states numbered from node 0, with the finals
-    flipped.  No compiled automaton has an edge into its start, so node 0
-    is a node of its own.  The empty mask state is the sink, added last if
-    no word reaches it."""
-    states, transitions = _numbered(
-        masks, alphabet, None, lambda state: True, state_cap, "determinization"
-    )
-    if 0 not in states:
-        if len(states) >= state_cap:
-            raise StateCapExceeded(f"determinization exceeded the cap of {state_cap} states")
-        transitions += [(len(states), letter, len(states)) for letter in alphabet.letters]
-        states.append(0)
-    finals = [q for q, state in enumerate(states) if not masks.accepting(state)]
-    return Nfa(len(states), 0, finals, transitions, alphabet)
-
-
-def _numbered(
-    masks: _Masks, alphabet: Alphabet, start: Hashable, keep: Callable[[_MaskState], bool],
-    state_cap: int, what: str,
-) -> tuple[list[_MaskState], list[tuple[int, Label, int]]]:
-    """The mask states ``keep`` accepts reached from the start, node 0 named
-    ``start``, numbered breadth-first with the letters in alphabet order,
-    and the edges between them in that order; past ``state_cap`` of them,
-    :class:`~prx.errors.StateCapExceeded` says "``what`` exceeded"."""
-    ids: dict[Hashable, int] = {start: 0}
-    states = [masks.start]
-    transitions: list[tuple[int, Label, int]] = []
-    for src, state in enumerate(states):  # grows while it is read
-        for i, letter in enumerate(alphabet.letters):
-            nxt = masks.step(state, i)
-            dst = ids.get(nxt)
-            if dst is None:
-                if not keep(nxt):
-                    continue
-                if len(ids) >= state_cap:
-                    raise StateCapExceeded(f"{what} exceeded the cap of {state_cap} states")
-                dst = ids[nxt] = len(states)
-                states.append(nxt)
-            transitions.append((src, letter, dst))
-    return states, transitions
 
 
 def construct_nfa(
@@ -776,6 +744,40 @@ def _mask_search(
     return None, len(parents)
 
 
+def _pair_search(
+    a: Nfa,
+    start: Hashable,
+    step: Callable[[Hashable, int], Sequence[Hashable]],
+    wanted: Callable[[Hashable], bool],
+    state_cap: int,
+) -> tuple[str | None, int]:
+    """Breadth-first search of the pairs (state of the ε-free automaton a,
+    node of the other side) for one where the state is final and the node
+    ``wanted``; ``step`` gives a node's successors on a letter index in
+    increasing order, and none from a dead node.  Pairs are tried in the
+    order in which the synchronized product of a with the other side
+    numbers them breadth-first, so the word returned (``None`` if none) is
+    the one :func:`~prx.automata.is_empty` finds in that product; when the
+    other side is deterministic, the product with the sides swapped numbers
+    them alike.  Also returns the number of pairs discovered."""
+    targets = _targets(a)
+    letters = range(len(a.alphabet))
+
+    def successors(pair: tuple[int, Hashable]) -> list[tuple[int, tuple[int, Hashable]]]:
+        q, node = pair
+        out = []
+        for i in letters:
+            if ahead := targets.get((q, i)):
+                nexts = step(node, i)
+                out += [(i, (dst, nxt)) for dst in ahead for nxt in nexts]
+        return out
+
+    return _search(
+        (a.initial, start), successors, lambda pair: pair[0] in a.finals and wanted(pair[1]),
+        a.alphabet, state_cap,
+    )
+
+
 # ---------------------------------------------------------------------------
 # MEMBERSHIP
 
@@ -926,9 +928,8 @@ def universality(
     Over letters, certainty-universality holds iff every substituted
     instance is universal.  One breadth-first search over mask states finds
     the first valuation whose instance is not (see
-    :meth:`_Masks.first_non_universal`), and only that instance is
-    complemented (see :func:`_complement`); the counterexample is the
-    shortlex-least word it rejects.
+    :meth:`_Masks.first_non_universal`), and a second one, on the mask
+    states of that valuation alone, the shortlex-least word it rejects.
     Otherwise mask states are searched breadth-first for one whose final
     states miss some valuation (certainty) or hold none (possibility), for
     the shortlex-least word outside the language.
@@ -949,13 +950,17 @@ def universality(
         nu = valuation_at(choices, first)
         instance = _Masks(*_moves(base, {name: (image,) for name, image in nu.items()}),
                           base.finals)
-        rejected = _complement(instance, alphabet, state_cap)
-        _, cex = is_empty(rejected)
+        cex, n_states = _mask_search(
+            instance.start, instance.step, alphabet,
+            wanted=lambda s: not instance.accepting(s),
+            keep=lambda s: True,
+            state_cap=state_cap,
+        )
         return DecisionReport(
             answer=False,
             witness=cex,
             valuation=nu.as_dict(),
-            stats={"valuations": first + 1, "states": rejected.n_states},
+            stats={"valuations": first + 1, "states": n_states},
         )
     side = _search_masks(base, choices)
     cex, n_states = _mask_search(
@@ -993,8 +998,9 @@ def containment(
     pairs of mask states, one per side, breadth-first for a pair where e1
     accepts under every valuation and e2 not under some; pairs whose e1 side
     is dead are dropped, and the separator is shortlex-least.  Possibility
-    multiplies e1's union with e2's complement (see :func:`_complement`).
-    With ``domains`` the valuation space depends on the domains only, so
+    searches pairs of a state of e1's union and a mask state of e2 (see
+    :func:`_pair_search`) for a final state that no valuation of e2 accepts
+    at.  With ``domains`` the valuation space depends on the domains only, so
     both sides share it.
     """
     if domains is not None:
@@ -1006,13 +1012,15 @@ def containment(
         rhs_space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
     if sem is DIAMOND:
         lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
-        rhs = _instance_masks(e2, alphabet, rhs_space[1])
-        gap = product(lhs, _complement(rhs, alphabet, state_cap), state_cap)
-        empty, witness = is_empty(gap)
+        rhs = _search_masks(_compiled(e2, alphabet), rhs_space[1])
+        witness, n_states = _pair_search(
+            lhs, rhs.start, lambda s, i: (rhs.step(s, i),), lambda s: not rhs.accepting(s),
+            state_cap,
+        )
         return DecisionReport(
-            answer=empty,
+            answer=witness is None,
             witness=witness,
-            stats={"valuations": n_lhs + rhs.total, "states": gap.n_states},
+            stats={"valuations": n_lhs + rhs.total, "states": n_states},
         )
     lhs = _search_masks(_compiled(e1, alphabet), space[1])
     rhs = _search_masks(_compiled(e2, alphabet), rhs_space[1])
@@ -1044,17 +1052,34 @@ def nonempty_int_reg(
     word_cap: int = DEFAULT_WORD_CAP,
 ) -> DecisionReport:
     """Does the certainty/possibility language intersect the regular language
-    of the variable-free expression r?"""
+    of the variable-free expression r?
+
+    One breadth-first search of pairs with the states of r's automaton (see
+    :func:`_pair_search`) finds a shortest word in the intersection: of mask
+    states under certainty, dropping the dead ones as nonemptiness does, and
+    of the union's states under possibility."""
     if domains is not None:
         _check_spec_covers(domains, e)
     if variables(r):
         raise PrxError("the regular constraint must be variable-free")
     space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
-    lhs, n_vals = _construct(e, alphabet, sem, space, state_cap)
-    inter = product(lhs, _compiled(r, alphabet), state_cap)
-    empty, witness = is_empty(inter)
+    reg = _compiled(r, alphabet)
+    if sem is DIAMOND:
+        lhs, n_vals = _construct(e, alphabet, sem, space, state_cap)
+        on_reg = _targets(reg)
+        witness, n_states = _pair_search(
+            lhs, reg.initial, lambda q, i: on_reg.get((q, i), ()), reg.finals.__contains__,
+            state_cap,
+        )
+    else:
+        side = _search_masks(_compiled(e, alphabet), space[1])
+        n_vals = side.total
+        witness, n_states = _pair_search(
+            reg, side.start, lambda s, i: (nxt,) if side.alive(nxt := side.step(s, i)) else (),
+            lambda s: side.accepting(s) == side.full, state_cap,
+        )
     return DecisionReport(
-        answer=not empty,
+        answer=witness is not None,
         witness=witness,
-        stats={"valuations": n_vals, "states": inter.n_states},
+        stats={"valuations": n_vals, "states": n_states},
     )

@@ -2,14 +2,15 @@
 tests' reference for the automata it builds in one pass.
 
 :func:`determinize` is the subset construction of one automaton, as a
-:class:`Dfa`, and :func:`is_universal` reads its shortlex-least rejected
-word.  :func:`product_all` determinizes every instance and explores the
-tuples of their states; :func:`complement` and :func:`dfa_to_nfa` turn the
-subset construction of a union of instances, or of one instance, into the
-complement automaton that possibility containment multiplies with and
-certainty universality reads its counterexample from.  :func:`union_all`
-glues separate instances, made with :func:`~prx.valuations.apply_to_nfa`
-or :func:`apply_finitary`, into the possibility automaton.
+:class:`Dfa`, and :func:`first_rejected` and :func:`is_universal` read its
+shortlex-least rejected word.  :func:`product_all` determinizes every
+instance and explores the tuples of their states; :func:`complement` and
+:func:`dfa_to_nfa` turn the subset construction of a union of instances
+into its complement automaton.  :func:`union_all` glues separate
+instances, made with :func:`~prx.valuations.apply_to_nfa` or
+:func:`apply_finitary`, into the possibility automaton.  :func:`product`
+is the synchronized product of two automata, numbered breadth-first, whose
+emptiness the library decides by searching its pairs without building it.
 """
 
 from __future__ import annotations
@@ -113,8 +114,16 @@ def determinize(a: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 def is_universal(d: Dfa) -> tuple[bool, str | None]:
     """(universality, witness): witness is the shortest rejected word, the
     least of them with letters in alphabet order."""
+    witness, _ = first_rejected(d)
+    return witness is None, witness
+
+
+def first_rejected(d: Dfa) -> tuple[str | None, int]:
+    """The shortlex-least rejected word (``None`` if there is none), found
+    by a breadth-first walk with letters in alphabet order, and the number
+    of states that walk discovers up to it."""
     if d.initial not in d.finals:
-        return False, ""
+        return "", 1
     parents: dict[int, tuple[int, str]] = {}
     visited = {d.initial}
     queue: deque[int] = deque([d.initial])
@@ -133,9 +142,9 @@ def is_universal(d: Dfa) -> tuple[bool, str | None]:
                     prev, ch = parents[cur]
                     chars.append(ch)
                     cur = prev
-                return False, "".join(reversed(chars))
+                return "".join(reversed(chars)), len(visited)
             queue.append(dst)
-    return True, None
+    return None, len(visited)
 
 
 def apply_finitary(v: Valuation, a: Nfa) -> Nfa:
@@ -272,3 +281,46 @@ def product_all(automata: Sequence[Nfa], state_cap: int = DEFAULT_STATE_CAP) -> 
                 queue.append(nxt)
             transitions.append((sid, alphabet.letters[li], nid))
     return Nfa(len(ids), 0, finals, transitions, alphabet)
+
+
+def product(a: Nfa, b: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
+    """Synchronized product of two ε-free automata over letters: accepts the
+    intersection of the two languages.  Pairs are numbered breadth-first,
+    with letters in alphabet order and each side's targets in increasing
+    order; raises :class:`~prx.errors.StateCapExceeded` past ``state_cap``
+    states."""
+    if any(not isinstance(label, str) for side in (a, b) for _, label, _ in side.transitions):
+        raise ValueError("product expects automata over letters only")
+    if a.alphabet != b.alphabet:
+        raise ValueError("product expects a shared alphabet")
+    adj_a: dict[tuple[int, str], set[int]] = defaultdict(set)
+    for src, label, dst in a.transitions:
+        adj_a[(src, label)].add(dst)
+    adj_b: dict[tuple[int, str], set[int]] = defaultdict(set)
+    for src, label, dst in b.transitions:
+        adj_b[(src, label)].add(dst)
+    start = (a.initial, b.initial)
+    ids: dict[tuple[int, int], int] = {start: 0}
+    queue: deque[tuple[int, int]] = deque([start])
+    transitions: list[tuple[int, Label, int]] = []
+    finals: set[int] = set()
+    while queue:
+        pair = queue.popleft()
+        sid = ids[pair]
+        qa, qb = pair
+        if qa in a.finals and qb in b.finals:
+            finals.add(sid)
+        for letter in a.alphabet:
+            for da in sorted(adj_a.get((qa, letter), ())):
+                for db in sorted(adj_b.get((qb, letter), ())):
+                    nxt = (da, db)
+                    nid = ids.get(nxt)
+                    if nid is None:
+                        if len(ids) >= state_cap:
+                            raise StateCapExceeded(
+                                f"product exceeded the cap of {state_cap} states"
+                            )
+                        nid = ids[nxt] = len(ids)
+                        queue.append(nxt)
+                    transitions.append((sid, letter, nid))
+    return Nfa(len(ids), 0, finals, transitions, a.alphabet)

@@ -29,7 +29,6 @@ from prx.automata import (
     export_json,
     is_empty,
     nfa_to_json,
-    product,
     regex_to_nfa,
     remove_epsilon,
     trim,
@@ -39,7 +38,7 @@ from prx.semantics import BOX, DIAMOND, construct_nfa
 from prx.syntax import Alphabet, parse, variables
 from prx.valuations import DomainSpec, Valuation, apply_to_nfa
 from reference_automata import (
-    Dfa, complement, determinize, dfa_to_nfa, is_universal, product_all, union_all,
+    Dfa, complement, determinize, dfa_to_nfa, is_universal, product, product_all, union_all,
 )
 
 AB01 = Alphabet("01")

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prx
 from prx.cli import main
 from prx.semantics import BOX, DIAMOND, membership
 from prx.syntax import Alphabet, parse
@@ -173,23 +175,27 @@ class TestUniversalContainsIntersect:
         assert res.exit_code == 1
         assert res.output == (
             '{"answer": false, "witness": "11", "valuation": {"x": "0"}, '
-            '"stats": {"valuations": 1, "states": 14}}\n'
+            '"stats": {"valuations": 1, "states": 7}}\n'
         )
 
-    # The instance of x=0 has five subsets with the empty one: that of the
-    # first expression is appended after the search, that of the second is
-    # reached by an edge.
-    @pytest.mark.parametrize("expr", ["(0|1)*0|$x", "$x(0|1)*"])
-    def test_universal_box_caps_the_counterexample_instance(self, runner, expr):
+    # The search for the first non-universal valuation fits under both caps;
+    # the search of that one instance for its counterexample does not fit
+    # under the smaller.
+    @pytest.mark.parametrize("expr,witness,x,valuations,states", [
+        ("_|$x(0|1)*|1|11|(10|110|111(0|1))(0|1)*", "111", "0", 1, 11),
+        ("_|1(0|1)*|0|00|(01|001|000(0|1))(0|1)*|$x(0|1)*", "000", "1", 2, 8),
+    ], ids=["first-valuation", "second-valuation"])
+    def test_universal_box_caps_the_counterexample_instance(self, runner, expr, witness, x,
+                                                            valuations, states):
         args = ("universal", "--alphabet", "01", "--semantics", "box", "--expr", expr)
-        res = invoke(runner, *args, "--max-states", "4")
+        res = invoke(runner, *args, "--max-states", str(states - 1))
         assert (res.exit_code, res.stdout) == (2, "")
-        assert res.stderr == "error: determinization exceeded the cap of 4 states\n"
-        res = invoke(runner, *args, "--max-states", "5", "--output", "json")
+        assert res.stderr == f"error: search exceeded the cap of {states - 1} states\n"
+        res = invoke(runner, *args, "--max-states", str(states), "--output", "json")
         assert (res.exit_code, res.stderr) == (1, "")
         assert res.stdout == (
-            '{"answer": false, "witness": "", "valuation": {"x": "0"}, '
-            '"stats": {"valuations": 1, "states": 5}}\n'
+            f'{{"answer": false, "witness": "{witness}", "valuation": {{"x": "{x}"}}, '
+            f'"stats": {{"valuations": {valuations}, "states": {states}}}}}\n'
         )
 
     def test_contains_counterexample(self, runner):
@@ -210,6 +216,25 @@ class TestUniversalContainsIntersect:
         res = invoke(runner, "intersect", "--alphabet", "01", "--semantics", "diamond",
                      "--expr", "$x", "--regular", "1")
         assert res.exit_code == 0
+
+    def test_box_intersect_searches_past_the_product_cap(self, runner):
+        # The certainty automaton of the 16 instances alone has more than the
+        # default 65 536 states; the pairs are searched up to the first
+        # accepting one without building it.
+        args = ("intersect", "--alphabet", "01", "--semantics", "box",
+                "--expr", "(0|1)*$x1$x2$x3$x4(0|1)*", "--regular", "(0|1)*11")
+        res = invoke(runner, *args, "--witness")
+        assert (res.exit_code, res.output) == (0, "true\n0110000100111101011\n")
+        res = invoke(runner, *args, "--output", "json")
+        assert json.loads(res.output)["stats"] == {"valuations": 16, "states": 25185}
+
+    def test_diamond_contains_counts_the_pairs_discovered(self, runner):
+        res = invoke(runner, "contains", "--alphabet", "01", "--semantics", "diamond",
+                     "--lhs", "$x$y", "--rhs", "$x$x", "--output", "json")
+        assert res.output == (
+            '{"answer": false, "witness": "01", "valuation": null, '
+            '"stats": {"valuations": 6, "states": 7}}\n'
+        )
 
     def test_intersect_rejects_variables_in_regular(self, runner):
         res = invoke(runner, "intersect", "--alphabet", "01", "--expr", "$x",
@@ -298,35 +323,35 @@ class TestDomains:
 _BUILD_NFA_DIGESTS = [
     ('diamond', '($x1)*',
      'fd0eac97c47789a30badc47dc51d8e26d07309fe3a37924527acc87aca0a3353',
-     'a8094b1be1a489ec6a76635da400a477942733526e1c75074679f81e1f833823'),
+     'c66ffa78c013ba88ebd5dfd5b68256e3a24026ed7686ea7c005e5ba006b9e7e3'),
     ('diamond', '($x1$x2)*',
      'baafbaf185bfd9b5b9af0ac986555b5dbcd24f40f94fe26aa2dc7492068b84b2',
-     'c7e80c99aadaa54c0a01f37fb9f3c7377a529aeaa9006c977225279683175fac'),
+     '21f379396f92cd7b4c219beaca508b7f299422c1f83ae6ddb14b1969da63cc38'),
     ('diamond', '($x1$x2$x3)*',
      'c92cf0662df1cfe061c50aa6cdf0e40ef2adbd3de3677912a4de732421d78960',
-     '22317cc70fbbc8d0b6ed8cf5f29e00fbae23b394bff2d38080a7d46b2ee445ac'),
+     '42c43a9e54abe9cf1c4cf29f2298e0724b4ff9d8dccb0149320191d1110f044c'),
     ('diamond', '($x1$x2$x3$x4)*',
      'c377fe9c8a73fe1b5acf18868d674b86f8d5cd5390d936679014144b0929e244',
-     '4329f8f7f8658607a8253a3f860560f1d738ccd7bd1826ffac6eb63a05481b99'),
+     '1ad2a1b843719bef04d56849e8709eec2e87eb2823fc8b96c162f376ac41419f'),
     ('diamond', '($x1$x2$x3$x4$x5)*',
      'df491a995608a2309e03bfc4eecb1f2cac4da65daba23956d668bdbfa9bc8273',
-     '30285c74f215c61bb767c1aed67bc872006e538e7f9d2398a9b246324396ecf9'),
+     '79acb26596c584c9d137551d3437172a79a28212365289e55a271e7b73dae7ee'),
     ('diamond', '($x1$x2$x3$x4$x5$x6)*',
      '510b6253a5e23c443cdc8513781042f437d3e90ef62ef80ddd35d4d3222a7274',
-     '26095fe8f0e3de403a29da5f158be89fb0add38b2d596210a97456cc241154e9'),
+     '4edda7f1f443a89b69cecf687b81d4c86ec7a0542c2c46e94daf97377ae8c869'),
     ('diamond', '($x1$x2$x3$x4$x5$x6$x7)*',
      '119092730325bd2a2897e9affd6d6088997295e95437519245a1344d7cd8af47',
-     'add61d1c8a1e2c666019de9094410790d49d3254d542d5e7e718526aa6fc8b7c'),
+     '955ddb967ede4b4b36da582bce11ee287643a06daa4a54ee254f36251fddd100'),
     # Relabelling moves the start's letter edge 1 behind its variable edges 0.
     ('diamond', '($x|$y|1)*0',
      '79ae279cf8d04f89ac7bef1c27570c470fb3447086cd9093c9fc1ed634e0ee0b',
-     '84852c9abb347165d506aaa4e975a4029bb91ddb4bfeb5c412c943f75ea10d27'),
+     'b04f7b54628e1c20cdee4f4afe49a26e5e36ba69e8a2d066824bf3227d626fa2'),
     ('box', '((0|1)(0|1))*$x1$x2((0|1)(0|1))*',
      'c559c8545c6fce29072a05bfbcab0aba142cd249a6e174a37e82ae8c16107e69',
-     'f73f7b35e37d7871fdfb10de858d925055f6c5ca010daaaa8df4decf2b16c364'),
+     '875194f92557050a65d08b20bcbb5a37845c2356f30028b58ce57ee9da300d62'),
     ('box', '(0|1)*$x1$x2(0|1)*',
      '0b632fbe91509df7dbb9c844af6bbd63c5b46145f7f9e5bbcd6605d1c99a9e0d',
-     'c9ff6b21e6a044e4105ce1e51dede9fadc669bde5f6384f9076d1c982a5abad8'),
+     'c06ff09afa6924801699fde2a6feaa53cc5c32cb130979890ae6363885a0112d'),
 ]
 
 # Certainty over domains, on the enumerate and the finitary route, where
@@ -334,10 +359,10 @@ _BUILD_NFA_DIGESTS = [
 _DOMAIN_BUILD_NFA_DIGESTS = [
     ('box', '(0|1)*$x 1', '{"x": "01|1|_"}',
      'e664e2df7a5b36086fe0412c427ccdca11db242aac576b28f43749402b3618ac',
-     'daef78006f88394ac21e4bd7076bc3ab60df7c328024843a96bf8fc6dfd215fd'),
+     '0ca9ba6be586f0cdc05d3c48437cc39631570eca55d72eb16b188d7ed52e98d1'),
     ('box', '(0|1)*$x(0|1)*|$y', '{"x": "01|10", "y": "1*"}',
      '9af332349a8c598f8e09cbdd284b37bb610f7ff80c4fd4b2de944336404f5e23',
-     '8c6602ac5f6c890fe5d19e989e32892d53d145db8750e819aee90b0528e86595'),
+     '8e42daeac15f77fbfcde1b08e43a580ed421e7991a21d012069438eacd3fc374'),
 ]
 _PINNED = [(sem, expr, None, j, d) for sem, expr, j, d in _BUILD_NFA_DIGESTS]
 _PINNED += _DOMAIN_BUILD_NFA_DIGESTS
@@ -402,7 +427,7 @@ class TestBuildNfa:
         assert (res.exit_code, res.stderr) == (0, "")
         assert res.stdout == (
             'digraph nfa {\n  rankdir=LR;\n  __start [shape=point, label=""];\n'
-            '  q0 [shape=circle, label="q0"];\n  __start -> q0;\n}\n\n'
+            '  q0 [shape=circle, label="q0"];\n  __start -> q0;\n}\n'
         )
         res = invoke(runner, "build-nfa", "--alphabet", "01", "--semantics", "box",
                      "--expr", "(0|1)*$x(0|1)*", "--max-states", "2")
@@ -512,11 +537,19 @@ class TestDeterminismAndAgreement:
             assert (res.exit_code == 0) == want
 
 
+def child_env() -> dict[str, str]:
+    """The environment with the directory of the imported prx package first
+    on ``PYTHONPATH``, so that a child interpreter imports the same one."""
+    src = os.path.dirname(os.path.dirname(prx.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "prx.cli", "member", "--alphabet", "01",
          "--semantics", "diamond", "--expr", "(0$x)*1($x$y)*", "--word", "01110"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "true\n"
@@ -551,7 +584,7 @@ class TestErrorsAndStreams:
             spec.write_text(domains)
             args = args + ["--domains", str(spec)]
         proc = subprocess.run([sys.executable, "-m", "prx.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr

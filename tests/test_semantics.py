@@ -30,9 +30,7 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.semantics import (
-    _complement, _compiled, _construct, _instance_masks, _Masks, _moves, _step, _valuation_space,
-)
+from prx.semantics import _compiled, _construct, _moves, _step, _valuation_space
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
 )
@@ -50,7 +48,8 @@ from prx.valuations import (
 import oracles
 from prx import valuations
 from reference_automata import (
-    apply_finitary, complement, determinize, dfa_to_nfa, is_universal, product_all, union_all,
+    apply_finitary, complement, determinize, dfa_to_nfa, first_rejected, product, product_all,
+    union_all,
 )
 
 AB = Alphabet("01")
@@ -423,6 +422,17 @@ class TestNonemptyIntReg:
     def test_rejects_variables_in_constraint(self):
         with pytest.raises(PrxError):
             nonempty_int_reg(parse("$x", AB), parse("$y", AB), AB, DIAMOND)
+
+    def test_diamond_pairs_come_in_product_order(self):
+        # After 0 the union is in states d1 < d2 (01's, then 00's) and r in
+        # n1 < n2 (00's, then 01's).  The product numbers (d1, n2), which
+        # reads 1 next, before (d2, n1), which reads 0: the witness is 01,
+        # although 00 is also in both.  Containment in 1 meets d1 first too.
+        lhs = parse("01|00", AB)
+        rep = nonempty_int_reg(lhs, parse("00|01", AB), AB, DIAMOND)
+        assert (rep.answer, rep.witness) == (True, "01")
+        rep = containment(lhs, parse("1", AB), AB, DIAMOND)
+        assert (rep.answer, rep.witness) == (False, "01")
 
 
 # ---------------------------------------------------------------------------
@@ -874,15 +884,15 @@ class TestMaskSearchOverDomains:
 
 def instance_by_instance(e, alphabet):
     """Box universality over letters the long way: each instance
-    determinized in enumeration order up to the first that is not universal."""
+    determinized in enumeration order up to the first that is not universal,
+    whose subsets a breadth-first walk discovers up to the first rejected."""
     base = remove_epsilon(regex_to_nfa(e, alphabet))
     count = 0
     for nu in enumerate_valuations(variables(e), alphabet):
         count += 1
-        d = determinize(apply_to_nfa(nu, base))
-        ok, cex = is_universal(d)
-        if not ok:
-            stats = {"valuations": count, "states": d.n_states}
+        cex, discovered = first_rejected(determinize(apply_to_nfa(nu, base)))
+        if cex is not None:
+            stats = {"valuations": count, "states": discovered}
             return DecisionReport(False, cex, nu.as_dict(), stats)
     return DecisionReport(True, None, None, {"valuations": count, "states": base.n_states})
 
@@ -937,7 +947,7 @@ class TestBoxUniversality:
             "answer": False,
             "witness": "11",
             "valuation": {"x": "0"},
-            "stats": {"valuations": 1, "states": 14},
+            "stats": {"valuations": 1, "states": 7},
         }
 
     def test_every_instance_universal_at_k8(self):
@@ -1122,9 +1132,11 @@ def reference_search(problem, alphabet, sem, e1, e2=None, domains=None, state_ca
             return DecisionReport(True, None, None,
                                   {"valuations": side.total, "states": base.n_states})
         nu = valuation_at(choices, first)
-        d = determinize(apply_to_nfa(nu, base), state_cap)
-        return DecisionReport(False, is_universal(d)[1], nu.as_dict(),
-                              {"valuations": first + 1, "states": d.n_states})
+        cex, discovered = first_rejected(determinize(apply_to_nfa(nu, base)))
+        if discovered > state_cap:
+            raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
+        return DecisionReport(False, cex, nu.as_dict(),
+                              {"valuations": first + 1, "states": discovered})
     cex, n = reference_mask_search(
         side.start, side.step, alphabet,
         (lambda s: side.accepting(s) != side.full) if sem is BOX
@@ -1249,12 +1261,11 @@ SHARED_CHAINS = (
 
 
 class TestCombinedOnMaskStates:
-    """The certainty product and the possibility complement, built on mask
-    states, against the instances' subset constructions combined, and the
-    possibility union, glued in one pass, against the instances glued one
-    by one: the same states, finals and transitions in order, and the same
-    cap errors, but for the certainty product, which determinizes no
-    instance on its own."""
+    """The certainty product, built on mask states, against the instances'
+    subset constructions combined, and the possibility union, glued in one
+    pass, against the instances glued one by one: the same states, finals
+    and transitions in order, and the same cap errors, but for the
+    certainty product, which determinizes no instance on its own."""
 
     def compare(self, tally, e, alphabet, route, choices, small_cap, spec=None):
         instances = reference_instances(e, alphabet, route, choices)
@@ -1273,12 +1284,6 @@ class TestCombinedOnMaskStates:
             got = built(lambda: construct_nfa(e, alphabet, DIAMOND, state_cap=cap, domains=spec))
             assert got == built(lambda: union_all(instances, alphabet)), (e, route)
             tally["union"] += 1
-            got = built(lambda: _complement(_instance_masks(e, alphabet, choices), alphabet, cap))
-            want = built(lambda: dfa_to_nfa(
-                complement(determinize(union_all(instances, alphabet), cap))
-            ))
-            assert got == want, (e, route)
-            tally["complement refused" if isinstance(got, str) else "complement"] += 1
 
     def test_letters(self):
         rng = random.Random(4141)
@@ -1309,34 +1314,92 @@ class TestCombinedOnMaskStates:
         assert min(tally.values()) >= 10, tally
 
 
-class TestInstanceComplement:
-    """The complement of one instance that box universality reads its
-    counterexample from, numbered on the mask states of one valuation,
-    against the instance's subset construction with its finals flipped:
-    the same states, finals and transitions in order, and the same cap
-    errors."""
+# ---------------------------------------------------------------------------
+# the pair searches against the emptiness of the products they replaced
 
-    def test_every_letter_valuation(self):
-        rng = random.Random(4147)
+
+class TestPairSearches:
+    """Intersection with a regular language under both semantics, and
+    possibility containment, searched pair by pair, against is_empty of the
+    product of the reference-built automata: the same answer, witness and
+    valuation count, never more states than that product has, and a
+    refusal only where the reference refused."""
+
+    def compare(self, tally, kind, decide, reference, small_cap):
+        for cap in (65536, small_cap):
+            got = outcome(lambda: decide(cap))
+            try:
+                gap, n_vals = reference(cap)
+            except StateCapExceeded:
+                tally["refused" if isinstance(got, str) else "answered past the cap"] += 1
+                continue
+            assert not isinstance(got, str), (kind, got)
+            empty, witness = is_empty(gap)
+            answer = empty if kind == "contains" else not empty
+            assert (got.answer, got.witness, got.valuation, got.stats["valuations"]) == (
+                answer, witness, None, n_vals
+            ), kind
+            assert got.stats["states"] <= gap.n_states, kind
+            tally[kind] += 1
+
+    def sweep(self, tally, alphabet, e, e2, r, route, choices, rhs_choices, spec, small_cap):
+        """Box and diamond intersection of e with r, and diamond containment
+        of e in e2, on the valuations of ``choices`` (``rhs_choices`` for e2)."""
+        reg = _compiled(r, alphabet)
+        instances = reference_instances(e, alphabet, route, choices)
+        self.compare(
+            tally, "box intersect",
+            lambda cap: nonempty_int_reg(e, r, alphabet, BOX, state_cap=cap, domains=spec),
+            lambda cap: (product(product_all(instances, cap), reg, cap), len(instances)),
+            small_cap,
+        )
+        if route == "finitary":
+            return
+        union = union_all(instances, alphabet)
+        self.compare(
+            tally, "diamond intersect",
+            lambda cap: nonempty_int_reg(e, r, alphabet, DIAMOND, state_cap=cap, domains=spec),
+            lambda cap: (product(union, reg, cap), len(instances)),
+            small_cap,
+        )
+        rhs = reference_instances(e2, alphabet, route, rhs_choices)
+        self.compare(
+            tally, "contains",
+            lambda cap: containment(e, e2, alphabet, DIAMOND, state_cap=cap, domains=spec),
+            lambda cap: (product(union, dfa_to_nfa(complement(
+                determinize(union_all(rhs, alphabet), cap))), cap), len(instances) + len(rhs)),
+            small_cap,
+        )
+
+    def test_letters(self):
+        rng = random.Random(4151)
         tally = collections.Counter()
-        for alphabet, count in ((AB, 150), (ABC, 50)):
+        for alphabet, count in ((AB, 150), (ABC, 60), (Alphabet("ba"), 60)):
             for _ in range(count):
-                e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 14),
+                e, e2 = (
+                    oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 12),
                                         var_prob=0.4)
-                base = _compiled(e, alphabet)
-                choices = _valuation_space(e, alphabet, BOX, None, 10**6, 10**4)[1]
-                for nu in valuations_from(choices):
-                    instance = apply_to_nfa(nu, base)
-                    # As universality builds it.
-                    masks = _Masks(*_moves(base, {n: (image,) for n, image in nu.items()}),
-                                   base.finals)
-                    for cap in (1, 2, 3, 4, 6, 65536):
-                        got = built(lambda: _complement(masks, alphabet, cap))
-                        want = built(lambda: dfa_to_nfa(
-                            complement(determinize(instance, cap))
-                        ))
-                        assert got == want, (e, nu, cap)
-                        tally["refused" if isinstance(got, str) else "built"] += 1
+                    for _ in range(2)
+                )
+                r = oracles.random_expr(rng, alphabet, (), rng.randint(2, 8))
+                choices, rhs_choices = (
+                    _valuation_space(side, alphabet, BOX, None, 10**6, 10**4)[1]
+                    for side in (e, e2)
+                )
+                self.sweep(tally, alphabet, e, e2, r, "letters", choices, rhs_choices, None,
+                           small_cap=6)
+        assert min(tally.values()) >= 10, tally
+
+    def test_domains(self):
+        rng = random.Random(4153)
+        tally = collections.Counter()
+        for _ in range(200):
+            e, spec, _, _ = random_domain_case(rng, infinite=rng.random() < 0.4)
+            e2 = oracles.random_expr(rng, AB, spec.names, rng.randint(2, 9), var_prob=0.45)
+            r = oracles.random_expr(rng, AB, (), rng.randint(2, 8))
+            route = "finitary" if spec.infinite_variables() else "enumerate"
+            choices = domain_choices(spec, finitary=route == "finitary")
+            self.sweep(tally, AB, e, e2, r, route, choices, choices, spec, small_cap=4)
         assert min(tally.values()) >= 10, tally
 
 
