@@ -82,18 +82,16 @@ def _label_sort_key(label: Label):
 
 
 class Nfa:
-    """A nondeterministic finite automaton with a single initial state."""
+    """A nondeterministic finite automaton with a single initial state.
+
+    The constructor checks an automaton from outside the library: states in
+    range, and every letter, a word label's too, in the alphabet.  The
+    library builds its own, in range by construction, through :meth:`_built`."""
 
     __slots__ = ("n_states", "initial", "finals", "transitions", "alphabet")
 
-    def __init__(
-        self,
-        n_states: int,
-        initial: int,
-        finals: Iterable[int],
-        transitions: Iterable[tuple[int, Label, int]],
-        alphabet: Alphabet,
-    ):
+    def __init__(self, n_states: int, initial: int, finals: Iterable[int],
+                 transitions: Iterable[tuple[int, Label, int]], alphabet: Alphabet):
         finals = frozenset(finals)
         transitions = tuple(transitions)
         if not 0 <= initial < n_states:
@@ -103,16 +101,25 @@ class Nfa:
         for src, label, dst in transitions:
             if not (0 <= src < n_states and 0 <= dst < n_states):
                 raise ValueError(f"transition endpoint out of range: {(src, label, dst)}")
+            if isinstance(label, WordLabel):  # checked as its first foreign letter
+                label = next((ch for ch in label.word if ch not in alphabet), label.word[0])
             if isinstance(label, str):
                 if label not in alphabet:
                     raise ValueError(f"letter {label!r} is not in the alphabet")
-            elif not isinstance(label, (VarLabel, WordLabel, _EpsilonLabel)):
+            elif not isinstance(label, (VarLabel, _EpsilonLabel)):
                 raise ValueError(f"bad transition label: {label!r}")
-        self.n_states = n_states
-        self.initial = initial
-        self.finals = finals
-        self.transitions = transitions
-        self.alphabet = alphabet
+        self.n_states, self.initial, self.finals = n_states, initial, finals
+        self.transitions, self.alphabet = transitions, alphabet
+
+    @classmethod
+    def _built(cls, n_states: int, initial: int, finals: Iterable[int],
+               transitions: Iterable[tuple[int, Label, int]], alphabet: Alphabet) -> Nfa:
+        """An automaton the library built itself, frozen as the constructor
+        freezes one but not checked."""
+        a = cls.__new__(cls)
+        a.n_states, a.initial, a.alphabet = n_states, initial, alphabet
+        a.finals, a.transitions = frozenset(finals), tuple(transitions)
+        return a
 
     def label_kinds(self) -> tuple[bool, bool, bool]:
         """(has epsilon, has variable, has word) label flags."""
@@ -190,7 +197,7 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
             elif not isinstance(node, EmptySet):
                 raise TypeError(f"not an expression node: {node!r}")
     start, end = ends[0]
-    return Nfa(counter, start, {end}, transitions, alphabet)
+    return Nfa._built(counter, start, {end}, transitions, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +260,7 @@ def remove_epsilon(a: Nfa) -> Nfa:
         if edge != last:
             transitions.append(edge)
             last = edge
-    return Nfa(a.n_states, a.initial, finals, transitions, a.alphabet)
+    return Nfa._built(a.n_states, a.initial, finals, transitions, a.alphabet)
 
 
 def expand_extended(a: Nfa) -> Nfa:
@@ -277,7 +284,7 @@ def expand_extended(a: Nfa) -> Nfa:
             prev = counter
             counter += 1
         transitions.append((prev, word[-1], dst))
-    return Nfa(counter, a.initial, a.finals, transitions, a.alphabet)
+    return Nfa._built(counter, a.initial, a.finals, transitions, a.alphabet)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -304,7 +311,7 @@ def trim(a: Nfa) -> Nfa:
                 stack.append(p)
     keep = sorted(reachable & co)
     if a.initial not in keep:
-        return Nfa(1, 0, (), (), a.alphabet)
+        return Nfa._built(1, 0, (), (), a.alphabet)
     renum = {q: i for i, q in enumerate(keep)}
     kept_set = set(keep)
     transitions = [
@@ -313,7 +320,7 @@ def trim(a: Nfa) -> Nfa:
         if src in kept_set and dst in kept_set
     ]
     finals = {renum[q] for q in a.finals if q in kept_set}
-    return Nfa(len(keep), renum[a.initial], finals, transitions, a.alphabet)
+    return Nfa._built(len(keep), renum[a.initial], finals, transitions, a.alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .automata import (
     DEFAULT_STATE_CAP,
@@ -161,7 +161,8 @@ def _construct(
     state_cap: int,
 ) -> tuple[Nfa, int]:
     """The combined automaton over the valuation space (see
-    :func:`_valuation_space`), and the number of valuations combined.
+    :func:`_valuation_space`), and the number of valuations combined; both
+    constructions refuse past ``state_cap`` states.
 
     Possibility glues the instances into one union without ε-edges (see
     :func:`_union`): a new start 0 with the edges of every instance's start,
@@ -181,11 +182,11 @@ def _construct(
         return _union((
             (base or _compiled(apply_to_regex(nu, e), alphabet), nu)
             for nu in valuations_from(choices)
-        ), alphabet)
+        ), alphabet, state_cap)
     masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
     on_live = masks.coreachable()
     if masks.fold(masks.start & on_live) != masks.full:
-        return Nfa(1, 0, (), (), alphabet), masks.total
+        return Nfa._built(1, 0, (), (), alphabet), masks.total
     # The live mask states, numbered breadth-first with the letters in
     # alphabet order, and the edges between them in that order.
     ids: dict[_MaskState, int] = {masks.start: 0}
@@ -204,13 +205,15 @@ def _construct(
                 states.append(nxt)
             transitions.append((src, letter, dst))
     finals = [q for q, state in enumerate(states) if masks.accepting(state) == masks.full]
-    return Nfa(len(states), 0, finals, transitions, alphabet), masks.total
+    return Nfa._built(len(states), 0, finals, transitions, alphabet), masks.total
 
 
-def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet) -> tuple[Nfa, int]:
+def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet,
+           state_cap: int) -> tuple[Nfa, int]:
     """The union of the ε-free instances, each a compiled automaton with the
     valuation that relabels its variable edges, glued without ε-edges, and
-    the number of instances.
+    the number of instances; refused before an instance would take its
+    states, start included, past ``state_cap`` (``union exceeded …``).
 
     Node 0 has the edges of every instance's start, and is final when one
     of those starts is; each instance's states follow in turn.  The edges
@@ -225,6 +228,8 @@ def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet) -> tu
     finals: list[int] = []
     offset, n_vals, last = 1, 0, None
     for a, nu in instances:
+        if offset + a.n_states > state_cap:
+            raise StateCapExceeded(f"union exceeded the cap of {state_cap} states")
         if a is not last:  # each compiled automaton is coded once
             last = a
             labels: dict[Label, int] = {}
@@ -250,7 +255,7 @@ def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet) -> tu
         finals += [q + offset for q in a.finals]
         offset += a.n_states
         n_vals += 1
-    return Nfa(offset, 0, finals, sorted(set(starts)) + transitions, alphabet), n_vals
+    return Nfa._built(offset, 0, finals, sorted(set(starts)) + transitions, alphabet), n_vals
 
 
 def construct_nfa(
@@ -269,9 +274,10 @@ def construct_nfa(
     synchronized product of their subset constructions, without the tuples
     where some instance can no longer accept, numbered on mask states whose
     fields are the compiled automaton's reachable states (see
-    :func:`_construct`).  With ``domains`` the variables range over their
-    regular domains: total valuations when every domain is finite, finitary
-    ones otherwise (see :func:`_valuation_space`).
+    :func:`_construct`).  Either refuses past ``state_cap`` states.  With
+    ``domains`` the variables range over their regular domains: total
+    valuations when every domain is finite, finitary ones otherwise (see
+    :func:`_valuation_space`).
     """
     space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
     return _construct(e, alphabet, sem, space, state_cap)[0]
@@ -291,19 +297,6 @@ _Moves = list[dict[int, list[tuple[int, int | None]]]]
 #: is reached on one word.  States past the automaton's own are positions
 #: inside the images of :func:`_moves`.
 _MaskState = int
-
-
-class _Automaton(NamedTuple):
-    """An ε-free automaton in the attributes :func:`_moves` reads from an
-    :class:`~prx.automata.Nfa`, built without an automaton's checks: the
-    part of one reachable from its start (see :func:`_reachable`), or that
-    part with its bisimilar states merged (see :func:`_merge`)."""
-
-    n_states: int
-    initial: int
-    finals: frozenset[int]
-    transitions: list[tuple[int, Label, int]]
-    alphabet: Alphabet
 
 
 def _walk(
@@ -329,7 +322,7 @@ def _walk(
     return labels, edges, preds, order
 
 
-def _reachable(base: Nfa) -> Nfa | _Automaton:
+def _reachable(base: Nfa) -> Nfa:
     """The ε-free automaton on its states reachable from the start, kept in
     their order and numbered from 0, each with its edges; ``base`` itself
     when every state is reachable."""
@@ -338,13 +331,12 @@ def _reachable(base: Nfa) -> Nfa | _Automaton:
         return base
     ids = {q: i for i, q in enumerate(order)}
     by_id = list(labels)
-    return _Automaton(
-        len(order), ids[base.initial], frozenset(ids[q] for q in base.finals if q in ids),
-        [(ids[q], by_id[a], ids[d]) for q in order for a, d in edges[q]], base.alphabet,
-    )
+    transitions = ((ids[q], by_id[a], ids[d]) for q in order for a, d in edges[q])
+    finals = (ids[q] for q in base.finals if q in ids)
+    return Nfa._built(len(order), ids[base.initial], finals, transitions, base.alphabet)
 
 
-def _merge(base: Nfa) -> _Automaton:
+def _merge(base: Nfa) -> Nfa:
     """The ε-free automaton on classes of its states reachable from the
     start: states with the same finality and the same outgoing (label,
     target class) pairs are merged until no two classes have both.  Merged
@@ -403,18 +395,14 @@ def _merge(base: Nfa) -> _Automaton:
         if ids.setdefault(cls[q], len(firsts)) == len(firsts):
             firsts.append(q)
     by_id = list(labels)
-    transitions = list(dict.fromkeys([
-        (c, by_id[a], ids[cls[d]]) for c, q in enumerate(firsts) for a, d in edges[q]
-    ]))
-    return _Automaton(
-        len(firsts), ids[cls[base.initial]],
-        frozenset(ids[cls[q]] for q in base.finals if q in preds), transitions,
-        base.alphabet,
-    )
+    transitions = dict.fromkeys(  # in order, without duplicates
+        (c, by_id[a], ids[cls[d]]) for c, q in enumerate(firsts) for a, d in edges[q])
+    return Nfa._built(len(firsts), ids[cls[base.initial]],
+                      (ids[cls[q]] for q in finals if q in preds), transitions, base.alphabet)
 
 
 def _moves(
-    base: Nfa | _Automaton, choices: Mapping[str, Sequence[str]], chain_per_edge: bool = False
+    base: Nfa, choices: Mapping[str, Sequence[str]], chain_per_edge: bool = False
 ) -> tuple[int, _Moves, tuple[tuple[int, int], ...], int]:
     """The edges of the ε-free automaton under every valuation at once: the
     number of valuations (see :func:`letter_masks`), the moves, the start

@@ -413,6 +413,36 @@ def test_is_universal_shortest_rejected_word():
 
 
 # ---------------------------------------------------------------------------
+# the constructor's checks
+
+
+def test_constructor_refuses_bad_automata_and_foreign_images():
+    """The public constructor checks every automaton from outside the
+    library; a word label's letters are checked there too, and so is what
+    apply_to_nfa builds from the caller's valuation."""
+    cases = [
+        ((2, 2, (), ()), "initial state out of range"),
+        ((2, 0, (2,), ()), "final state out of range"),
+        ((2, 0, (1,), [(0, "0", 2)]), "transition endpoint out of range: (0, '0', 2)"),
+        ((2, 0, (1,), [(0, "2", 1)]), "letter '2' is not in the alphabet"),
+        ((2, 0, (1,), [(0, 7, 1)]), "bad transition label: 7"),
+        ((2, 0, (1,), [(0, "0", 1), (0, WordLabel("0a"), 1)]), "letter 'a' is not in the alphabet"),
+    ]
+    for args, text in cases:
+        with pytest.raises(ValueError) as info:
+            Nfa(*args, AB01)
+        assert str(info.value) == text, args
+    a = regex_to_nfa(parse("$x 1", AB01), AB01)
+    for image, text in (("9", "letter '9' is not in the alphabet"),
+                        ("19", "letter '9' is not in the alphabet")):
+        with pytest.raises(ValueError) as info:
+            apply_to_nfa(Valuation({"x": image}), a)
+        assert str(info.value) == text, image
+    # What the checks accept.
+    Nfa(2, 0, (1,), [(0, WordLabel("01"), 1), (1, VarLabel("x"), 0), (0, EPSILON, 1)], AB01)
+
+
+# ---------------------------------------------------------------------------
 # trim / product_all
 
 

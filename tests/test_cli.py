@@ -434,6 +434,17 @@ class TestBuildNfa:
         assert (res.exit_code, res.stdout) == (2, "")
         assert res.stderr == "error: product exceeded the cap of 2 states\n"
 
+    def test_possibility_union_honours_the_state_cap(self, runner):
+        # 8 instances of 8 states each, and the union's own start.
+        args = ["build-nfa", "--alphabet", "01", "--semantics", "diamond",
+                "--expr", "($x1$x2$x3)*", "--format", "json"]
+        res = invoke(runner, *args, "--max-states", "65")
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert json.loads(res.stdout)["states"] == 65
+        res = invoke(runner, *args, "--max-states", "64")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: union exceeded the cap of 64 states\n"
+
     def test_domains_construction(self, runner, tmp_path):
         spec = tmp_path / "domains.json"
         spec.write_text('{"x": "00|01"}')
@@ -670,6 +681,26 @@ class TestErrorsAndStreams:
         assert res.stdout == ""
         if "--domains" in args:
             assert res.stderr == "error: search exceeded the cap of 4 states\n"
+
+    @pytest.mark.parametrize("args", [
+        ["nonempty", "--expr", "$x$y", "--domains", '{"x": "0|1", "y": "00|11"}'],
+        ["contains", "--lhs", "$x$y", "--rhs", "(0|1)*"],
+        ["intersect", "--expr", "$x$y", "--regular", "(0|1)*"],
+    ], ids=["nonempty-domains", "contains", "intersect"])
+    def test_possibility_unions_honour_the_state_cap(self, runner, tmp_path, args):
+        # Over letters the union of $x$y has 4 instances of 4 states each
+        # and its own start: 17 states.
+        domains = args[-1] if "--domains" in args else None
+        if domains is not None:
+            args = args[:-2]
+        res = invoke_over_01(runner, tmp_path, domains,
+                             [*args, "--semantics", "diamond", "--max-states", "16"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: union exceeded the cap of 16 states\n"
+        if domains is None:
+            res = invoke_over_01(runner, tmp_path, None,
+                                 [*args, "--semantics", "diamond", "--max-states", "17"])
+            assert (res.exit_code, res.stdout) == (0, "true\n")
 
     def test_universal_box_checks_the_valuation_cap_before_searching(self, runner):
         # At --max-states 1 the search itself would be refused; the 8

@@ -9,11 +9,13 @@ import random
 import pytest
 
 from prx.automata import (
+    Nfa,
     accepts,
     expand_extended,
     is_empty,
     regex_to_nfa,
     remove_epsilon,
+    trim,
 )
 from prx.constructions import family_box_doubleexp, family_box_subword, family_diamond_power
 from prx.errors import CountCapExceeded, DomainNotFinite, PrxError, StateCapExceeded
@@ -30,7 +32,9 @@ from prx.semantics import (
     nonempty_int_reg,
     universality,
 )
-from prx.semantics import _compiled, _construct, _moves, _step, _valuation_space
+from prx.semantics import (
+    _compiled, _construct, _merge, _moves, _reachable, _step, _valuation_space,
+)
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
 )
@@ -1250,6 +1254,13 @@ def built(build):
     return a.n_states, a.initial, sorted(a.finals), list(a.transitions)
 
 
+def capped(union, cap):
+    """The reference union, refused as the library refuses one past the cap."""
+    if union.n_states > cap:
+        raise StateCapExceeded(f"union exceeded the cap of {cap} states")
+    return union
+
+
 # Sources of one $x edge that start the same image's chain: the finitary
 # instances give each edge a chain of its own, the enumerated ones share it.
 SHARED_CHAINS = (
@@ -1269,6 +1280,7 @@ class TestCombinedOnMaskStates:
 
     def compare(self, tally, e, alphabet, route, choices, small_cap, spec=None):
         instances = reference_instances(e, alphabet, route, choices)
+        union = union_all(instances, alphabet) if route != "finitary" else None
         for cap in (65536, small_cap):
             got = built(lambda: _construct(e, alphabet, BOX, (route, choices), cap)[0])
             want = built(lambda: product_all(instances, cap))
@@ -1282,8 +1294,8 @@ class TestCombinedOnMaskStates:
             if route == "finitary":
                 continue
             got = built(lambda: construct_nfa(e, alphabet, DIAMOND, state_cap=cap, domains=spec))
-            assert got == built(lambda: union_all(instances, alphabet)), (e, route)
-            tally["union"] += 1
+            assert got == built(lambda: capped(union, cap)), (e, route)
+            tally["union refused" if isinstance(got, str) else "union"] += 1
 
     def test_letters(self):
         rng = random.Random(4141)
@@ -1330,7 +1342,9 @@ class TestPairSearches:
             got = outcome(lambda: decide(cap))
             try:
                 gap, n_vals = reference(cap)
-            except StateCapExceeded:
+            except StateCapExceeded as exc:
+                if str(exc).startswith("union"):  # the union is glued before any search
+                    assert got == str(exc), (kind, got)
                 tally["refused" if isinstance(got, str) else "answered past the cap"] += 1
                 continue
             assert not isinstance(got, str), (kind, got)
@@ -1359,14 +1373,14 @@ class TestPairSearches:
         self.compare(
             tally, "diamond intersect",
             lambda cap: nonempty_int_reg(e, r, alphabet, DIAMOND, state_cap=cap, domains=spec),
-            lambda cap: (product(union, reg, cap), len(instances)),
+            lambda cap: (product(capped(union, cap), reg, cap), len(instances)),
             small_cap,
         )
         rhs = reference_instances(e2, alphabet, route, rhs_choices)
         self.compare(
             tally, "contains",
             lambda cap: containment(e, e2, alphabet, DIAMOND, state_cap=cap, domains=spec),
-            lambda cap: (product(union, dfa_to_nfa(complement(
+            lambda cap: (product(capped(union, cap), dfa_to_nfa(complement(
                 determinize(union_all(rhs, alphabet), cap))), cap), len(instances) + len(rhs)),
             small_cap,
         )
@@ -1401,6 +1415,55 @@ class TestPairSearches:
             choices = domain_choices(spec, finitary=route == "finitary")
             self.sweep(tally, AB, e, e2, r, route, choices, choices, spec, small_cap=4)
         assert min(tally.values()) >= 10, tally
+
+
+# ---------------------------------------------------------------------------
+# the library's automata pass the checks they are built without
+
+
+class TestBuiltAutomataPassTheChecks:
+    """The library builds its own automata without the constructor's checks;
+    every one of them must pass those checks, frozen as the constructor
+    freezes an automaton."""
+
+    @staticmethod
+    def check(tally, kind, a):
+        assert isinstance(a.finals, frozenset) and isinstance(a.transitions, tuple), kind
+        Nfa(a.n_states, a.initial, a.finals, a.transitions, a.alphabet)
+        tally[kind] += 1
+
+    def test_letters(self):
+        rng = random.Random(4161)
+        tally = collections.Counter()
+        for alphabet, count in ((AB, 120), (ABC, 60), (Alphabet("ba"), 60)):
+            for _ in range(count):
+                e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(2, 12),
+                                        var_prob=0.4)
+                thompson = regex_to_nfa(e, alphabet)
+                compiled = remove_epsilon(thompson)
+                for kind, a in (("regex_to_nfa", thompson), ("remove_epsilon", compiled),
+                                ("trim", trim(compiled)), ("_reachable", _reachable(compiled)),
+                                ("_merge", _merge(compiled))):
+                    self.check(tally, kind, a)
+                for sem in (BOX, DIAMOND):
+                    self.check(tally, f"construct_nfa {sem.value}", construct_nfa(e, alphabet, sem))
+        assert min(tally.values()) >= 60, tally
+
+    def test_domains(self):
+        rng = random.Random(4163)
+        tally = collections.Counter()
+        for _ in range(150):
+            e, spec, _, _ = random_domain_case(rng, infinite=rng.random() < 0.4)
+            if not spec.infinite_variables():
+                compiled = _compiled(e, AB)
+                for nu in itertools.islice(valuations_from(domain_choices(spec)), 4):
+                    expanded = expand_extended(apply_to_nfa(nu, compiled))
+                    self.check(tally, "expand_extended", expanded)
+                self.check(tally, "construct_nfa diamond enumerate",
+                           construct_nfa(e, AB, DIAMOND, domains=spec))
+            route = "finitary" if spec.infinite_variables() else "enumerate"
+            self.check(tally, f"construct_nfa box {route}", construct_nfa(e, AB, BOX, domains=spec))
+        assert min(tally.values()) >= 40, tally
 
 
 # ---------------------------------------------------------------------------
