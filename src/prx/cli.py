@@ -31,10 +31,6 @@ from .constructions import (
     verify_fooling_set,
 )
 from .errors import NotSimple, PreconditionViolated, PrxError
-from .fast_paths import (
-    membership_diamond_fixed_word,
-    membership_diamond_simple_sh0,
-)
 from .semantics import (
     BOX,
     DIAMOND,
@@ -44,6 +40,8 @@ from .semantics import (
     containment,
     membership,
     membership_decider,
+    membership_diamond_fixed_word,
+    membership_diamond_simple_sh0,
     nonemptiness,
     nonempty_int_reg,
     universality,

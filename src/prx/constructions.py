@@ -257,20 +257,3 @@ def verify_fooling_set(
                     f"{(u_j + v_i) or '_'} is in the language",
                 )
     return True, len(pairs), None
-
-
-def doubly_exponential_word_note() -> str:
-    """Why the doubly-exponential witness family is documented, not built."""
-    return (
-        "There is a family of parameterized expressions whose certainty "
-        "languages are nonempty but whose shortest words have length at "
-        "least 2^(2^n): the construction encodes accepting runs of "
-        "exponential-space Turing machines, so generating it requires fixing "
-        "a machine and an input and emitting the full run-validation "
-        "expression set.  That family certifies a lower bound rather than an "
-        "algorithm, and this library does not generate it.  The "
-        "doubly-exponential phenomenon it certifies is still observable "
-        "here: family_box_doubleexp(n) needs certainty-NFAs whose state "
-        "counts grow doubly exponentially in n, which fooling-set "
-        "verification makes checkable at small n."
-    )

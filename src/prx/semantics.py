@@ -6,18 +6,20 @@ Variables range over the letters, or over the words of per-variable regular
 domains (:class:`~prx.valuations.DomainSpec`); every problem takes either,
 and decides both the same way.  One engine steps the variable-labelled
 automaton under every valuation at once, on *mask states*.  Membership runs
-it once over the word.  Every other decision is one breadth-first search
-that stops at the first answer, over mask states of the automaton with its
-bisimilar states merged, or over pairs of them with the states of another
-automaton; no decision builds a product or a complement.  Certainty
-universality over letters takes its counterexample from the first instance
-that is not universal, searched on the mask states of that one valuation.
-The possibility union glues the instances' edges in one pass without
-ε-edges, over letters relabelled straight from the compiled automaton.  The
-certainty automaton numbers the mask states of the automaton as compiled,
-on its states reachable from the start.  A reported valuation is the first
-one in enumeration order.  Nothing is approximated: caps make the
-exponential cases fail loudly instead.
+it once over the word; possibility membership of one word can also be
+decided without enumerating valuations, by binding variables as the word is
+read, or by plain reachability for simple star-free expressions.  Every
+other decision is one breadth-first search that stops at the first answer,
+over mask states of the automaton with its bisimilar states merged, or over
+pairs of them with the states of another automaton; no decision builds a
+product or a complement.  Certainty universality over letters takes its
+counterexample from the first instance that is not universal, searched on
+the mask states of that one valuation.  The possibility union glues the
+instances' edges in one pass without ε-edges, over letters relabelled
+straight from the compiled automaton.  The certainty automaton numbers the
+mask states of the automaton as compiled, on its states reachable from the
+start.  A reported valuation is the first one in enumeration order.  Nothing
+is approximated: caps make the exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .automata import (
     regex_to_nfa,
     remove_epsilon,
 )
-from .errors import DomainNotFinite, PrxError, StateCapExceeded
-from .syntax import Alphabet, ParamRegex, variables
+from .errors import DomainNotFinite, PreconditionViolated, PrxError, StateCapExceeded
+from .syntax import Alphabet, ParamRegex, is_simple, star_height, variables
 from .valuations import (
     DEFAULT_VALUATION_CAP,
     DEFAULT_WORD_CAP,
@@ -840,6 +842,92 @@ def membership_decider(
         )
 
     return decide
+
+
+def _check_word(w: str, alphabet: Alphabet) -> None:
+    for ch in w:
+        if ch not in alphabet:
+            raise ValueError(f"word uses letter {ch!r} outside the alphabet")
+
+
+def membership_diamond_fixed_word(
+    e: ParamRegex, w: str, alphabet: Alphabet, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[bool, Valuation | None]:
+    """Possibility membership of one word, without enumerating valuations.
+
+    The compiled automaton is simulated one position of w at a time, each
+    node a state with the variable bindings made so far (sorted (variable,
+    letter) pairs): a variable edge either binds a fresh variable to the
+    current letter or must agree with its earlier binding.  With k
+    variables and n states there are at most (|w|+1)·n·Σ_{j≤k} C(k,j)·|Σ|^j
+    nodes: linear in |w| but exponential in k, so polynomial only for a
+    fixed k.  Every node, the start included, counts against ``state_cap``,
+    past which :class:`~prx.errors.StateCapExceeded` is raised.  Each
+    position keeps its nodes in the order they are found, and the first
+    final one at the end of w gives the valuation: its bindings, then every
+    unbound variable mapped to the first letter (an unused edge cannot
+    constrain the run).
+    """
+    _check_word(w, alphabet)
+    a = _compiled(e, alphabet)
+    adjacency = a.adjacency()
+    level: dict[tuple[int, tuple], None] = {(a.initial, ()): None}  # nodes, in order
+    count = 1
+    for letter in w:
+        nxt: dict[tuple[int, tuple], None] = {}
+        for state, partial in level:
+            bound = dict(partial)
+            for label, dst in adjacency[state]:
+                if isinstance(label, VarLabel):
+                    image = bound.get(label.name)
+                    if image is None:
+                        node = dst, tuple(sorted({**bound, label.name: letter}.items()))
+                    elif image == letter:
+                        node = dst, partial
+                    else:
+                        continue
+                elif label == letter:
+                    node = dst, partial
+                else:
+                    continue
+                if node not in nxt:
+                    if count >= state_cap:
+                        raise StateCapExceeded(
+                            f"the fixed-word search exceeded the cap of {state_cap} states"
+                        )
+                    count += 1
+                    nxt[node] = None
+        level = nxt
+    for state, partial in level:
+        if state in a.finals:
+            full = dict(partial)
+            for name in variables(e):
+                full.setdefault(name, alphabet.letters[0])
+            return True, Valuation(full)
+    return False, None
+
+
+def membership_diamond_simple_sh0(e: ParamRegex, w: str, alphabet: Alphabet) -> bool:
+    """Possibility membership for simple star-free expressions.
+
+    The compiled automaton is acyclic and each variable labels one edge, so
+    a variable edge matches the current letter unconditionally: no binding
+    can be contradicted, and reachability over the states decides w.
+    """
+    if not is_simple(e):
+        raise PreconditionViolated("expected a simple expression")
+    if star_height(e) != 0:
+        raise PreconditionViolated("expected a star-free expression")
+    _check_word(w, alphabet)
+    a = _compiled(e, alphabet)
+    adjacency = a.adjacency()
+    current = {a.initial}
+    for letter in w:
+        current = {dst for q in current for label, dst in adjacency[q]
+                   if isinstance(label, VarLabel) or label == letter}
+        if not current:
+            return False
+    return not current.isdisjoint(a.finals)
 
 
 # ---------------------------------------------------------------------------

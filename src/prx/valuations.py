@@ -308,24 +308,6 @@ class DomainSpec:
         return f"DomainSpec({', '.join(self.names)})"
 
 
-def domain_is_finite(d: Nfa) -> bool:
-    """Does the domain automaton accept finitely many words?"""
-    return _analyse(d)[1] is not None
-
-
-def enumerate_finite_domain(d: Nfa, word_cap: int = DEFAULT_WORD_CAP) -> list[str]:
-    """All words of a finite domain, sorted shortlex.
-
-    Raises :class:`~prx.errors.CountCapExceeded` once some state of the
-    trimmed automaton has more than ``word_cap`` suffix words, and
-    :class:`~prx.errors.DomainNotFinite` if the domain is infinite.
-    """
-    a, order = _analyse(d)
-    if order is None:
-        raise DomainNotFinite("cannot enumerate an infinite domain")
-    return _words(a, order, word_cap)
-
-
 def domain_choices(
     spec: DomainSpec,
     valuation_cap: int = DEFAULT_VALUATION_CAP,

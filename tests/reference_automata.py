@@ -11,18 +11,22 @@ instances, made with :func:`~prx.valuations.apply_to_nfa` or
 :func:`apply_finitary`, into the possibility automaton.  :func:`product`
 is the synchronized product of two automata, numbered breadth-first, whose
 emptiness the library decides by searching its pairs without building it.
+:func:`membership_diamond_fixed_word` is the breadth-first search over
+(position, :class:`SearchState`) nodes that the library's fixed-word
+simulation must match node for node.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from prx.automata import (
-    DEFAULT_STATE_CAP, EPSILON, Label, Nfa, VarLabel, WordLabel, remove_epsilon,
+    DEFAULT_STATE_CAP, EPSILON, Label, Nfa, VarLabel, WordLabel, regex_to_nfa, remove_epsilon,
 )
 from prx.errors import StateCapExceeded
-from prx.syntax import Alphabet
+from prx.syntax import Alphabet, ParamRegex, variables
 from prx.valuations import Valuation
 
 
@@ -324,3 +328,73 @@ def product(a: Nfa, b: Nfa, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
                         queue.append(nxt)
                     transitions.append((sid, letter, nid))
     return Nfa(len(ids), 0, finals, transitions, a.alphabet)
+
+
+@dataclass(frozen=True)
+class SearchState:
+    """A node of the possibility search graph: an NFA state together with the
+    variable bindings committed so far."""
+
+    state: int
+    partial: tuple[tuple[str, str], ...]  # sorted (variable, letter) pairs
+
+    def image(self, name: str) -> str | None:
+        for key, letter in self.partial:
+            if key == name:
+                return letter
+        return None
+
+
+def membership_diamond_fixed_word(
+    e: ParamRegex, w: str, alphabet: Alphabet, state_cap: int = DEFAULT_STATE_CAP
+) -> tuple[bool, Valuation | None]:
+    """Possibility membership of one word by a breadth-first search over
+    (position, state, bindings) nodes, binding variables on the fly; the
+    first final node at the end of w gives the valuation, unbound variables
+    mapped to the first letter.  Raises
+    :class:`~prx.errors.StateCapExceeded` once more than ``state_cap``
+    nodes are reached."""
+    for ch in w:
+        if ch not in alphabet:
+            raise ValueError(f"word uses letter {ch!r} outside the alphabet")
+    a = remove_epsilon(regex_to_nfa(e, alphabet))
+    adjacency = a.adjacency()
+    names = variables(e)
+
+    start = SearchState(a.initial, ())
+    queue: deque[tuple[int, SearchState]] = deque([(0, start)])
+    seen: set[tuple[int, SearchState]] = {(0, start)}
+    while queue:
+        pos, node = queue.popleft()
+        if pos == len(w) and node.state in a.finals:
+            full = dict(node.partial)
+            for name in names:
+                full.setdefault(name, alphabet.letters[0])
+            return True, Valuation(full)
+        if pos == len(w):
+            continue
+        letter = w[pos]
+        for label, dst in adjacency[node.state]:
+            if isinstance(label, VarLabel):
+                image = node.image(label.name)
+                if image is None:
+                    merged = dict(node.partial)
+                    merged[label.name] = letter
+                    nxt = SearchState(dst, tuple(sorted(merged.items())))
+                elif image == letter:
+                    nxt = SearchState(dst, node.partial)
+                else:
+                    continue
+            elif label == letter:
+                nxt = SearchState(dst, node.partial)
+            else:
+                continue
+            item = (pos + 1, nxt)
+            if item not in seen:
+                if len(seen) >= state_cap:
+                    raise StateCapExceeded(
+                        f"the fixed-word search exceeded the cap of {state_cap} states"
+                    )
+                seen.add(item)
+                queue.append(item)
+    return False, None

@@ -30,16 +30,14 @@ from prx.constructions import (
     lemma3_combine,
     verify_fooling_set,
 )
-from prx.fast_paths import (
-    membership_diamond_fixed_word,
-    membership_diamond_simple_sh0,
-)
 from prx.semantics import (
     BOX,
     DIAMOND,
     construct_nfa,
     containment,
     membership,
+    membership_diamond_fixed_word,
+    membership_diamond_simple_sh0,
     nonemptiness,
     universality,
 )

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import prx
 from prx.cli import main
-from prx.semantics import BOX, DIAMOND, membership
+from prx.errors import StateCapExceeded
+from prx.semantics import BOX, DIAMOND, membership, membership_diamond_fixed_word
 from prx.syntax import Alphabet, parse
 
 AB = Alphabet("01")
@@ -102,6 +103,20 @@ class TestMemberFast:
                      "--expr", "($x$x)*", "--word", "1111", "--fast", "--output", "json")
         assert res.exit_code == 0
         assert json.loads(res.output)["valuation"] == {"x": "1"}
+
+    def test_diamond_wildcards_decide_what_no_other_route_can(self, runner):
+        # 2^16 binding sets for the binding search, 2^32 valuations for
+        # plain membership: only the wildcard reachability answers.
+        args = ["member", "--alphabet", "01", "--semantics", "diamond", "--expr",
+                "".join(f"($a{i}|$b{i})" for i in range(16)), "--word", "0110100110010110"]
+        res = invoke(runner, *args, "--fast")
+        assert (res.exit_code, res.stdout, res.stderr) == (0, "true\n", "")
+        res = invoke(runner, *args)
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: 4294967296 valuations exceed the cap of 1000000\n"
+        with pytest.raises(StateCapExceeded, match="^the fixed-word search exceeded the cap "
+                           "of 65536 states$"):
+            membership_diamond_fixed_word(parse(args[6], AB), args[8], AB)
 
     def test_agrees_with_general_path(self, runner):
         for expr, word in (("$x$y|01", "01"), ("($x|1)(0|$y)", "10"), ("(0|1)*", "0")):

@@ -11,7 +11,6 @@ import pytest
 from prx.automata import is_empty
 from prx.constructions import (
     FoolingSet,
-    doubly_exponential_word_note,
     family_box_doubleexp,
     family_box_subword,
     family_diamond_power,
@@ -211,9 +210,3 @@ class TestVerifyFoolingSet:
         verified, bound, violation = verify_fooling_set(fs, lambda w: False)
         assert verified is False
         assert "condition 1" in violation
-
-
-def test_note_is_self_contained_prose():
-    note = doubly_exponential_word_note()
-    assert "family_box_doubleexp" in note
-    assert len(note) > 100

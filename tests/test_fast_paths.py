@@ -7,19 +7,22 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from prx.automata import regex_to_nfa, remove_epsilon
+from prx.automata import DEFAULT_STATE_CAP, regex_to_nfa, remove_epsilon
 from prx.cli import main
 from prx.errors import CountCapExceeded, PreconditionViolated, StateCapExceeded
-from prx.fast_paths import (
-    SearchState,
+from prx.semantics import (
+    BOX,
+    DIAMOND,
+    membership,
     membership_diamond_fixed_word,
     membership_diamond_simple_sh0,
+    nonemptiness,
 )
-from prx.semantics import BOX, DIAMOND, membership, nonemptiness
 from prx.syntax import Alphabet, is_simple, parse, print_regex
 from prx.valuations import apply_to_nfa
 
 import oracles
+import reference_automata
 
 AB = Alphabet("01")
 
@@ -102,11 +105,31 @@ class TestMembershipDiamondFixedWord:
         with pytest.raises(StateCapExceeded, match="cap of 4 states"):
             membership_diamond_fixed_word(e, "1111", AB, state_cap=4)
 
-    def test_search_state_is_hashable(self):
-        s = SearchState(0, (("x", "0"),))
-        assert s.image("x") == "0"
-        assert s.image("y") is None
-        assert len({s, SearchState(0, (("x", "0"),))}) == 1
+    def test_matches_the_breadth_first_reference(self):
+        """Node for node the breadth-first search over (position, state,
+        bindings): the answer, the valuation with its order, and the cap
+        refusal, at small caps and at the default."""
+        abc = Alphabet("012")
+        rng = random.Random(5109)
+        refused = found = 0
+        for _ in range(1500):
+            e = oracles.random_expr(rng, abc, ("x", "y", "z"), budget=rng.randint(2, 12))
+            w = "".join(rng.choice("012") for _ in range(rng.randint(0, 7)))
+            for cap in (1, 2, 3, 5, 8, 13, DEFAULT_STATE_CAP):
+                outcomes = []
+                for search in (membership_diamond_fixed_word,
+                               reference_automata.membership_diamond_fixed_word):
+                    try:
+                        hit, nu = search(e, w, abc, state_cap=cap)
+                        outcomes.append((hit, nu and list(nu.items())))
+                    except StateCapExceeded as err:
+                        outcomes.append(str(err))
+                assert outcomes[0] == outcomes[1], (print_regex(e), w, cap)
+                if isinstance(outcomes[0], str):
+                    refused += 1
+                elif outcomes[0][0]:
+                    found += 1
+        assert refused > 1500 and found > 1000
 
 
 class TestMembershipDiamondSimpleSh0:

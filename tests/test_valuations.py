@@ -31,8 +31,6 @@ from prx.valuations import (
     apply_to_nfa,
     apply_to_regex,
     domain_choices,
-    domain_is_finite,
-    enumerate_finite_domain,
     enumerate_valuations,
     letter_choices,
     letter_masks,
@@ -201,34 +199,44 @@ def test_apply_to_nfa_word_image_expands_on_demand():
 # Domains
 
 
+def domain_words(d, alphabet=AB01, **caps):
+    """The words of one finite domain automaton, as the valuations see them."""
+    return domain_choices(DomainSpec({"x": d}, alphabet), **caps)["x"]
+
+
+def is_finite(d, alphabet=AB01):
+    return not DomainSpec({"x": d}, alphabet).infinite_variables()
+
+
 def test_domain_finiteness():
-    assert not domain_is_finite(remove_epsilon(regex_to_nfa(parse("0*", AB01), AB01)))
-    assert domain_is_finite(remove_epsilon(regex_to_nfa(parse("00|01", AB01), AB01)))
+    assert not is_finite(remove_epsilon(regex_to_nfa(parse("0*", AB01), AB01)))
+    assert is_finite(remove_epsilon(regex_to_nfa(parse("00|01", AB01), AB01)))
 
 
 def test_domain_finite_with_unreachable_cycle():
     # the cycle sits on a dead branch, so the trimmed automaton is acyclic
     a = regex_to_nfa(parse("0|@(11)*", AB01), AB01)
-    assert domain_is_finite(a)
+    assert is_finite(a)
+    assert domain_words(a) == ["0"]
 
 
 def test_long_domain_chain_needs_no_recursion():
     n = 3000
     chain = Nfa(n + 1, 0, {n}, [(i, "0", i + 1) for i in range(n)], AB01)
-    assert domain_is_finite(chain)
-    assert enumerate_finite_domain(chain) == ["0" * n]
+    assert is_finite(chain)
+    assert domain_words(chain) == ["0" * n]
 
 
 def test_enumerate_finite_domain_examples():
-    assert enumerate_finite_domain(regex_to_nfa(parse("00|01", AB01), AB01)) == ["00", "01"]
-    assert enumerate_finite_domain(regex_to_nfa(parse("_", AB01), AB01)) == [""]
-    assert enumerate_finite_domain(regex_to_nfa(parse("(0|1){2}", AB01), AB01)) == [
+    assert domain_words(regex_to_nfa(parse("00|01", AB01), AB01)) == ["00", "01"]
+    assert domain_words(regex_to_nfa(parse("_", AB01), AB01)) == [""]
+    assert domain_words(regex_to_nfa(parse("(0|1){2}", AB01), AB01)) == [
         "00",
         "01",
         "10",
         "11",
     ]
-    assert enumerate_finite_domain(regex_to_nfa(parse("(0|_)(1|_)", AB01), AB01)) == [
+    assert domain_words(regex_to_nfa(parse("(0|_)(1|_)", AB01), AB01)) == [
         "",
         "0",
         "1",
@@ -238,18 +246,18 @@ def test_enumerate_finite_domain_examples():
 
 def test_enumerate_finite_domain_shortlex_uses_alphabet_order():
     ba = Alphabet("10")  # declaration order: 1 before 0
-    words = enumerate_finite_domain(regex_to_nfa(parse("0|1", ba), ba))
+    words = domain_words(regex_to_nfa(parse("0|1", ba), ba), ba)
     assert words == ["1", "0"]
 
 
 def test_enumerate_finite_domain_rejects_infinite():
     with pytest.raises(DomainNotFinite):
-        enumerate_finite_domain(regex_to_nfa(parse("0*", AB01), AB01))
+        domain_words(regex_to_nfa(parse("0*", AB01), AB01))
 
 
 def test_enumerate_finite_domain_cap():
     with pytest.raises(CountCapExceeded):
-        enumerate_finite_domain(regex_to_nfa(parse("(0|1){6}", AB01), AB01), word_cap=10)
+        domain_words(regex_to_nfa(parse("(0|1){6}", AB01), AB01), word_cap=10)
 
 
 def test_domain_spec_rejects_empty_domain():
@@ -389,11 +397,9 @@ def test_finite_domain_enumeration_is_complete():
         alphabet = Alphabet("01")
         e = random_expr(rng, alphabet, [], rng.randint(2, 8), star_allowed=False, var_prob=0.0)
         a = regex_to_nfa(e, alphabet)
-        if not domain_is_finite(a):
+        if is_empty(remove_epsilon(a))[0] or not is_finite(a, alphabet):
             continue
-        if is_empty(remove_epsilon(a))[0]:
-            continue
-        words = enumerate_finite_domain(a)
+        words = domain_words(a, alphabet)
         assert all(matches(e, w) for w in words)
         limit = min(max(len(w) for w in words) + 2, 8)
         expected = {w for w in all_words(alphabet, limit) if matches(e, w)}
