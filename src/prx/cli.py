@@ -8,6 +8,9 @@ identical invocations.
 Remember that ``$`` introduces a variable, so expressions need quoting in a
 shell: ``prx member --alphabet 01 --expr '(0$x)*1($x$y)*' --word 01110``.
 The empty word is written ``_`` on the command line.
+
+A well-formed call of a leaf command is split by a table read once from
+click's own option declarations; help and every usage error remain click's.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import click
@@ -215,7 +218,74 @@ def _decide(raw: dict, texts: list[str], decide: Callable[..., DecisionReport]) 
     sys.exit(_emit(report, cfg))
 
 
-@click.group()
+def _splittable(p: click.Parameter) -> bool:
+    """Whether the table takes ``p`` as click does: an option with one value
+    (or a flag) from the command line or its default alone, converted by a
+    type that reads only the value and the file system."""
+    pure = (click.types.StringParamType, click.types.BoolParamType,
+            click.types.IntParamType, click.Choice, click.Path)
+    return (isinstance(p, click.Option) and isinstance(p.type, pure) and p.nargs == 1
+            and not (p.multiple or p.count or p.deprecated or p._flag_needs_value)
+            and p.envvar is None and p.callback is None and p.prompt is None and p.expose_value)
+
+
+class _Group(click.Group):
+    """``prx``: splits a well-formed call of a leaf command with a table read
+    from the command's own option declarations; every other call (help,
+    usage errors, ``fooling``) goes to click's parser unchanged."""
+
+    @cached_property
+    def _table(self) -> dict:
+        """Per leaf command: its options by name, click's own defaults and
+        the names of the required options."""
+        return {
+            name: ({opt: p for p in cmd.params for opt in p.opts},
+                   cmd.make_context(name, [], resilient_parsing=True).params,
+                   {p.name for p in cmd.params if p.required})
+            for name, cmd in self.commands.items()
+            if not (isinstance(cmd, click.Group) or cmd.deprecated)
+            and all(map(_splittable, cmd.params))
+        }
+
+    def _split(self, name: str, tokens: list[str]) -> dict | None:
+        """The keyword arguments click would call ``name``'s callback with,
+        or None where click must parse ``tokens`` itself."""
+        if name not in self._table:
+            return None
+        options, defaults, required = self._table[name]
+        kwargs, seen, tokens = dict(defaults), set(), iter(tokens)
+        for token in tokens:
+            p = options.get(token)
+            if p is None or p.name in seen:
+                return None
+            seen.add(p.name)
+            value = p.flag_value if p.is_flag else next(tokens, None)
+            if value is None:
+                return None
+            try:
+                kwargs[p.name] = p.type(value, p, None)
+            except click.BadParameter:  # click reports it
+                return None
+        return kwargs if required <= seen else None
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        # The group has no option but --help and stops at the first command
+        # name, so its parser would split the same way.
+        if args and args[0] in self.commands:
+            ctx._protected_args, ctx.args = args[:1], args[1:]
+            return ctx.args
+        return super().parse_args(ctx, args)
+
+    def invoke(self, ctx: click.Context):
+        name = ctx._protected_args[0] if ctx._protected_args else ""
+        kwargs = self._split(name, ctx.args)
+        if kwargs is None:
+            return super().invoke(ctx)
+        with ctx:
+            return self.commands[name].callback(**kwargs)
+
+
+@click.group(cls=_Group)
 def main():
     """Decide properties of parameterized regular expressions.
 

@@ -7,19 +7,21 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prx
-from prx.cli import main
+from prx.cli import _splittable, main
 from prx.errors import StateCapExceeded
 from prx.semantics import BOX, DIAMOND, membership, membership_diamond_fixed_word
 from prx.syntax import Alphabet, parse
@@ -789,3 +791,159 @@ def test_cli_exits_0_1_or_2_and_never_with_a_traceback(
     res = CliRunner().invoke(main, args, catch_exceptions=False)
     assert res.exit_code in (0, 1, 2)
     assert "Traceback" not in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# The option table: well-formed calls split without click's parser
+
+_LEAVES = ["member", "nonempty", "universal", "contains", "intersect", "build-nfa", "family"]
+_EXPRS = ["0", "_", "$x", "$x$y", "(0|1)*", "(0$x)*1", "($x|0)($y|1)", "0{2}$x", "2$x", "("]
+_BAD_INTS = ["0", "-1", "1_0", " 5", "+3", "abc"]
+
+
+def _call(rng: random.Random, files: dict[str, str]) -> tuple[str, list[list[str]]]:
+    """A corpus-style call of a leaf command: its name and its option pairs."""
+    cmd = rng.choice(_LEAVES)
+    if cmd == "family":
+        kinds = ["box-subword", "box-doubleexp", "diamond-power"]
+        return cmd, [["--kind", rng.choice(kinds)], ["--n", str(rng.randint(1, 2))]]
+    names = {"contains": ["--lhs", "--rhs"], "intersect": ["--expr", "--regular"]}
+    pairs = [["--alphabet", rng.choice(["01", "012"])]]
+    pairs += [[name, rng.choice(_EXPRS)] for name in names.get(cmd, ["--expr"])]
+    if cmd == "member":
+        pairs.append(["--word", rng.choice(["_", "0", "01", "110"])])
+    optional = [
+        ["--semantics", rng.choice(["box", "diamond"])],
+        ["--domains", files["domains"]],
+        ["--max-valuations", str(rng.choice([1, 4, 1000]))],
+        ["--max-states", str(rng.choice([1, 4, 65536]))],
+        ["--max-words", str(rng.choice([1, 10]))],
+    ]
+    if cmd == "build-nfa":
+        optional += [["--format", rng.choice(["dot", "json"])], ["--out", files["out"]]]
+    else:
+        optional += [["--witness"], ["--output", rng.choice(["text", "json"])]]
+    if cmd in ("member", "nonempty"):
+        optional.append(["--fast"])
+    pairs += rng.sample(optional, rng.randint(0, len(optional)))
+    rng.shuffle(pairs)
+    return cmd, pairs
+
+
+def _mutate(rng: random.Random, pairs: list[list[str]], files: dict[str, str]) -> list[str]:
+    """The option tokens of ``pairs`` after one seeded mutation, most of
+    which make the call one that click refuses or answers with help."""
+    pairs = [list(pair) for pair in pairs]
+    at = rng.randrange(len(pairs))
+    kind = rng.choice(["drop", "duplicate", "shuffle", "equals", "help", "dashdash",
+                       "positional", "int", "choice", "domains", "no-value", "unknown"])
+    if kind == "drop":
+        del pairs[at]
+    elif kind == "duplicate":
+        pairs.append(list(pairs[at]))
+    elif kind == "shuffle":
+        rng.shuffle(pairs)
+    elif kind == "equals" and len(pairs[at]) == 2:
+        pairs[at] = ["=".join(pairs[at])]
+    elif kind in ("help", "dashdash", "positional", "unknown"):
+        pairs.insert(at, [{"help": "--help", "dashdash": "--", "positional": "extra",
+                           "unknown": "--nosuch"}[kind]])
+    elif kind in ("int", "choice", "domains"):
+        names = {"int": ["--n"] if pairs[0][0] in ("--kind", "--n") else
+                 ["--max-valuations", "--max-states", "--max-words"],
+                 "choice": ["--kind"] if pairs[0][0] in ("--kind", "--n") else
+                 ["--semantics", "--output", "--format"],
+                 "domains": ["--domains"]}[kind]
+        name = rng.choice(names)
+        value = {"int": rng.choice(_BAD_INTS), "choice": "Box",
+                 "domains": rng.choice([files["missing"], files["dir"]])}[kind]
+        pairs = [pair for pair in pairs if pair[0] != name]
+        pairs.insert(at, [name, value])
+    tokens = [token for pair in pairs for token in pair]
+    if kind == "no-value" and len(pairs[-1]) == 2:
+        tokens.pop()
+    return tokens
+
+
+def _vectors(seed: int, files: dict[str, str], calls: int) -> list[list[str]]:
+    """``calls`` well-formed calls, each followed by six mutations of it."""
+    rng = random.Random(seed)
+    vectors = []
+    for _ in range(calls):
+        cmd, pairs = _call(rng, files)
+        vectors.append([cmd, *(token for pair in pairs for token in pair)])
+        vectors += [[cmd, *_mutate(rng, pairs, files)] for _ in range(6)]
+    return vectors
+
+
+_EXTRA = [[], ["--help"], ["--x=y"], ["nosuch"], ["member"], ["member", "--help"],
+          ["fooling"], ["fooling", "--help"], ["fooling", "generate", "--kind", "diamond",
+                                               "--n", "1"]]
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("table")
+    (root / "domains.json").write_text('{"x": "0|11"}')
+    return {"domains": str(root / "domains.json"), "out": str(root / "out.txt"),
+            "missing": str(root / "missing.json"), "dir": str(root)}
+
+
+class TestOptionTable:
+    def test_every_option_of_every_leaf_command_is_taken(self):
+        uncovered = [f"{name} {p.opts}" for name in _LEAVES
+                     for p in main.commands[name].params if not _splittable(p)]
+        assert uncovered == []
+        assert sorted(main._table) == sorted(_LEAVES)
+
+    def test_the_table_splits_as_click_parses(self, table_files):
+        accepted = 0
+        for i, (name, *tokens) in enumerate(_vectors(1, table_files, 500)):
+            kwargs = main._split(name, tokens)
+            if i % 7 == 0:  # a well-formed call
+                assert kwargs is not None, [name, *tokens]
+            try:
+                with redirect_stdout(io.StringIO()):
+                    params = main.commands[name].make_context(name, list(tokens)).params
+            except (click.UsageError, click.exceptions.Exit):
+                assert kwargs is None, [name, *tokens]
+                continue
+            if kwargs is not None:
+                accepted += 1
+                assert kwargs == params, [name, *tokens]
+        # Every well-formed call, and the mutations that keep it one.
+        assert accepted > 900
+
+    def test_output_is_click_output_byte_for_byte(self, table_files, monkeypatch):
+        out = table_files["out"]
+
+        def run(args):
+            if os.path.exists(out):
+                os.remove(out)
+            res = CliRunner().invoke(main, args, prog_name="prx")
+            written = None
+            if os.path.exists(out):
+                with open(out, encoding="utf-8") as fh:
+                    written = fh.read()
+            return res.exit_code, res.stdout, res.stderr, written, res.exception
+
+        vectors = _vectors(3, table_files, 400) + _EXTRA
+        split = [run(args) for args in vectors]
+        monkeypatch.setattr(type(main), "_split", lambda self, name, tokens: None)
+        parsed = [run(args) for args in vectors]
+        for args, a, b in zip(vectors, split, parsed):
+            assert a[:4] == b[:4], args
+            assert isinstance(a[4], (type(None), SystemExit)), args
+        assert {code for code, *_ in split} == {0, 1, 2}
+
+    def test_bash_completion_goes_through_click(self, monkeypatch, capsys):
+        monkeypatch.setenv("_PRX_COMPLETE", "bash_complete")
+        for words, cword, want in (("prx member --al", "2", "plain,--alphabet\n"),
+                                   ("prx member --semantics ", "3",
+                                    "plain,box\nplain,diamond\n")):
+            monkeypatch.setenv("COMP_WORDS", words)
+            monkeypatch.setenv("COMP_CWORD", cword)
+            with pytest.raises(SystemExit) as stop:
+                main(prog_name="prx")
+            assert stop.value.code == 0
+            assert capsys.readouterr().out == want
