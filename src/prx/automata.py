@@ -2,9 +2,9 @@
 
 Automata live over a declared :class:`~prx.syntax.Alphabet`.  Transition
 labels are plain one-character strings for letters, :class:`VarLabel` for
-variables, :data:`EPSILON` for the empty word, and :class:`WordLabel` for
-word-labeled ("extended") transitions, which only appear on the regular-
-domain path and are expanded away by :func:`expand_extended`.
+variables and :data:`EPSILON` for the empty word.  A word substituted for a
+variable is spelled as a chain of letter edges through states of its own
+(see :func:`~prx.valuations.apply_to_nfa`).
 
 Everything is immutable after construction and every algorithm is
 deterministic: searches try letters in alphabet declaration order, so
@@ -47,17 +47,6 @@ class VarLabel:
     name: str
 
 
-@dataclass(frozen=True)
-class WordLabel:
-    """Transition labeled by a nonempty word (an "extended" transition)."""
-
-    word: str
-
-    def __post_init__(self):
-        if not self.word:
-            raise ValueError("word labels must be nonempty; use EPSILON instead")
-
-
 class _EpsilonLabel:
     __slots__ = ()
 
@@ -68,7 +57,7 @@ class _EpsilonLabel:
 #: The unique epsilon label (compare with ``is``).
 EPSILON = _EpsilonLabel()
 
-Label = str | VarLabel | WordLabel | _EpsilonLabel
+Label = str | VarLabel | _EpsilonLabel
 
 
 def _label_sort_key(label: Label):
@@ -76,17 +65,15 @@ def _label_sort_key(label: Label):
         return (0, label)
     if isinstance(label, VarLabel):
         return (1, label.name)
-    if isinstance(label, WordLabel):
-        return (2, label.word)
-    return (3, "")
+    return (2, "")
 
 
 class Nfa:
     """A nondeterministic finite automaton with a single initial state.
 
     The constructor checks an automaton from outside the library: states in
-    range, and every letter, a word label's too, in the alphabet.  The
-    library builds its own, in range by construction, through :meth:`_built`."""
+    range and every letter in the alphabet.  The library builds its own, in
+    range by construction, through :meth:`_built`."""
 
     __slots__ = ("n_states", "initial", "finals", "transitions", "alphabet")
 
@@ -101,8 +88,6 @@ class Nfa:
         for src, label, dst in transitions:
             if not (0 <= src < n_states and 0 <= dst < n_states):
                 raise ValueError(f"transition endpoint out of range: {(src, label, dst)}")
-            if isinstance(label, WordLabel):  # checked as its first foreign letter
-                label = next((ch for ch in label.word if ch not in alphabet), label.word[0])
             if isinstance(label, str):
                 if label not in alphabet:
                     raise ValueError(f"letter {label!r} is not in the alphabet")
@@ -121,17 +106,15 @@ class Nfa:
         a.finals, a.transitions = frozenset(finals), tuple(transitions)
         return a
 
-    def label_kinds(self) -> tuple[bool, bool, bool]:
-        """(has epsilon, has variable, has word) label flags."""
-        has_eps = has_var = has_word = False
+    def label_kinds(self) -> tuple[bool, bool]:
+        """(has epsilon, has variable) label flags."""
+        has_eps = has_var = False
         for _, label, _ in self.transitions:
             if label is EPSILON:
                 has_eps = True
             elif isinstance(label, VarLabel):
                 has_var = True
-            elif isinstance(label, WordLabel):
-                has_word = True
-        return has_eps, has_var, has_word
+        return has_eps, has_var
 
     def adjacency(self) -> dict[int, list[tuple[Label, int]]]:
         adj: dict[int, list[tuple[Label, int]]] = defaultdict(list)
@@ -211,12 +194,9 @@ def remove_epsilon(a: Nfa) -> Nfa:
     final when the closure holds a final state.  Only states with epsilon
     edges of their own are searched; every other state is its own closure
     and keeps its own edges.  The edges come out without duplicates, ordered
-    by source, then label (letters, variables, words, see
+    by source, then label (letters, then variables, see
     :func:`_label_sort_key`), then target.
     """
-    _, _, has_word = a.label_kinds()
-    if has_word:
-        raise ValueError("remove_epsilon expects an automaton without word labels")
     # Per state, its epsilon targets and its other edges as (label sort key,
     # target, label), with one key per distinct label.
     keys: dict[Label, tuple[int, str]] = {}
@@ -263,30 +243,6 @@ def remove_epsilon(a: Nfa) -> Nfa:
     return Nfa._built(a.n_states, a.initial, finals, transitions, a.alphabet)
 
 
-def expand_extended(a: Nfa) -> Nfa:
-    """Replace each word-labeled transition by a chain of letter transitions."""
-    _, has_var, _ = a.label_kinds()
-    if has_var:
-        raise ValueError("expand_extended expects an automaton without variable labels")
-    transitions: list[tuple[int, Label, int]] = []
-    counter = a.n_states
-    for src, label, dst in a.transitions:
-        if not isinstance(label, WordLabel):
-            transitions.append((src, label, dst))
-            continue
-        word = label.word
-        if len(word) == 1:
-            transitions.append((src, word, dst))
-            continue
-        prev = src
-        for ch in word[:-1]:
-            transitions.append((prev, ch, counter))
-            prev = counter
-            counter += 1
-        transitions.append((prev, word[-1], dst))
-    return Nfa._built(counter, a.initial, a.finals, transitions, a.alphabet)
-
-
 def trim(a: Nfa) -> Nfa:
     """Keep only states that are reachable and co-reachable (initial is kept)."""
     adj = a.adjacency()
@@ -328,8 +284,8 @@ def trim(a: Nfa) -> Nfa:
 
 
 def accepts(a: Nfa, w: str) -> bool:
-    """NFA simulation (epsilon and word labels handled; variables rejected)."""
-    _, has_var, _ = a.label_kinds()
+    """NFA simulation over letters and epsilon; variables are rejected."""
+    _, has_var = a.label_kinds()
     if has_var:
         raise ValueError("accepts expects a variable-free automaton")
     for ch in w:
@@ -349,10 +305,6 @@ def accepts(a: Nfa, w: str) -> bool:
         for label, dst in adj[q]:
             if label is EPSILON:
                 stack.append((dst, i))
-            elif isinstance(label, WordLabel):
-                k = len(label.word)
-                if w[i : i + k] == label.word:
-                    stack.append((dst, i + k))
             elif i < n and label == w[i]:
                 stack.append((dst, i + 1))
     return False
@@ -375,12 +327,9 @@ def is_empty(a: Nfa) -> tuple[bool, str | None]:
     shortest on a deterministic automaton; on a nondeterministic one the
     search tries every letter from one state before any from the next
     state reached by the same word."""
-    has_eps, has_var, has_word = a.label_kinds()
+    has_eps, has_var = a.label_kinds()
     if has_var:
         raise ValueError("is_empty expects a variable-free automaton")
-    if has_word:
-        a = expand_extended(a)
-        has_eps = a.label_kinds()[0]
     if has_eps:
         a = remove_epsilon(a)
     targets = _targets(a)
@@ -443,8 +392,6 @@ def _dot_label(label: Label) -> str:
         return _dot_escape(label)
     if isinstance(label, VarLabel):
         return _dot_escape("$" + label.name)
-    if isinstance(label, WordLabel):
-        return _dot_escape('"' + label.word + '"')
     return "eps"
 
 
@@ -466,8 +413,6 @@ def _json_label(label: Label):
         return {"letter": label}
     if isinstance(label, VarLabel):
         return {"var": label.name}
-    if isinstance(label, WordLabel):
-        return {"word": label.word}
     return {"eps": True}
 
 

@@ -24,6 +24,7 @@ from .syntax import (
     Star,
     Union,
     Var,
+    _REPEAT_LIMIT,
     concat_exprs,
     union_exprs,
     variables,
@@ -157,19 +158,25 @@ def _vars(n: int, start: int = 1) -> list[ParamRegex]:
     return [Var(f"x{i}") for i in range(start, start + n)]
 
 
+def _check_index(n: int) -> None:
+    """Refuse a family index below 1 or above the parser's ``{n}`` limit."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > _REPEAT_LIMIT:
+        raise ValueError(f"n must be at most {_REPEAT_LIMIT}")
+
+
 def family_box_subword(n: int) -> ParamRegex:
     """(0|1)* x1 … xn (0|1)* — certainty words must contain every binary
     n-gram, so the shortest one has length 2^n + n - 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_index(n)
     return concat_exprs([Star(_binary_choice())] + _vars(n) + [Star(_binary_choice())])
 
 
 def family_box_doubleexp(n: int) -> ParamRegex:
     """((0|1)^(n+1))* x1 … x(n+1) ((0|1)^(n+1))* — the certainty language
     forces doubly-exponential NFA sizes as n grows."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_index(n)
     block = Star(concat_exprs([_binary_choice()] * (n + 1)))
     return concat_exprs([block] + _vars(n + 1) + [block])
 
@@ -177,8 +184,7 @@ def family_box_doubleexp(n: int) -> ParamRegex:
 def family_diamond_power(n: int) -> ParamRegex:
     """(x1 … xn)* — the possibility language is the union of u* over all
     n-letter words u, which no small NFA captures."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_index(n)
     return Star(concat_exprs(_vars(n)))
 
 

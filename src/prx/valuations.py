@@ -17,8 +17,6 @@ from .automata import (
     EPSILON,
     Nfa,
     VarLabel,
-    WordLabel,
-    expand_extended,
     regex_to_nfa,
     remove_epsilon,
     trim,
@@ -183,20 +181,21 @@ def apply_to_regex(v: Valuation, e: ParamRegex) -> ParamRegex:
 
 
 def apply_to_nfa(v: Valuation, a: Nfa) -> Nfa:
-    """Relabel variable transitions by their image letters (or word labels
-    for longer images, epsilon for the empty word); states are untouched."""
+    """Replace every variable transition by its image: an epsilon edge for
+    the empty word, else a chain of letter edges.  A chain of n letters
+    passes through n - 1 new states, numbered after the automaton's own in
+    transition order, and its edges take the variable edge's place."""
     transitions = []
+    counter = a.n_states
     for src, label, dst in a.transitions:
         if isinstance(label, VarLabel):
             image = v[label.name]
-            if image == "":
-                label = EPSILON
-            elif len(image) == 1:
-                label = image
-            else:
-                label = WordLabel(image)
+            for letter in image[:-1]:
+                transitions.append((src, letter, counter))
+                src, counter = counter, counter + 1
+            label = image[-1] if image else EPSILON
         transitions.append((src, label, dst))
-    return Nfa(a.n_states, a.initial, a.finals, transitions, a.alphabet)
+    return Nfa(counter, a.initial, a.finals, transitions, a.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +207,9 @@ def _analyse(d: Nfa) -> tuple[Nfa, list[int] | None]:
     order of its states, ``None`` when it has a cycle: a trimmed automaton
     accepts finitely many words iff it is acyclic.  The order lists states
     no transition from an unlisted state enters (Kahn's algorithm)."""
-    has_eps, has_var, has_word = d.label_kinds()
+    has_eps, has_var = d.label_kinds()
     if has_var:
         raise ValueError("domain automata must be variable-free")
-    if has_word:
-        d = expand_extended(d)
     a = trim(remove_epsilon(d) if has_eps else d)
     adj = a.adjacency()
     entering = [0] * a.n_states

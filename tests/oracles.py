@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from prx.automata import EPSILON, VarLabel, WordLabel
+from prx.automata import EPSILON, VarLabel
 from prx.syntax import (
     Alphabet,
     Concat,
@@ -181,7 +181,6 @@ def nfa_accepts_labels(nfa, symbols) -> bool:
 
     Each symbol is ("lit", letter) or ("var", name), so automata over
     the mixed alphabet of letters and variables can be checked directly.
-    Word-labeled transitions consume one letter per word character.
     """
     symbols = tuple(symbols)
     adj = defaultdict(list)
@@ -203,10 +202,6 @@ def nfa_accepts_labels(nfa, symbols) -> bool:
             elif isinstance(label, VarLabel):
                 if i < n and symbols[i] == ("var", label.name):
                     stack.append((dst, i + 1))
-            elif isinstance(label, WordLabel):
-                k = len(label.word)
-                if symbols[i : i + k] == _lit_seq(label.word):
-                    stack.append((dst, i + k))
             else:
                 if i < n and symbols[i] == ("lit", label):
                     stack.append((dst, i + 1))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from prx.automata import (
-    DEFAULT_STATE_CAP, EPSILON, Label, Nfa, VarLabel, WordLabel, regex_to_nfa, remove_epsilon,
+    DEFAULT_STATE_CAP, EPSILON, Label, Nfa, VarLabel, regex_to_nfa, remove_epsilon,
 )
 from prx.errors import StateCapExceeded
 from prx.syntax import Alphabet, ParamRegex, variables
@@ -154,8 +154,11 @@ def first_rejected(d: Dfa) -> tuple[str | None, int]:
 def apply_finitary(v: Valuation, a: Nfa) -> Nfa:
     """Letter transitions kept; variable transitions substituted when the
     variable is defined and dropped when it is not (the reduced automaton
-    composed with the finitary substitution)."""
+    composed with the finitary substitution).  An image of two or more
+    letters is spelled as a chain through new states, numbered in
+    transition order after the automaton's own."""
     transitions = []
+    n_states = a.n_states
     for src, label, dst in a.transitions:
         if isinstance(label, VarLabel):
             if label.name not in v:
@@ -163,12 +166,14 @@ def apply_finitary(v: Valuation, a: Nfa) -> Nfa:
             image = v[label.name]
             if image == "":
                 label = EPSILON
-            elif len(image) == 1:
-                label = image
             else:
-                label = WordLabel(image)
+                for letter in image[:-1]:
+                    transitions.append((src, letter, n_states))
+                    src = n_states
+                    n_states += 1
+                label = image[-1]
         transitions.append((src, label, dst))
-    return Nfa(a.n_states, a.initial, a.finals, transitions, a.alphabet)
+    return Nfa(n_states, a.initial, a.finals, transitions, a.alphabet)
 
 
 def union_all(automata: Sequence[Nfa], alphabet: Alphabet | None = None) -> Nfa:
@@ -183,9 +188,8 @@ def union_all(automata: Sequence[Nfa], alphabet: Alphabet | None = None) -> Nfa:
     finals: set[int] = set()
     offset = 1
     for a in automata:
-        has_eps, has_var, has_word = a.label_kinds()
-        if has_var or has_word:
-            raise ValueError("union_all expects variable-free automata without word labels")
+        if a.label_kinds()[1]:
+            raise ValueError("union_all expects variable-free automata")
         if a.alphabet != alphabet:
             raise ValueError("union_all expects a shared alphabet")
         transitions.append((0, EPSILON, a.initial + offset))

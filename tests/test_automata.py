@@ -14,7 +14,6 @@ from oracles import (
     bounded_language,
     matches,
     nfa_accepts_labels,
-    nfa_accepts_word,
     nfa_bounded_language,
     random_expr,
 )
@@ -22,9 +21,7 @@ from prx.automata import (
     EPSILON,
     Nfa,
     VarLabel,
-    WordLabel,
     accepts,
-    expand_extended,
     export_dot,
     export_json,
     is_empty,
@@ -91,7 +88,6 @@ def test_variables_appear_as_opaque_labels():
     assert nfa_accepts_labels(a, word)
     assert nfa_accepts_labels(a, [("lit", "1")])
     assert not nfa_accepts_labels(a, [("lit", "0")])
-    assert not any(isinstance(lab, WordLabel) for _, lab, _ in a.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +122,7 @@ def _label_key(label):
         return (0, label)
     if isinstance(label, VarLabel):
         return (1, label.name)
-    if isinstance(label, WordLabel):
-        return (2, label.word)
-    return (3, "")
+    return (2, "")
 
 
 def reference_remove_epsilon(a: Nfa) -> tuple[list, frozenset[int]]:
@@ -212,54 +206,6 @@ def test_remove_epsilon_matches_the_reference_on_a_long_union_chain():
     # 20 s on the 2000 branches that tests/test_cli.py decides end to end.
     a = regex_to_nfa(parse("|".join("01" * 250), AB01), AB01)
     _assert_as_reference(a)
-
-
-# ---------------------------------------------------------------------------
-# expand_extended
-
-
-def test_expand_word_label_into_chain():
-    ab = Alphabet("ab")
-    a = Nfa(2, 0, {1}, [(0, WordLabel("ab"), 1)], ab)
-    plain = expand_extended(a)
-    assert plain.n_states == 3
-    assert not any(isinstance(lab, WordLabel) for _, lab, _ in plain.transitions)
-    assert nfa_bounded_language(plain, ab, 3) == {"ab"}
-
-
-def test_expand_single_letter_word_collapses():
-    a = Nfa(2, 0, {1}, [(0, WordLabel("0"), 1)], AB01)
-    plain = expand_extended(a)
-    assert plain.n_states == 2
-    assert nfa_bounded_language(plain, AB01, 2) == {"0"}
-
-
-def test_expand_without_word_labels_is_language_identity():
-    a = compile_plain("0(1|0)*")
-    plain = expand_extended(a)
-    assert nfa_bounded_language(plain, AB01, 4) == nfa_bounded_language(a, AB01, 4)
-
-
-def test_expand_preserves_language_against_extended_simulator():
-    rng = random.Random(7)
-    ab = Alphabet("01")
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        transitions = []
-        for _ in range(rng.randint(1, 6)):
-            src, dst = rng.randrange(n), rng.randrange(n)
-            kind = rng.random()
-            if kind < 0.4:
-                label = WordLabel("".join(rng.choice("01") for _ in range(rng.randint(1, 3))))
-            elif kind < 0.7:
-                label = rng.choice("01")
-            else:
-                label = EPSILON
-            transitions.append((src, label, dst))
-        a = Nfa(n, 0, {rng.randrange(n)}, transitions, ab)
-        plain = expand_extended(a)
-        for w in all_words(ab, 6):
-            assert nfa_accepts_word(plain, w) == nfa_accepts_word(a, w)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +364,14 @@ def test_is_universal_shortest_rejected_word():
 
 def test_constructor_refuses_bad_automata_and_foreign_images():
     """The public constructor checks every automaton from outside the
-    library; a word label's letters are checked there too, and so is what
-    apply_to_nfa builds from the caller's valuation."""
+    library, and so also what apply_to_nfa builds from the caller's
+    valuation."""
     cases = [
         ((2, 2, (), ()), "initial state out of range"),
         ((2, 0, (2,), ()), "final state out of range"),
         ((2, 0, (1,), [(0, "0", 2)]), "transition endpoint out of range: (0, '0', 2)"),
         ((2, 0, (1,), [(0, "2", 1)]), "letter '2' is not in the alphabet"),
         ((2, 0, (1,), [(0, 7, 1)]), "bad transition label: 7"),
-        ((2, 0, (1,), [(0, "0", 1), (0, WordLabel("0a"), 1)]), "letter 'a' is not in the alphabet"),
     ]
     for args, text in cases:
         with pytest.raises(ValueError) as info:
@@ -434,12 +379,13 @@ def test_constructor_refuses_bad_automata_and_foreign_images():
         assert str(info.value) == text, args
     a = regex_to_nfa(parse("$x 1", AB01), AB01)
     for image, text in (("9", "letter '9' is not in the alphabet"),
-                        ("19", "letter '9' is not in the alphabet")):
+                        ("19", "letter '9' is not in the alphabet"),
+                        ("a0b", "letter 'a' is not in the alphabet")):
         with pytest.raises(ValueError) as info:
             apply_to_nfa(Valuation({"x": image}), a)
         assert str(info.value) == text, image
     # What the checks accept.
-    Nfa(2, 0, (1,), [(0, WordLabel("01"), 1), (1, VarLabel("x"), 0), (0, EPSILON, 1)], AB01)
+    Nfa(2, 0, (1,), [(0, "0", 1), (1, VarLabel("x"), 0), (0, EPSILON, 1)], AB01)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +439,21 @@ def test_export_dot_counts():
     assert len(edge_lines) == len(a.transitions)
 
 
+def test_export_dot_escapes_quotes_and_backslashes():
+    a = Nfa(2, 0, {1}, [(0, '"', 1), (1, "\\", 0), (0, "é", 0), (0, VarLabel('x"\\'), 1),
+                        (1, EPSILON, 0)], Alphabet('"\\é'))
+    edges = [ln for ln in export_dot(a).splitlines() if "->" in ln and "__start" not in ln]
+    assert edges == ['  q0 -> q1 [label="\\""];', '  q1 -> q0 [label="\\\\"];',
+                     '  q0 -> q0 [label="é"];', '  q0 -> q1 [label="$x\\"\\\\"];',
+                     '  q1 -> q0 [label="eps"];']
+
+
 def test_nfa_to_json_shape():
     a = Nfa(
         3,
         0,
         {2},
-        [(0, "0", 1), (1, VarLabel("x"), 2), (0, EPSILON, 2), (1, WordLabel("01"), 1)],
+        [(0, "0", 1), (1, VarLabel("x"), 2), (0, EPSILON, 2), (1, "1", 1)],
         AB01,
     )
     blob = nfa_to_json(a)
@@ -507,18 +462,18 @@ def test_nfa_to_json_shape():
         [0, {"letter": "0"}, 1],
         [1, {"var": "x"}, 2],
         [0, {"eps": True}, 2],
-        [1, {"word": "01"}, 1],
+        [1, {"letter": "1"}, 1],
     ]
 
 
 @pytest.mark.parametrize("a", [
     Nfa(3, 0, {2}, [(0, "0", 1), (1, VarLabel("x"), 2), (0, EPSILON, 2),
-                    (1, WordLabel("01"), 1), (2, "1", 0)], AB01),
+                    (2, "1", 0)], AB01),
     Nfa(2, 1, (), [(0, "1", 1)], AB01),
     Nfa(3, 2, {0, 1}, (), AB01),
     Nfa(1, 0, (), (), AB01),
-    Nfa(2, 0, {1}, [(0, '"', 1), (1, "\\", 0), (0, "é", 0), (1, WordLabel('é"\\'), 1),
-                    (0, VarLabel("x\ty"), 1)], Alphabet('"\\é')),
+    Nfa(2, 0, {1}, [(0, '"', 1), (1, "\\", 0), (0, "é", 0), (0, VarLabel("x\ty"), 1)],
+        Alphabet('"\\é')),
 ], ids=["all-labels", "no-finals", "no-transitions", "empty", "escaped"])
 def test_export_json_is_the_indented_dump(a):
     assert export_json(a) == json.dumps(nfa_to_json(a), indent=2)

@@ -481,6 +481,21 @@ class TestFamilyAndFooling:
         res = invoke(runner, "family", "--kind", "box-doubleexp", "--n", "1")
         assert res.output == "((0|1)(0|1))*$x1$x2((0|1)(0|1))*\n"
 
+    @pytest.mark.parametrize("kind", ["box-subword", "box-doubleexp", "diamond-power"])
+    def test_family_index_is_capped_at_the_repeat_limit(self, runner, kind):
+        res = invoke(runner, "family", "--kind", kind, "--n", "10001")
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: n must be at most 10000\n"
+
+    @pytest.mark.parametrize("kind", ["box", "diamond"])
+    def test_fooling_verify_refuses_an_index_past_the_cap(self, runner, tmp_path, kind):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("0\t0\n")
+        res = invoke(runner, "fooling", "verify", "--kind", kind, "--n", "10001",
+                     "--pairs", str(path))
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: n must be at most 10000\n"
+
     def test_fooling_generate(self, runner):
         res = invoke(runner, "fooling", "generate", "--kind", "diamond", "--n", "1")
         assert res.exit_code == 0

@@ -101,6 +101,15 @@ class TestLemma3Combine:
 
 
 class TestFamilies:
+    @pytest.mark.parametrize("build", [family_box_subword, family_box_doubleexp,
+                                       family_diamond_power])
+    def test_index_runs_from_one_to_the_repeat_limit(self, build):
+        for n, text in ((0, "n must be positive"), (10001, "n must be at most 10000")):
+            with pytest.raises(ValueError) as info:
+                build(n)
+            assert str(info.value) == text
+        assert build(10000) is not None
+
     def test_box_subword_shape(self):
         assert print_regex(family_box_subword(1)) == "(0|1)*$x1(0|1)*"
         assert family_box_subword(2) == parse("(0|1)*$x1$x2(0|1)*", AB)

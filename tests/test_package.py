@@ -60,3 +60,27 @@ def test_every_public_function_is_exported_or_used():
             if not used:
                 unused.append(f"{stem}.{node.name}")
     assert not unused, unused
+
+
+def test_every_module_uses_what_it_imports():
+    """A name imported at module level that the module never reads as a
+    name is left over; ``__init__.py`` imports to re-export and is skipped."""
+    import ast
+    from pathlib import Path
+
+    unused = []
+    for path in sorted(Path(prx.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused

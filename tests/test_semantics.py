@@ -11,7 +11,6 @@ import pytest
 from prx.automata import (
     Nfa,
     accepts,
-    expand_extended,
     is_empty,
     regex_to_nfa,
     remove_epsilon,
@@ -1240,7 +1239,7 @@ def reference_instances(e, alphabet, route, choices):
     base = _compiled(e, alphabet)
     if route == "letters":
         return [apply_to_nfa(nu, base) for nu in valuations_from(choices)]
-    return [remove_epsilon(expand_extended(apply_finitary(nu, base)))
+    return [remove_epsilon(apply_finitary(nu, base))
             for nu in valuations_from(choices)]
 
 
@@ -1455,10 +1454,6 @@ class TestBuiltAutomataPassTheChecks:
         for _ in range(150):
             e, spec, _, _ = random_domain_case(rng, infinite=rng.random() < 0.4)
             if not spec.infinite_variables():
-                compiled = _compiled(e, AB)
-                for nu in itertools.islice(valuations_from(domain_choices(spec)), 4):
-                    expanded = expand_extended(apply_to_nfa(nu, compiled))
-                    self.check(tally, "expand_extended", expanded)
                 self.check(tally, "construct_nfa diamond enumerate",
                            construct_nfa(e, AB, DIAMOND, domains=spec))
             route = "finitary" if spec.infinite_variables() else "enumerate"

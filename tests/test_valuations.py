@@ -16,9 +16,9 @@ from oracles import (
     substitute,
 )
 from prx.automata import (
+    EPSILON,
     Nfa,
-    WordLabel,
-    expand_extended,
+    VarLabel,
     is_empty,
     regex_to_nfa,
     remove_epsilon,
@@ -173,12 +173,24 @@ def test_apply_to_regex_unbound_variable():
 
 
 def test_apply_to_nfa_matches_apply_to_regex():
-    e = parse("(0$x)*1($x$y)*", AB01)
-    nu = Valuation({"x": "1", "y": "0"})
-    a = apply_to_nfa(nu, regex_to_nfa(e, AB01))
-    lhs = nfa_bounded_language(a, AB01, 6)
-    rhs = bounded_language(apply_to_regex(nu, e), 6)
-    assert lhs == rhs
+    """Images of 0-3 letters: the language is the substituted expression's,
+    and each image of n >= 2 letters adds n - 1 chain states."""
+    rng = random.Random(1717)
+    for _ in range(300):
+        alphabet = Alphabet(rng.choice(["01", "012"]))
+        e = random_expr(rng, alphabet, ["x", "y", "z"], rng.randint(1, 12), var_prob=0.4)
+        nu = Valuation({name: "".join(rng.choice(alphabet.letters)
+                                      for _ in range(rng.randint(0, 3)))
+                        for name in variables(e)})
+        base = regex_to_nfa(e, alphabet)
+        if rng.random() < 0.5:
+            base = remove_epsilon(base)
+        a = apply_to_nfa(nu, base)
+        chained = sum(max(len(nu[label.name]) - 1, 0) for _, label, _ in base.transitions
+                      if isinstance(label, VarLabel))
+        assert (a.n_states, a.initial, a.finals) == (
+            base.n_states + chained, base.initial, base.finals)
+        assert nfa_bounded_language(a, alphabet, 5) == bounded_language(apply_to_regex(nu, e), 5)
 
 
 def test_apply_to_nfa_variable_free_identity():
@@ -187,12 +199,17 @@ def test_apply_to_nfa_variable_free_identity():
     assert b.transitions == a.transitions
 
 
-def test_apply_to_nfa_word_image_expands_on_demand():
+def test_apply_to_nfa_spells_a_word_image_as_a_chain():
     ab = Alphabet("ab")
-    a = regex_to_nfa(parse("$x", ab), ab)
-    relabeled = apply_to_nfa(Valuation({"x": "ab"}), a)
-    assert any(isinstance(lab, WordLabel) for _, lab, _ in relabeled.transitions)
-    assert nfa_bounded_language(expand_extended(relabeled), ab, 3) == {"ab"}
+    a = apply_to_nfa(Valuation({"x": "ab"}), regex_to_nfa(parse("$x", ab), ab))
+    assert (a.n_states, a.initial, a.finals) == (3, 0, {1})
+    assert a.transitions == ((0, "a", 2), (2, "b", 1))
+    # Chains are numbered in transition order, in the variable edge's place.
+    a = apply_to_nfa(Valuation({"x": "ab", "y": "bab"}), regex_to_nfa(parse("$x$y", ab), ab))
+    assert a.n_states == 7
+    assert a.transitions == ((0, "a", 4), (4, "b", 1), (2, "b", 5), (5, "a", 6), (6, "b", 3),
+                             (1, EPSILON, 2))
+    assert nfa_bounded_language(a, ab, 6) == {"abbab"}
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +367,11 @@ def test_apply_finitary_crosschecks_with_total_valuations():
     e = parse("$x 1", AB01)
     a = remove_epsilon(regex_to_nfa(e, AB01))
     finitary = [
-        remove_epsilon(expand_extended(apply_finitary(v, a)))
+        remove_epsilon(apply_finitary(v, a))
         for v in valuations_from(domain_choices(spec, finitary=True))
     ]
     total = [
-        remove_epsilon(expand_extended(apply_to_nfa(v, a)))
+        remove_epsilon(apply_to_nfa(v, a))
         for v in valuations_from(domain_choices(spec))
     ]
     lhs = dfa_walk_language(product_all(finitary), 6)
