@@ -4,7 +4,11 @@ Automata live over a declared :class:`~prx.syntax.Alphabet`.  Transition
 labels are plain one-character strings for letters, :class:`VarLabel` for
 variables and :data:`EPSILON` for the empty word.  A word substituted for a
 variable is spelled as a chain of letter edges through states of its own
-(see :func:`~prx.valuations.apply_to_nfa`).
+(see :func:`~prx.valuations.apply_to_nfa`).  Expressions compile straight
+to epsilon-free automata on Thompson's state numbering
+(:func:`regex_to_nfa`); epsilon edges come only from automata passed in from
+outside, and from the empty word as a variable's image, and
+:func:`remove_epsilon` serves those.
 
 Everything is immutable after construction and every algorithm is
 deterministic: searches try letters in alphabet declaration order, so
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Hashable, Iterable
 
 from .errors import StateCapExceeded
@@ -31,7 +36,6 @@ from .syntax import (
     Star,
     Union,
     Var,
-    _walk,
 )
 
 #: Default bound on the states a construction or search may build; the
@@ -130,57 +134,160 @@ class Nfa:
 
 
 # ---------------------------------------------------------------------------
-# Construction from expressions (Thompson-style, epsilon transitions allowed)
+# Construction from expressions (epsilon-free, on Thompson's state numbering)
+
+_NODE_TYPES = frozenset((EmptySet, Epsilon, Lit, Var, Concat, Union, Star))
+_BIT_CHARS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(m: int) -> list[int]:
+    """The positions of the set bits of ``m``, ascending.  A narrow set is
+    read bit by bit; a wide one from its binary digits, one pass in C rather
+    than one big-int operation per bit."""
+    shift = (m & -m).bit_length() - 1
+    m >>= shift
+    if m.bit_length() <= 32:
+        out = []
+        while m:
+            low = m & -m
+            out.append(shift + low.bit_length() - 1)
+            m ^= low
+        return out
+    bits = format(m, "b")[::-1].encode().translate(_BIT_CHARS)
+    return list(compress(range(shift, shift + len(bits)), bits))
 
 
 def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
-    """Compile an expression to an NFA over letters and variable labels.
+    """Compile an expression to an epsilon-free NFA over letters and
+    variable labels.
 
-    The construction is the classic one with a fresh start/end state pair
-    per subexpression other than a concatenation, numbered in the order the
-    subexpressions are entered (left to right, outside in); the result has a
-    single final state and may contain epsilon transitions (remove them with
-    :func:`remove_epsilon`).  The tree is walked with an explicit stack.
+    The states are those of Thompson's construction: a start/end pair per
+    subexpression other than a concatenation, numbered in the order the
+    subexpressions are entered (left to right, outside in), the start of
+    the whole expression being 0.  Each state gets the letter and variable
+    edges of its epsilon-closure in Thompson's automaton, and is final when
+    that closure reaches the end of the whole expression, so the result is
+    the one :func:`remove_epsilon` would make of Thompson's automaton,
+    edges in the same order, without building an epsilon edge.
+
+    The closures are read off the tree (the position automaton of Glushkov
+    and Brüggemann-Klein): ``first`` of a node is the set of leaf edges its
+    start reaches inside it, ``follow`` the set its end reaches, and a set
+    is an int whose bit j + 1 stands for the edge of the j-th letter or
+    variable leaf and whose bit 0 for the final end.  A bottom-up pass gives
+    ``first`` and nullability, a top-down pass ``follow``: a start state
+    has ``first``, and ``follow`` too when the node is nullable; an end
+    state has ``follow``.  Leaves are numbered left to right, so their ends
+    increase with them, and a state's edges come out sorted by label (see
+    :func:`_label_sort_key`), then target.  Both passes run over the nodes
+    listed in entering order with an explicit stack, so nesting depth meets
+    no recursion limit; a shared subtree is listed once per occurrence.
     """
-    transitions: list[tuple[int, Label, int]] = []
+    # The nodes in entering order: type, index of the right child, and the
+    # leaves entered before it plus one, which is the bit of its first leaf.
+    types: list[type] = []
+    right: list[int] = []
+    low: list[int] = []
+    leaves: list[tuple[Label, int]] = []  # (label, end state)
+    var_labels: dict[str, VarLabel] = {}  # one label per variable
     counter = 0
-    # (start, end) of every node entered and not yet joined to its parent;
-    # a node's own pair is pushed when it is entered, below its children's.
-    ends: list[tuple[int, int]] = []
-    for node, entering in _walk(e):
-        if entering:
-            if not isinstance(node, Concat):
-                ends.append((counter, counter + 1))
-                counter += 2
-        elif isinstance(node, Concat):
-            (ls, lt), (rs, rt) = ends[-2:]
-            del ends[-1]
-            ends[-1] = (ls, rt)
-            transitions.append((lt, EPSILON, rs))
-        elif isinstance(node, Union):
-            (s, t), (ls, lt), (rs, rt) = ends[-3:]
-            del ends[-2:]
-            transitions.extend([(s, EPSILON, ls), (s, EPSILON, rs), (lt, EPSILON, t), (rt, EPSILON, t)])
-        elif isinstance(node, Star):
-            (s, t), (is_, it) = ends[-2:]
-            del ends[-1]
-            transitions.extend(
-                [(s, EPSILON, t), (s, EPSILON, is_), (it, EPSILON, t), (it, EPSILON, is_)]
-            )
-        else:
-            s, t = ends[-1]
-            if isinstance(node, Epsilon):
-                transitions.append((s, EPSILON, t))
-            elif isinstance(node, Lit):
-                if node.letter not in alphabet:
-                    raise ValueError(f"letter {node.letter!r} is not in the alphabet")
-                transitions.append((s, node.letter, t))
-            elif isinstance(node, Var):
-                transitions.append((s, VarLabel(node.name), t))
-            elif not isinstance(node, EmptySet):
-                raise TypeError(f"not an expression node: {node!r}")
-    start, end = ends[0]
-    return Nfa._built(counter, start, {end}, transitions, alphabet)
+    stack: list[tuple[ParamRegex, int]] = [(e, -1)]  # (node, parent if a right child)
+    while stack:
+        node, parent = stack.pop()
+        i = len(types)
+        if parent >= 0:
+            right[parent] = i
+        t = type(node)
+        types.append(t)
+        right.append(0)
+        low.append(len(leaves) + 1)
+        if t is Concat:
+            stack += ((node.right, i), (node.left, -1))
+            continue
+        counter += 2
+        if t is Union:
+            stack += ((node.right, i), (node.left, -1))
+        elif t is Star:
+            stack.append((node.inner, -1))
+        elif t is Lit:
+            if node.letter not in alphabet:
+                raise ValueError(f"letter {node.letter!r} is not in the alphabet")
+            leaves.append((node.letter, counter - 1))
+        elif t is Var:
+            if node.name not in var_labels:
+                var_labels[node.name] = VarLabel(node.name)
+            leaves.append((var_labels[node.name], counter - 1))
+        elif t not in _NODE_TYPES:
+            raise TypeError(f"not an expression node: {node!r}")
+    # Bottom-up: first[i] holds the node's leaves shifted down by low[i].
+    n = len(types)
+    first = [0] * n
+    nullable = [False] * n
+    for i in range(n - 1, -1, -1):
+        t = types[i]
+        if t is Concat:
+            r = right[i]
+            if nullable[i + 1]:
+                first[i] = first[i + 1] | first[r] << (low[r] - low[i])
+                nullable[i] = nullable[r]
+            else:
+                first[i] = first[i + 1]
+        elif t is Union:
+            r = right[i]
+            first[i] = first[i + 1] | first[r] << (low[r] - low[i])
+            nullable[i] = nullable[i + 1] or nullable[r]
+        elif t is Star:
+            first[i] = first[i + 1]
+            nullable[i] = True
+        elif t is Epsilon:
+            nullable[i] = True
+        elif t is not EmptySet:
+            first[i] = 1
+    # Edges of a state with two labels or more are sorted by label rank,
+    # which keeps them in leaf order within a label.
+    labels = {label for label, _ in leaves}
+    rank = None
+    if len(labels) > 1:
+        ranks = {label: k for k, label in enumerate(sorted(labels, key=_label_sort_key))}
+        rank = [ranks[label] for label, _ in leaves].__getitem__
+    transitions: list[tuple[int, Label, int]] = []
+    finals: list[int] = []
+
+    def emit(q: int, edges: int) -> None:
+        if edges & 1:
+            finals.append(q)
+        edges >>= 1
+        if not edges & (edges - 1):  # at most one edge
+            if edges:
+                transitions.append((q, *leaves[edges.bit_length() - 1]))
+            return
+        js = _members(edges)
+        if rank is not None:
+            js.sort(key=rank)
+        transitions.extend([(q, *leaves[j]) for j in js])
+
+    # Top-down, in state order: follow[i] is set by the node's parent.
+    follow: list[int | None] = [0] * n
+    follow[0] = 1
+    q = 0
+    for i in range(n):
+        t, after = types[i], follow[i]
+        follow[i] = None  # freed once read: the sets of a long expression are long
+        if t is Concat:
+            r = right[i]
+            ahead = first[r] << low[r]
+            follow[r] = after
+            follow[i + 1] = ahead | after if nullable[r] else ahead
+            continue
+        own = first[i] << low[i]
+        if t is Union:
+            follow[i + 1] = follow[right[i]] = after
+        elif t is Star:
+            follow[i + 1] = own | after
+        emit(q, own | after if nullable[i] else own)
+        emit(q + 1, after)
+        q += 2
+    return Nfa._built(counter, 0, finals, transitions, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +297,9 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
 def remove_epsilon(a: Nfa) -> Nfa:
     """Language-equivalent NFA without epsilon transitions, on the same states.
 
+    The library builds no epsilon edge from an expression (see
+    :func:`regex_to_nfa`); this serves automata passed in from outside, and
+    those with an empty word substituted for a variable.
     A state gets every non-epsilon edge leaving its epsilon-closure, and is
     final when the closure holds a final state.  Only states with epsilon
     edges of their own are searched; every other state is its own closure

@@ -40,7 +40,6 @@ from .automata import (
     _targets,
     is_empty,
     regex_to_nfa,
-    remove_epsilon,
 )
 from .errors import DomainNotFinite, PreconditionViolated, PrxError, StateCapExceeded
 from .syntax import Alphabet, ParamRegex, is_simple, star_height, variables
@@ -105,11 +104,6 @@ class DecisionReport:
         }
 
 
-def _compiled(e: ParamRegex, alphabet: Alphabet) -> Nfa:
-    """Epsilon-free automaton for the expression, variables kept as labels."""
-    return remove_epsilon(regex_to_nfa(e, alphabet))
-
-
 def _check_spec_covers(spec: DomainSpec, *exprs: ParamRegex) -> None:
     for e in exprs:
         missing = [name for name in variables(e) if name not in spec]
@@ -128,6 +122,7 @@ def _valuation_space(
     domains: DomainSpec | None,
     valuation_cap: int,
     word_cap: int,
+    covered: bool = False,
 ) -> tuple[str, dict[str, Sequence[str]]]:
     """The route the instances come from, and the images of each variable.
 
@@ -137,11 +132,14 @@ def _valuation_space(
     regular: it is the intersection over the finitary valuations, which
     leave the infinite-domain variables undefined and drop their
     transitions ("finitary").  The possibility language over an infinite
-    domain may be nonregular, so that combination is refused.
+    domain may be nonregular, so that combination is refused.  A variable
+    of e without a domain is refused first, unless the caller has checked
+    (``covered``).
     """
     if domains is None:
         return "letters", letter_choices(variables(e), alphabet, valuation_cap)
-    _check_spec_covers(domains, e)
+    if not covered:
+        _check_spec_covers(domains, e)
     finitary = bool(domains.infinite_variables())
     if sem is DIAMOND and finitary:
         raise DomainNotFinite(
@@ -180,9 +178,9 @@ def _construct(
     """
     route, choices = space
     if sem is DIAMOND:
-        base = _compiled(e, alphabet) if route == "letters" else None
+        base = regex_to_nfa(e, alphabet) if route == "letters" else None
         return _union((
-            (base or _compiled(apply_to_regex(nu, e), alphabet), nu)
+            (base or regex_to_nfa(apply_to_regex(nu, e), alphabet), nu)
             for nu in valuations_from(choices)
         ), alphabet, state_cap)
     masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
@@ -219,9 +217,9 @@ def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet,
 
     Node 0 has the edges of every instance's start, and is final when one
     of those starts is; each instance's states follow in turn.  The edges
-    come out ordered by source, letter and target, without duplicates, as
-    :func:`~prx.automata.remove_epsilon` would leave them: a compiled
-    automaton's edges are in that order already, and relabelling can only
+    come out ordered by source, letter and target, without duplicates: a
+    compiled automaton's edges are in that order already (see
+    :func:`~prx.automata.regex_to_nfa`), and relabelling can only
     reorder, or make equal, the edges of a state with two or more of them,
     one a variable edge, so only those are sorted again.
     """
@@ -685,7 +683,7 @@ def _instance_masks(e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Seq
     word reaches would only add fields that every mask state leaves empty,
     so the mask states, and their numbering, are those of the whole
     compiled automaton."""
-    base = _reachable(_compiled(e, alphabet))
+    base = _reachable(regex_to_nfa(e, alphabet))
     return _Masks(*_moves(base, choices, chain_per_edge), base.finals)
 
 
@@ -812,7 +810,7 @@ def membership_decider(
     order, and ``valuations`` counts the enumeration up to it, or all of it
     when there is none.  A letter outside the alphabet raises ``ValueError``.
     """
-    base = _compiled(e, alphabet)
+    base = regex_to_nfa(e, alphabet)
     _, choices = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
     total, moves, start, _ = _moves(base, choices)
     want = sem is DIAMOND
@@ -844,12 +842,6 @@ def membership_decider(
     return decide
 
 
-def _check_word(w: str, alphabet: Alphabet) -> None:
-    for ch in w:
-        if ch not in alphabet:
-            raise ValueError(f"word uses letter {ch!r} outside the alphabet")
-
-
 def membership_diamond_fixed_word(
     e: ParamRegex, w: str, alphabet: Alphabet, state_cap: int = DEFAULT_STATE_CAP
 ) -> tuple[bool, Valuation | None]:
@@ -868,8 +860,9 @@ def membership_diamond_fixed_word(
     unbound variable mapped to the first letter (an unused edge cannot
     constrain the run).
     """
-    _check_word(w, alphabet)
-    a = _compiled(e, alphabet)
+    for ch in w:
+        alphabet.index(ch)  # a letter outside the alphabet raises ValueError
+    a = regex_to_nfa(e, alphabet)
     adjacency = a.adjacency()
     level: dict[tuple[int, tuple], None] = {(a.initial, ()): None}  # nodes, in order
     count = 1
@@ -918,8 +911,9 @@ def membership_diamond_simple_sh0(e: ParamRegex, w: str, alphabet: Alphabet) -> 
         raise PreconditionViolated("expected a simple expression")
     if star_height(e) != 0:
         raise PreconditionViolated("expected a star-free expression")
-    _check_word(w, alphabet)
-    a = _compiled(e, alphabet)
+    for ch in w:
+        alphabet.index(ch)  # a letter outside the alphabet raises ValueError
+    a = regex_to_nfa(e, alphabet)
     adjacency = a.adjacency()
     current = {a.initial}
     for letter in w:
@@ -955,7 +949,7 @@ def nonemptiness(
     """
     if sem is DIAMOND and domains is None:
         nu = Valuation(dict.fromkeys(variables(e), alphabet.letters[0]))
-        instance = apply_to_nfa(nu, _compiled(e, alphabet))
+        instance = apply_to_nfa(nu, regex_to_nfa(e, alphabet))
         empty, witness = is_empty(instance)
         return DecisionReport(
             answer=not empty,
@@ -972,7 +966,7 @@ def nonemptiness(
             witness=witness,
             stats={"valuations": n_vals, "states": combined.n_states},
         )
-    side = _search_masks(_compiled(e, alphabet), space[1])
+    side = _search_masks(regex_to_nfa(e, alphabet), space[1])
     witness, n_states = _mask_search(
         side.start, side.step, alphabet,
         wanted=lambda s: side.accepting(s) == side.full,
@@ -1011,7 +1005,7 @@ def universality(
     the shortlex-least word outside the language.
     """
     _, choices = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
-    base = _compiled(e, alphabet)
+    base = regex_to_nfa(e, alphabet)
     if sem is BOX and domains is None:
         # Every instance rejects the empty word when the expression does, and
         # then the first instance is the answer without a search.
@@ -1081,14 +1075,13 @@ def containment(
     """
     if domains is not None:
         _check_spec_covers(domains, e1, e2)
-
-    space = _valuation_space(e1, alphabet, sem, domains, valuation_cap, word_cap)
+    space = _valuation_space(e1, alphabet, sem, domains, valuation_cap, word_cap, covered=True)
     rhs_space = space
     if domains is None:  # over letters each side has its own variables
         rhs_space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
     if sem is DIAMOND:
         lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
-        rhs = _search_masks(_compiled(e2, alphabet), rhs_space[1])
+        rhs = _search_masks(regex_to_nfa(e2, alphabet), rhs_space[1])
         witness, n_states = _pair_search(
             lhs, rhs.start, lambda s, i: (rhs.step(s, i),), lambda s: not rhs.accepting(s),
             state_cap,
@@ -1098,8 +1091,8 @@ def containment(
             witness=witness,
             stats={"valuations": n_lhs + rhs.total, "states": n_states},
         )
-    lhs = _search_masks(_compiled(e1, alphabet), space[1])
-    rhs = _search_masks(_compiled(e2, alphabet), rhs_space[1])
+    lhs = _search_masks(regex_to_nfa(e1, alphabet), space[1])
+    rhs = _search_masks(regex_to_nfa(e2, alphabet), rhs_space[1])
     witness, n_states = _mask_search(
         (lhs.start, rhs.start),
         lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),
@@ -1138,8 +1131,8 @@ def nonempty_int_reg(
         _check_spec_covers(domains, e)
     if variables(r):
         raise PrxError("the regular constraint must be variable-free")
-    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
-    reg = _compiled(r, alphabet)
+    space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap, covered=True)
+    reg = regex_to_nfa(r, alphabet)
     if sem is DIAMOND:
         lhs, n_vals = _construct(e, alphabet, sem, space, state_cap)
         on_reg = _targets(reg)
@@ -1148,7 +1141,7 @@ def nonempty_int_reg(
             state_cap,
         )
     else:
-        side = _search_masks(_compiled(e, alphabet), space[1])
+        side = _search_masks(regex_to_nfa(e, alphabet), space[1])
         n_vals = side.total
         witness, n_states = _pair_search(
             reg, side.start, lambda s, i: (nxt,) if side.alive(nxt := side.step(s, i)) else (),

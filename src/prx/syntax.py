@@ -321,41 +321,31 @@ _LEVEL_STAR = 2
 _LEVEL_ATOM = 3
 
 
-def _needs_space(left_text: str, right_text: str) -> bool:
+def _needs_space(written: list[str], text: str) -> bool:
     # A printed variable ends in identifier characters; if the next piece also
     # starts with one, the re-parse would extend the variable name.  A single
-    # space (ignored by the parser) keeps the boundary.
-    if not right_text or right_text[0] not in _IDENT_CHARS:
-        return False
-    k = len(left_text)
-    while k > 0 and left_text[k - 1] in _IDENT_CHARS:
-        k -= 1
-    return 0 < k < len(left_text) and left_text[k - 1] == "$"
+    # space (ignored by the parser) keeps the boundary.  Pieces are written
+    # whole, and only a variable's starts with "$".
+    return bool(written) and written[-1][0] == "$" and text[0] in _IDENT_CHARS
 
 
-def _at(part: tuple[str, int], min_level: int) -> str:
-    text, level = part
-    return "(" + text + ")" if level < min_level else text
-
-
-def _render(node: ParamRegex, *parts: tuple[str, int]) -> tuple[str, int]:
-    """Text and precedence level of ``node``, from those of its children."""
-    if isinstance(node, EmptySet):
-        return "@", _LEVEL_ATOM
-    if isinstance(node, Epsilon):
-        return "_", _LEVEL_ATOM
-    if isinstance(node, Lit):
-        return node.letter, _LEVEL_ATOM
-    if isinstance(node, Var):
-        return "$" + node.name, _LEVEL_ATOM
-    if isinstance(node, Star):
-        return _at(parts[0], _LEVEL_STAR) + "*", _LEVEL_STAR
-    if isinstance(node, Concat):
-        left, right = _at(parts[0], _LEVEL_STAR), _at(parts[1], _LEVEL_CONCAT)
-        sep = " " if _needs_space(left, right) else ""
-        return left + sep + right, _LEVEL_CONCAT
+def _level(node: ParamRegex) -> int:
     if isinstance(node, Union):
-        return _at(parts[0], _LEVEL_CONCAT) + "|" + _at(parts[1], _LEVEL_UNION), _LEVEL_UNION
+        return _LEVEL_UNION
+    if isinstance(node, Concat):
+        return _LEVEL_CONCAT
+    return _LEVEL_STAR if isinstance(node, Star) else _LEVEL_ATOM
+
+
+def _atom_text(node: ParamRegex) -> str:
+    if isinstance(node, EmptySet):
+        return "@"
+    if isinstance(node, Epsilon):
+        return "_"
+    if isinstance(node, Lit):
+        return node.letter
+    if isinstance(node, Var):
+        return "$" + node.name
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -364,9 +354,35 @@ def print_regex(e: ParamRegex) -> str:
 
     Parentheses are inserted only where precedence or grouping requires them;
     in particular left-nested unions/concatenations keep their grouping
-    (``Union(Union(a,b),c)`` prints as ``(a|b)|c``).
+    (``Union(Union(a,b),c)`` prints as ``(a|b)|c``).  The pieces are written
+    left to right into one list from an explicit stack, so printing takes
+    time linear in the output and nesting depth meets no recursion limit.
     """
-    return _fold(e, _render)[0]
+    written: list[str] = []
+    # A node with the least level it may print at unparenthesized, or a
+    # piece of text to write once everything above it on the stack is written.
+    stack: list[tuple[ParamRegex, int] | str] = [(e, _LEVEL_UNION)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            written.append(item)
+            continue
+        node, least = item
+        if _level(node) < least:
+            written.append("(")
+            stack.append(")")
+        if isinstance(node, Union):
+            stack += ((node.right, _LEVEL_UNION), "|", (node.left, _LEVEL_CONCAT))
+        elif isinstance(node, Concat):
+            stack += ((node.right, _LEVEL_CONCAT), (node.left, _LEVEL_STAR))
+        elif isinstance(node, Star):
+            stack += ("*", (node.inner, _LEVEL_STAR))
+        else:
+            text = _atom_text(node)
+            if _needs_space(written, text):
+                written.append(" ")
+            written.append(text)
+    return "".join(written)
 
 
 # ---------------------------------------------------------------------------

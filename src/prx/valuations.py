@@ -206,7 +206,9 @@ def _analyse(d: Nfa) -> tuple[Nfa, list[int] | None]:
     """A domain's trimmed epsilon-free letter automaton and a topological
     order of its states, ``None`` when it has a cycle: a trimmed automaton
     accepts finitely many words iff it is acyclic.  The order lists states
-    no transition from an unlisted state enters (Kahn's algorithm)."""
+    no transition from an unlisted state enters (Kahn's algorithm).  Only
+    an automaton passed in can have epsilon edges to remove: a domain
+    expression compiles without them."""
     has_eps, has_var = d.label_kinds()
     if has_var:
         raise ValueError("domain automata must be variable-free")

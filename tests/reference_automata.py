@@ -1,6 +1,8 @@
 """The per-instance constructions the library no longer uses, kept as the
 tests' reference for the automata it builds in one pass.
 
+:func:`thompson` is Thompson's construction with its epsilon edges, whose
+epsilon-removal :func:`~prx.automata.regex_to_nfa` builds directly.
 :func:`determinize` is the subset construction of one automaton, as a
 :class:`Dfa`, and :func:`first_rejected` and :func:`is_universal` read its
 shortlex-least rejected word.  :func:`product_all` determinizes every
@@ -26,8 +28,57 @@ from prx.automata import (
     DEFAULT_STATE_CAP, EPSILON, Label, Nfa, VarLabel, regex_to_nfa, remove_epsilon,
 )
 from prx.errors import StateCapExceeded
-from prx.syntax import Alphabet, ParamRegex, variables
+from prx.syntax import (
+    Alphabet, Concat, EmptySet, Epsilon, Lit, ParamRegex, Star, Union, Var, _walk, variables,
+)
 from prx.valuations import Valuation
+
+
+def thompson(e: ParamRegex, alphabet: Alphabet) -> Nfa:
+    """Thompson's construction: a fresh start/end state pair per
+    subexpression other than a concatenation, numbered in the order the
+    subexpressions are entered (left to right, outside in), joined by
+    epsilon edges; the end of the whole expression is the one final state.
+    The tree is walked with an explicit stack."""
+    transitions: list[tuple[int, Label, int]] = []
+    counter = 0
+    # (start, end) of every node entered and not yet joined to its parent;
+    # a node's own pair is pushed when it is entered, below its children's.
+    ends: list[tuple[int, int]] = []
+    for node, entering in _walk(e):
+        if entering:
+            if not isinstance(node, Concat):
+                ends.append((counter, counter + 1))
+                counter += 2
+        elif isinstance(node, Concat):
+            (ls, lt), (rs, rt) = ends[-2:]
+            del ends[-1]
+            ends[-1] = (ls, rt)
+            transitions.append((lt, EPSILON, rs))
+        elif isinstance(node, Union):
+            (s, t), (ls, lt), (rs, rt) = ends[-3:]
+            del ends[-2:]
+            transitions.extend([(s, EPSILON, ls), (s, EPSILON, rs), (lt, EPSILON, t), (rt, EPSILON, t)])
+        elif isinstance(node, Star):
+            (s, t), (is_, it) = ends[-2:]
+            del ends[-1]
+            transitions.extend(
+                [(s, EPSILON, t), (s, EPSILON, is_), (it, EPSILON, t), (it, EPSILON, is_)]
+            )
+        else:
+            s, t = ends[-1]
+            if isinstance(node, Epsilon):
+                transitions.append((s, EPSILON, t))
+            elif isinstance(node, Lit):
+                if node.letter not in alphabet:
+                    raise ValueError(f"letter {node.letter!r} is not in the alphabet")
+                transitions.append((s, node.letter, t))
+            elif isinstance(node, Var):
+                transitions.append((s, VarLabel(node.name), t))
+            elif not isinstance(node, EmptySet):
+                raise TypeError(f"not an expression node: {node!r}")
+    start, end = ends[0]
+    return Nfa(counter, start, {end}, transitions, alphabet)
 
 
 class Dfa:
@@ -360,8 +411,8 @@ def membership_diamond_fixed_word(
     nodes are reached."""
     for ch in w:
         if ch not in alphabet:
-            raise ValueError(f"word uses letter {ch!r} outside the alphabet")
-    a = remove_epsilon(regex_to_nfa(e, alphabet))
+            raise ValueError(f"letter {ch!r} is not in the alphabet")
+    a = regex_to_nfa(e, alphabet)
     adjacency = a.adjacency()
     names = variables(e)
 

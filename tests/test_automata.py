@@ -35,14 +35,15 @@ from prx.semantics import BOX, DIAMOND, construct_nfa
 from prx.syntax import Alphabet, parse, variables
 from prx.valuations import DomainSpec, Valuation, apply_to_nfa
 from reference_automata import (
-    Dfa, complement, determinize, dfa_to_nfa, is_universal, product, product_all, union_all,
+    Dfa, complement, determinize, dfa_to_nfa, is_universal, product, product_all, thompson,
+    union_all,
 )
 
 AB01 = Alphabet("01")
 
 
 def compile_plain(text: str, alphabet: Alphabet = AB01) -> Nfa:
-    return remove_epsilon(regex_to_nfa(parse(text, alphabet), alphabet))
+    return regex_to_nfa(parse(text, alphabet), alphabet)
 
 
 def dfa_language(d: Dfa, max_len: int) -> frozenset[str]:
@@ -69,25 +70,73 @@ def nfa_language(a: Nfa, max_len: int) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# regex_to_nfa
+# regex_to_nfa, and Thompson's construction, which it matches once epsilon edges are removed
 
 
 def test_empty_set_accepts_nothing():
-    a = regex_to_nfa(parse("@", AB01), AB01)
-    assert nfa_bounded_language(a, AB01, 3) == frozenset()
+    for compile_ in (regex_to_nfa, thompson):
+        a = compile_(parse("@", AB01), AB01)
+        assert nfa_bounded_language(a, AB01, 3) == frozenset()
 
 
 def test_union_of_letters():
-    a = regex_to_nfa(parse("0|1", AB01), AB01)
-    assert nfa_bounded_language(a, AB01, 2) == {"0", "1"}
+    for compile_ in (regex_to_nfa, thompson):
+        a = compile_(parse("0|1", AB01), AB01)
+        assert nfa_bounded_language(a, AB01, 2) == {"0", "1"}
 
 
 def test_variables_appear_as_opaque_labels():
-    a = regex_to_nfa(parse("(0$x)*1($x$y)*", AB01), AB01)
-    word = [("lit", "0"), ("var", "x"), ("lit", "1"), ("var", "x"), ("var", "y")]
-    assert nfa_accepts_labels(a, word)
-    assert nfa_accepts_labels(a, [("lit", "1")])
-    assert not nfa_accepts_labels(a, [("lit", "0")])
+    for compile_ in (regex_to_nfa, thompson):
+        a = compile_(parse("(0$x)*1($x$y)*", AB01), AB01)
+        word = [("lit", "0"), ("var", "x"), ("lit", "1"), ("var", "x"), ("var", "y")]
+        assert nfa_accepts_labels(a, word)
+        assert nfa_accepts_labels(a, [("lit", "1")])
+        assert not nfa_accepts_labels(a, [("lit", "0")])
+
+
+def _as_tuple(a: Nfa) -> tuple:
+    return a.n_states, a.initial, a.finals, a.transitions
+
+
+def test_regex_to_nfa_is_thompson_with_its_epsilon_edges_removed():
+    """Same states, initial state, finals and transitions in the same order,
+    and no epsilon edge."""
+    rng = random.Random(2207)
+    for letters in ("01", "012", "ba"):
+        alphabet = Alphabet(letters)
+        for _ in range(3400):
+            e = random_expr(rng, alphabet, ["x", "y", "z"], rng.randint(1, 60))
+            a = regex_to_nfa(e, alphabet)
+            assert _as_tuple(a) == _as_tuple(remove_epsilon(thompson(e, alphabet))), e
+            assert not a.label_kinds()[0]
+
+
+_DEEP = {
+    "union-2000": ("|".join("0" * 2000), "0"),
+    "stars-500": ("(" * 500 + "0" + ")*" * 500, "000"),
+    "optional-300": ("(0|_)*" * 300, "0000"),
+    "star-x-200": ("((0|1)*$x){200}", None),
+    "repeat-10000": ("(0|1){10000}", "01" * 5000),
+}
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("name", _DEEP)
+def test_regex_to_nfa_compiles_deep_expressions(name):
+    """Deep and long expressions compile at the default recursion limit to
+    Thompson's automaton without epsilon edges.  The 2000-way union is only
+    counted: the reference takes seconds on its quadratic output."""
+    text, word = _DEEP[name]
+    e = parse(text, AB01)
+    a = regex_to_nfa(e, AB01)
+    assert not a.label_kinds()[0]
+    if name == "union-2000":
+        # Union i starts with an edge to each of the 2000 - i leaves right of it.
+        assert (a.n_states, len(a.transitions)) == (7998, sum(range(2, 2001)) + 2000)
+    else:
+        assert _as_tuple(a) == _as_tuple(remove_epsilon(thompson(e, AB01)))
+    if word is not None:
+        assert accepts(a, word)
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +144,17 @@ def test_variables_appear_as_opaque_labels():
 
 
 def test_remove_epsilon_results_have_no_epsilon():
-    a = remove_epsilon(regex_to_nfa(parse("(0|_)*($x|1)", AB01), AB01))
+    a = remove_epsilon(thompson(parse("(0|_)*($x|1)", AB01), AB01))
     assert all(lab is not EPSILON for _, lab, _ in a.transitions)
 
 
 def test_remove_epsilon_epsilon_expr():
-    a = remove_epsilon(regex_to_nfa(parse("_", AB01), AB01))
+    a = remove_epsilon(thompson(parse("_", AB01), AB01))
     assert nfa_bounded_language(a, AB01, 2) == {""}
 
 
 def test_remove_epsilon_keeps_variable_words():
-    a = remove_epsilon(regex_to_nfa(parse("($x|_)1", AB01), AB01))
+    a = remove_epsilon(thompson(parse("($x|_)1", AB01), AB01))
     assert nfa_accepts_labels(a, [("var", "x"), ("lit", "1")])
     assert nfa_accepts_labels(a, [("lit", "1")])
     assert not nfa_accepts_labels(a, [("var", "x")])
@@ -178,7 +227,7 @@ def test_remove_epsilon_matches_the_reference_on_random_expressions():
     for _ in range(300):
         alphabet = Alphabet(rng.choice(["01", "012"]))
         e = random_expr(rng, alphabet, ["x", "y"], rng.randint(1, 16))
-        _assert_as_reference(regex_to_nfa(e, alphabet))
+        _assert_as_reference(thompson(e, alphabet))
 
 
 def test_remove_epsilon_matches_the_reference_on_glued_unions():
@@ -188,7 +237,7 @@ def test_remove_epsilon_matches_the_reference_on_glued_unions():
         parts = []
         for _ in range(rng.randint(1, 6)):
             e = random_expr(rng, alphabet, ["x"], rng.randint(1, 10))
-            a = regex_to_nfa(e, alphabet)
+            a = thompson(e, alphabet)
             parts.append(remove_epsilon(a) if rng.random() < 0.7 else a)
         glued = _glued(parts)
         _assert_as_reference(glued)
@@ -204,7 +253,7 @@ def test_remove_epsilon_matches_the_reference_on_glued_unions():
 def test_remove_epsilon_matches_the_reference_on_a_long_union_chain():
     # 500 branches: the reference is quadratic in the chain, and takes about
     # 20 s on the 2000 branches that tests/test_cli.py decides end to end.
-    a = regex_to_nfa(parse("|".join("01" * 250), AB01), AB01)
+    a = thompson(parse("|".join("01" * 250), AB01), AB01)
     _assert_as_reference(a)
 
 
@@ -281,7 +330,7 @@ def test_determinize_respects_cap():
     # language: words over {0,1} whose 8th letter from the end is 1; the
     # minimal DFA needs 2^8 states, so a cap of 100 must trip.
     e = parse("(0|1)*1(0|1){7}", AB01)
-    a = remove_epsilon(regex_to_nfa(e, AB01))
+    a = regex_to_nfa(e, AB01)
     with pytest.raises(StateCapExceeded):
         determinize(a, state_cap=100)
 
@@ -377,7 +426,7 @@ def test_constructor_refuses_bad_automata_and_foreign_images():
         with pytest.raises(ValueError) as info:
             Nfa(*args, AB01)
         assert str(info.value) == text, args
-    a = regex_to_nfa(parse("$x 1", AB01), AB01)
+    a = thompson(parse("$x 1", AB01), AB01)
     for image, text in (("9", "letter '9' is not in the alphabet"),
                         ("19", "letter '9' is not in the alphabet"),
                         ("a0b", "letter 'a' is not in the alphabet")):
@@ -393,14 +442,14 @@ def test_constructor_refuses_bad_automata_and_foreign_images():
 
 
 def test_trim_drops_dead_states():
-    a = regex_to_nfa(parse("0|@1", AB01), AB01)
+    a = thompson(parse("0|@1", AB01), AB01)
     t = trim(a)
     assert t.n_states < a.n_states
     assert nfa_bounded_language(t, AB01, 3) == {"0"}
 
 
 def test_trim_empty_language():
-    t = trim(regex_to_nfa(parse("@", AB01), AB01))
+    t = trim(thompson(parse("@", AB01), AB01))
     assert t.n_states == 1 and not t.finals
 
 
@@ -408,7 +457,7 @@ def test_product_all_matches_iterated_product():
     rng = random.Random(11)
     for _ in range(15):
         exprs = [random_expr(rng, AB01, [], rng.randint(3, 8), var_prob=0.0) for _ in range(3)]
-        nfas = [remove_epsilon(regex_to_nfa(e, AB01)) for e in exprs]
+        nfas = [regex_to_nfa(e, AB01) for e in exprs]
         joint = product_all(nfas)
         pairwise = product(product(nfas[0], nfas[1]), nfas[2])
         assert nfa_language(joint, 5) == nfa_language(pairwise, 5)
@@ -484,11 +533,11 @@ def test_export_json_is_the_indented_dump_on_a_sweep():
     for _ in range(150):
         alphabet = Alphabet(rng.choice(["01", "012"]))
         e = random_expr(rng, alphabet, ["x", "y"], rng.randint(1, 12))
-        thompson = regex_to_nfa(e, alphabet)
+        unremoved = thompson(e, alphabet)
         image = {name: "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, 3)))
                  for name in variables(e)}
-        automata = [thompson, remove_epsilon(thompson),
-                    apply_to_nfa(Valuation(image), thompson),
+        automata = [unremoved, remove_epsilon(unremoved),
+                    apply_to_nfa(Valuation(image), unremoved),
                     construct_nfa(e, alphabet, rng.choice([BOX, DIAMOND]))]
         if variables(e) and alphabet == AB01:
             spec = DomainSpec({name: parse(rng.choice(["0|1", "_|01", "00|1"]), AB01)
@@ -513,7 +562,7 @@ def _random_plain_cases(seed: int, count: int):
 
 def test_nfa_agrees_with_reference_matcher():
     for alphabet, e in _random_plain_cases(101, 40):
-        a = remove_epsilon(regex_to_nfa(e, alphabet))
+        a = regex_to_nfa(e, alphabet)
         lang = nfa_language(a, 5)
         assert lang == bounded_language(e, 5) & frozenset(all_words(alphabet, 5))
         for w in itertools.islice(all_words(alphabet, 5), 0, None, 7):
@@ -526,8 +575,8 @@ def test_boolean_operations_satisfy_de_morgan():
         alphabet = Alphabet(rng.choice(["01", "012"]))
         e1 = random_expr(rng, alphabet, [], rng.randint(2, 10), var_prob=0.0)
         e2 = random_expr(rng, alphabet, [], rng.randint(2, 10), var_prob=0.0)
-        a = remove_epsilon(regex_to_nfa(e1, alphabet))
-        b = remove_epsilon(regex_to_nfa(e2, alphabet))
+        a = regex_to_nfa(e1, alphabet)
+        b = regex_to_nfa(e2, alphabet)
         la, lb = nfa_language(a, 5), nfa_language(b, 5)
         assert nfa_language(product(a, b), 5) == la & lb
         assert nfa_language(union_all([a, b]), 5) == la | lb
@@ -540,14 +589,14 @@ def test_boolean_operations_satisfy_de_morgan():
 
 def test_determinize_preserves_language():
     for alphabet, e in _random_plain_cases(303, 30):
-        a = remove_epsilon(regex_to_nfa(e, alphabet))
+        a = regex_to_nfa(e, alphabet)
         d = determinize(a)
         assert dfa_language(d, 6) == nfa_bounded_language(a, alphabet, 6)
 
 
 def test_is_empty_witness_is_minimal_and_lex_least():
     for alphabet, e in _random_plain_cases(404, 40):
-        a = remove_epsilon(regex_to_nfa(e, alphabet))
+        a = regex_to_nfa(e, alphabet)
         empty, witness = is_empty(a)
         lang6 = bounded_language(e, 6)
         if empty:

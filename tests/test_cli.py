@@ -120,6 +120,18 @@ class TestMemberFast:
                            "of 65536 states$"):
             membership_diamond_fixed_word(parse(args[6], AB), args[8], AB)
 
+    @pytest.mark.parametrize("semantics,expr,fast", [
+        ("diamond", "($x$x)*", False),
+        ("box", "$x$y", True),
+        ("diamond", "($x$x)*", True),
+        ("diamond", "0$x 1", True),
+    ], ids=["plain", "box", "diamond-binding", "diamond-star-free"])
+    def test_a_foreign_word_letter_has_one_error_text(self, runner, semantics, expr, fast):
+        res = invoke(runner, "member", "--alphabet", "01", "--semantics", semantics,
+                     "--expr", expr, "--word", "019", *(["--fast"] if fast else []))
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: letter '9' is not in the alphabet\n"
+
     def test_agrees_with_general_path(self, runner):
         for expr, word in (("$x$y|01", "01"), ("($x|1)(0|$y)", "10"), ("(0|1)*", "0")):
             for sem in ("box", "diamond"):

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from prx.automata import DEFAULT_STATE_CAP, regex_to_nfa, remove_epsilon
+from prx.automata import DEFAULT_STATE_CAP, regex_to_nfa
 from prx.cli import main
 from prx.errors import CountCapExceeded, PreconditionViolated, StateCapExceeded
 from prx.semantics import (
@@ -75,7 +75,7 @@ class TestMembershipDiamondFixedWord:
         base_words = sorted(oracles.all_words(AB, 5))
         for _ in range(40):
             e = oracles.random_expr(rng, AB, ("x", "y", "z"), budget=8)
-            a = remove_epsilon(regex_to_nfa(e, AB))
+            a = regex_to_nfa(e, AB)
             w = rng.choice(base_words)
             found, nu = membership_diamond_fixed_word(e, w, AB)
             if found:

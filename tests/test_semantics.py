@@ -32,7 +32,7 @@ from prx.semantics import (
     universality,
 )
 from prx.semantics import (
-    _compiled, _construct, _merge, _moves, _reachable, _step, _valuation_space,
+    _construct, _merge, _moves, _reachable, _step, _valuation_space,
 )
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
@@ -49,10 +49,10 @@ from prx.valuations import (
 )
 
 import oracles
-from prx import valuations
+from prx import semantics, valuations
 from reference_automata import (
     apply_finitary, complement, determinize, dfa_to_nfa, first_rejected, product, product_all,
-    union_all,
+    thompson, union_all,
 )
 
 AB = Alphabet("01")
@@ -332,7 +332,7 @@ class TestNonemptiness:
             e = oracles.random_expr(rng, AB, ("x", "y"), budget=7)
             results = set()
             for nu in enumerate_valuations(variables(e), AB):
-                inst = remove_epsilon(regex_to_nfa(apply_to_regex(nu, e), AB))
+                inst = regex_to_nfa(apply_to_regex(nu, e), AB)
                 results.add(not is_empty(inst)[0])
             assert len(results) == 1
             assert nonemptiness(e, AB, DIAMOND).answer == results.pop()
@@ -561,6 +561,35 @@ class TestDecideDomains:
         rep = containment(parse("$x$y", AB), parse("$x 1*", AB), AB, BOX, domains=spec)
         assert (rep.answer, rep.witness) == (True, None)
         assert len(calls) == 1
+
+    @staticmethod
+    def walks(monkeypatch):
+        """The expressions whose variables the semantics layer lists."""
+        walked = []
+        listed = semantics.variables
+        monkeypatch.setattr(semantics, "variables", lambda e: walked.append(e) or listed(e))
+        return walked
+
+    def test_containment_checks_domain_coverage_once(self, monkeypatch):
+        walked = self.walks(monkeypatch)
+        e1, e2 = parse("$x", AB), parse("$x|$x$y", AB)
+        spec = DomainSpec.from_json({"x": "0|1", "y": "1"}, AB)
+        assert containment(e1, e2, AB, DIAMOND, domains=spec).answer is True
+        assert walked == [e1, e2]
+        # A variable of e2 without a domain is refused before the infinite
+        # domain of e1's variable is.
+        with pytest.raises(PrxError, match=r"^no domain declared for variable\(s\): y$"):
+            containment(e1, e2, AB, DIAMOND, domains=DomainSpec.from_json({"x": "0*"}, AB))
+
+    def test_nonempty_int_reg_checks_domain_coverage_once(self, monkeypatch):
+        walked = self.walks(monkeypatch)
+        e, r = parse("($x|_)1*", AB), parse("11*", AB)
+        spec = DomainSpec.from_json({"x": "0*"}, AB)
+        assert nonempty_int_reg(e, r, AB, BOX, domains=spec).answer is True
+        assert walked == [e, r]
+        # e's coverage is checked before the constraint's variables are.
+        with pytest.raises(PrxError, match=r"^no domain declared for variable\(s\): y$"):
+            nonempty_int_reg(parse("$y", AB), parse("$z", AB), AB, BOX, domains=spec)
 
     def test_nonempty_int_reg(self):
         e = parse("($x|_)1*", AB)
@@ -889,7 +918,7 @@ def instance_by_instance(e, alphabet):
     """Box universality over letters the long way: each instance
     determinized in enumeration order up to the first that is not universal,
     whose subsets a breadth-first walk discovers up to the first rejected."""
-    base = remove_epsilon(regex_to_nfa(e, alphabet))
+    base = regex_to_nfa(e, alphabet)
     count = 0
     for nu in enumerate_valuations(variables(e), alphabet):
         count += 1
@@ -1103,7 +1132,7 @@ def reference_search(problem, alphabet, sem, e1, e2=None, domains=None, state_ca
 
     def masks(e):
         choices = _valuation_space(e, alphabet, sem, domains, 10**6, 10**6)[1]
-        return ReferenceMasks(_compiled(e, alphabet), choices), choices
+        return ReferenceMasks(regex_to_nfa(e, alphabet), choices), choices
 
     side, choices = masks(e1)
     if problem == "nonempty":
@@ -1114,7 +1143,8 @@ def reference_search(problem, alphabet, sem, e1, e2=None, domains=None, state_ca
         return DecisionReport(witness is not None, witness, None,
                               {"valuations": side.total, "states": n})
     if problem == "contains":
-        rhs = masks(e2)[0] if domains is None else ReferenceMasks(_compiled(e2, alphabet), choices)
+        rhs = (masks(e2)[0] if domains is None
+               else ReferenceMasks(regex_to_nfa(e2, alphabet), choices))
         witness, n = reference_mask_search(
             (side.start, rhs.start),
             lambda pair, i: (side.step(pair[0], i), rhs.step(pair[1], i)),
@@ -1126,7 +1156,7 @@ def reference_search(problem, alphabet, sem, e1, e2=None, domains=None, state_ca
         )
         return DecisionReport(witness is None, witness, None,
                               {"valuations": side.total + rhs.total, "states": n})
-    base = _compiled(e1, alphabet)
+    base = regex_to_nfa(e1, alphabet)
     if sem is BOX and domains is None:
         first = 0
         if base.initial in base.finals:
@@ -1234,9 +1264,9 @@ class TestMergedPackedSearch:
 def reference_instances(e, alphabet, route, choices):
     """The substituted automata, one per valuation, in enumeration order."""
     if route == "enumerate":
-        return [remove_epsilon(regex_to_nfa(apply_to_regex(nu, e), alphabet))
+        return [regex_to_nfa(apply_to_regex(nu, e), alphabet)
                 for nu in valuations_from(choices)]
-    base = _compiled(e, alphabet)
+    base = regex_to_nfa(e, alphabet)
     if route == "letters":
         return [apply_to_nfa(nu, base) for nu in valuations_from(choices)]
     return [remove_epsilon(apply_finitary(nu, base))
@@ -1358,7 +1388,7 @@ class TestPairSearches:
     def sweep(self, tally, alphabet, e, e2, r, route, choices, rhs_choices, spec, small_cap):
         """Box and diamond intersection of e with r, and diamond containment
         of e in e2, on the valuations of ``choices`` (``rhs_choices`` for e2)."""
-        reg = _compiled(r, alphabet)
+        reg = regex_to_nfa(r, alphabet)
         instances = reference_instances(e, alphabet, route, choices)
         self.compare(
             tally, "box intersect",
@@ -1438,9 +1468,9 @@ class TestBuiltAutomataPassTheChecks:
             for _ in range(count):
                 e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(2, 12),
                                         var_prob=0.4)
-                thompson = regex_to_nfa(e, alphabet)
-                compiled = remove_epsilon(thompson)
-                for kind, a in (("regex_to_nfa", thompson), ("remove_epsilon", compiled),
+                compiled = regex_to_nfa(e, alphabet)
+                for kind, a in (("regex_to_nfa", compiled),
+                                ("remove_epsilon", remove_epsilon(thompson(e, alphabet))),
                                 ("trim", trim(compiled)), ("_reachable", _reachable(compiled)),
                                 ("_merge", _merge(compiled))):
                     self.check(tally, kind, a)
@@ -1459,6 +1489,29 @@ class TestBuiltAutomataPassTheChecks:
             route = "finitary" if spec.infinite_variables() else "enumerate"
             self.check(tally, f"construct_nfa box {route}", construct_nfa(e, AB, BOX, domains=spec))
         assert min(tally.values()) >= 40, tally
+
+
+def test_no_automaton_built_from_an_expression_carries_epsilon():
+    """Expressions, their instances (an empty image included) and domain
+    expressions compile without epsilon edges, and so does every automaton
+    built from them."""
+    rng = random.Random(4167)
+    tally = collections.Counter()
+    for _ in range(150):
+        e, spec, choices, _ = random_domain_case(rng, infinite=rng.random() < 0.4)
+        built = [("expression", regex_to_nfa(e, AB)),
+                 ("construct_nfa box letters", construct_nfa(e, AB, BOX)),
+                 ("construct_nfa diamond letters", construct_nfa(e, AB, DIAMOND))]
+        built += [("domain", spec.domain(name)) for name in spec.names]
+        if not spec.infinite_variables():
+            nu = Valuation({name: rng.choice(words) for name, words in choices.items()})
+            built += [("instance", regex_to_nfa(apply_to_regex(nu, e), AB)),
+                      ("construct_nfa diamond domains", construct_nfa(e, AB, DIAMOND, domains=spec))]
+        built.append(("construct_nfa box domains", construct_nfa(e, AB, BOX, domains=spec)))
+        for kind, a in built:
+            assert not a.label_kinds()[0], (kind, e)
+            tally[kind] += 1
+    assert min(tally.values()) >= 60, tally
 
 
 # ---------------------------------------------------------------------------

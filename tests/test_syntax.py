@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import sys
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prx.automata import regex_to_nfa
+from oracles import random_expr
 from prx.errors import ParseError
 from prx.syntax import (
     Alphabet,
@@ -19,6 +19,7 @@ from prx.syntax import (
     Star,
     Union,
     Var,
+    _fold,
     concat_exprs,
     is_simple,
     parse,
@@ -30,6 +31,7 @@ from prx.syntax import (
     word_expr,
 )
 from prx.valuations import Valuation, apply_to_regex
+from reference_automata import thompson
 
 AB01 = Alphabet("01")
 
@@ -175,6 +177,51 @@ def test_print_separates_variable_from_following_letter():
     assert parse(print_regex(e2), ab) == e2
 
 
+_IDENT = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def _reference_needs_space(left_text: str, right_text: str) -> bool:
+    if not right_text or right_text[0] not in _IDENT:
+        return False
+    k = len(left_text)
+    while k > 0 and left_text[k - 1] in _IDENT:
+        k -= 1
+    return 0 < k < len(left_text) and left_text[k - 1] == "$"
+
+
+def _reference_render(node, *parts):
+    """Text and precedence level of ``node`` from its children's: the fold
+    that joins the children's strings at every node, which print_regex must
+    match byte for byte."""
+    def at(part, least):
+        text, level = part
+        return "(" + text + ")" if level < least else text
+
+    if isinstance(node, EmptySet):
+        return "@", 3
+    if isinstance(node, Epsilon):
+        return "_", 3
+    if isinstance(node, Lit):
+        return node.letter, 3
+    if isinstance(node, Var):
+        return "$" + node.name, 3
+    if isinstance(node, Star):
+        return at(parts[0], 2) + "*", 2
+    if isinstance(node, Concat):
+        left, right = at(parts[0], 2), at(parts[1], 1)
+        return left + (" " if _reference_needs_space(left, right) else "") + right, 1
+    return at(parts[0], 1) + "|" + at(parts[1], 0), 0
+
+
+def test_print_matches_the_fold_that_joins_at_every_node():
+    rng = random.Random(2211)
+    for letters, names in (("01", ["x", "y"]), ("012", ["x", "x0", "y_1"]), ("ab", ["a", "ab"])):
+        alphabet = Alphabet(letters)
+        for _ in range(1500):
+            e = random_expr(rng, alphabet, names, rng.randint(1, 40))
+            assert print_regex(e) == _fold(e, _reference_render)[0]
+
+
 # ---------------------------------------------------------------------------
 # Structural queries
 
@@ -221,14 +268,6 @@ def test_construction_helpers():
 DEPTH = 10_000
 
 
-@pytest.fixture()
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
-
-
 def _shape(e):
     """The tree in prefix order, built without recursion (``==`` on
     dataclasses recurses)."""
@@ -265,7 +304,7 @@ def test_deep_expressions_need_no_recursion(text, nodes, height, states):
     assert star_height(e) == height
     assert variables(e) == ("x",)
     assert is_simple(e)
-    assert regex_to_nfa(e, AB01).n_states == states
+    assert thompson(e, AB01).n_states == states
     ground = apply_to_regex(Valuation({"x": "1"}), e)
     assert _shape(ground) == [Lit("1") if node == Var("x") else node for node in _shape(e)]
 

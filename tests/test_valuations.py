@@ -37,7 +37,7 @@ from prx.valuations import (
     valuation_at,
     valuations_from,
 )
-from reference_automata import apply_finitary, determinize, product_all
+from reference_automata import apply_finitary, determinize, product_all, thompson
 
 AB01 = Alphabet("01")
 
@@ -182,7 +182,7 @@ def test_apply_to_nfa_matches_apply_to_regex():
         nu = Valuation({name: "".join(rng.choice(alphabet.letters)
                                       for _ in range(rng.randint(0, 3)))
                         for name in variables(e)})
-        base = regex_to_nfa(e, alphabet)
+        base = thompson(e, alphabet)
         if rng.random() < 0.5:
             base = remove_epsilon(base)
         a = apply_to_nfa(nu, base)
@@ -194,18 +194,18 @@ def test_apply_to_nfa_matches_apply_to_regex():
 
 
 def test_apply_to_nfa_variable_free_identity():
-    a = regex_to_nfa(parse("0|11", AB01), AB01)
+    a = thompson(parse("0|11", AB01), AB01)
     b = apply_to_nfa(Valuation({}), a)
     assert b.transitions == a.transitions
 
 
 def test_apply_to_nfa_spells_a_word_image_as_a_chain():
     ab = Alphabet("ab")
-    a = apply_to_nfa(Valuation({"x": "ab"}), regex_to_nfa(parse("$x", ab), ab))
+    a = apply_to_nfa(Valuation({"x": "ab"}), thompson(parse("$x", ab), ab))
     assert (a.n_states, a.initial, a.finals) == (3, 0, {1})
     assert a.transitions == ((0, "a", 2), (2, "b", 1))
     # Chains are numbered in transition order, in the variable edge's place.
-    a = apply_to_nfa(Valuation({"x": "ab", "y": "bab"}), regex_to_nfa(parse("$x$y", ab), ab))
+    a = apply_to_nfa(Valuation({"x": "ab", "y": "bab"}), thompson(parse("$x$y", ab), ab))
     assert a.n_states == 7
     assert a.transitions == ((0, "a", 4), (4, "b", 1), (2, "b", 5), (5, "a", 6), (6, "b", 3),
                              (1, EPSILON, 2))
@@ -226,13 +226,13 @@ def is_finite(d, alphabet=AB01):
 
 
 def test_domain_finiteness():
-    assert not is_finite(remove_epsilon(regex_to_nfa(parse("0*", AB01), AB01)))
-    assert is_finite(remove_epsilon(regex_to_nfa(parse("00|01", AB01), AB01)))
+    assert not is_finite(regex_to_nfa(parse("0*", AB01), AB01))
+    assert is_finite(regex_to_nfa(parse("00|01", AB01), AB01))
 
 
 def test_domain_finite_with_unreachable_cycle():
     # the cycle sits on a dead branch, so the trimmed automaton is acyclic
-    a = regex_to_nfa(parse("0|@(11)*", AB01), AB01)
+    a = thompson(parse("0|@(11)*", AB01), AB01)
     assert is_finite(a)
     assert domain_words(a) == ["0"]
 
@@ -245,15 +245,15 @@ def test_long_domain_chain_needs_no_recursion():
 
 
 def test_enumerate_finite_domain_examples():
-    assert domain_words(regex_to_nfa(parse("00|01", AB01), AB01)) == ["00", "01"]
-    assert domain_words(regex_to_nfa(parse("_", AB01), AB01)) == [""]
-    assert domain_words(regex_to_nfa(parse("(0|1){2}", AB01), AB01)) == [
+    assert domain_words(thompson(parse("00|01", AB01), AB01)) == ["00", "01"]
+    assert domain_words(thompson(parse("_", AB01), AB01)) == [""]
+    assert domain_words(thompson(parse("(0|1){2}", AB01), AB01)) == [
         "00",
         "01",
         "10",
         "11",
     ]
-    assert domain_words(regex_to_nfa(parse("(0|_)(1|_)", AB01), AB01)) == [
+    assert domain_words(thompson(parse("(0|_)(1|_)", AB01), AB01)) == [
         "",
         "0",
         "1",
@@ -263,18 +263,18 @@ def test_enumerate_finite_domain_examples():
 
 def test_enumerate_finite_domain_shortlex_uses_alphabet_order():
     ba = Alphabet("10")  # declaration order: 1 before 0
-    words = domain_words(regex_to_nfa(parse("0|1", ba), ba), ba)
+    words = domain_words(thompson(parse("0|1", ba), ba), ba)
     assert words == ["1", "0"]
 
 
 def test_enumerate_finite_domain_rejects_infinite():
     with pytest.raises(DomainNotFinite):
-        domain_words(regex_to_nfa(parse("0*", AB01), AB01))
+        domain_words(thompson(parse("0*", AB01), AB01))
 
 
 def test_enumerate_finite_domain_cap():
     with pytest.raises(CountCapExceeded):
-        domain_words(regex_to_nfa(parse("(0|1){6}", AB01), AB01), word_cap=10)
+        domain_words(thompson(parse("(0|1){6}", AB01), AB01), word_cap=10)
 
 
 def test_domain_spec_rejects_empty_domain():
@@ -344,7 +344,7 @@ def test_finitary_images_belong_to_their_domains():
 def test_apply_finitary_drops_infinite_variable():
     spec = DomainSpec.from_json({"x": "0*"}, AB01)
     e = parse("$x 1", AB01)
-    a = remove_epsilon(regex_to_nfa(e, AB01))
+    a = regex_to_nfa(e, AB01)
     (fv,) = valuations_from(domain_choices(spec, finitary=True))
     reduced = apply_finitary(fv, a)
     assert is_empty(reduced) == (True, None)
@@ -353,7 +353,7 @@ def test_apply_finitary_drops_infinite_variable():
 def test_apply_finitary_keeps_variable_free_part():
     spec = DomainSpec.from_json({"x": "0*"}, AB01)
     e = parse("($x|_)1*", AB01)
-    a = remove_epsilon(regex_to_nfa(e, AB01))
+    a = regex_to_nfa(e, AB01)
     (fv,) = valuations_from(domain_choices(spec, finitary=True))
     reduced = apply_finitary(fv, a)
     lang = dfa_walk_language(remove_epsilon(reduced), 5)
@@ -365,7 +365,7 @@ def test_apply_finitary_crosschecks_with_total_valuations():
     # intersecting the totally substituted automata
     spec = DomainSpec.from_json({"x": "0|1"}, AB01)
     e = parse("$x 1", AB01)
-    a = remove_epsilon(regex_to_nfa(e, AB01))
+    a = regex_to_nfa(e, AB01)
     finitary = [
         remove_epsilon(apply_finitary(v, a))
         for v in valuations_from(domain_choices(spec, finitary=True))
@@ -391,7 +391,7 @@ def test_substitution_commutes_with_compilation():
         letters = rng.choice(["01", "012"])
         alphabet = Alphabet(letters)
         e = random_expr(rng, alphabet, ["x", "y", "z"], rng.randint(2, 12), var_prob=0.35)
-        a = regex_to_nfa(e, alphabet)
+        a = thompson(e, alphabet)
         for nu_dict in letter_valuations(variables(e), alphabet):
             nu = Valuation(nu_dict)
             lhs = dfa_walk_language(remove_epsilon(apply_to_nfa(nu, a)), 6)
@@ -413,7 +413,7 @@ def test_finite_domain_enumeration_is_complete():
     for _ in range(20):
         alphabet = Alphabet("01")
         e = random_expr(rng, alphabet, [], rng.randint(2, 8), star_allowed=False, var_prob=0.0)
-        a = regex_to_nfa(e, alphabet)
+        a = thompson(e, alphabet)
         if is_empty(remove_epsilon(a))[0] or not is_finite(a, alphabet):
             continue
         words = domain_words(a, alphabet)
