@@ -11,9 +11,12 @@ outside, and from the empty word as a variable's image, and
 :func:`remove_epsilon` serves those.
 
 Everything is immutable after construction and every algorithm is
-deterministic: searches try letters in alphabet declaration order, so
-shortest witnesses on a deterministic automaton are also lexicographically
-least among the shortest (on a nondeterministic one they need not be, see
+deterministic.  Every word search of the library, of an automaton here or of
+the mask states and pairs of :mod:`prx.semantics`, is the one breadth-first
+search :func:`_search`: it tries letters in alphabet declaration order, and
+on each letter the successors in the order given, so the shortest witnesses
+it finds on a deterministic automaton are also lexicographically least
+among the shortest (on a nondeterministic one they need not be, see
 :func:`is_empty`).
 """
 
@@ -432,60 +435,68 @@ def _targets(a: Nfa) -> dict[tuple[int, int], list[int]]:
 
 def is_empty(a: Nfa) -> tuple[bool, str | None]:
     """(emptiness, witness): witness is a shortest accepted word, found by
-    breadth-first search with letters in alphabet order (see
-    :func:`_search`).  It is also the lexicographically least of the
-    shortest on a deterministic automaton; on a nondeterministic one the
-    search tries every letter from one state before any from the next
-    state reached by the same word."""
+    :func:`_search` over the states, each letter's targets in increasing
+    order.  The automaton is not deterministic in general, so the witness
+    need not be the lexicographically least of the shortest: every letter
+    is tried from one state before any from the next state reached by the
+    same word."""
     has_eps, has_var = a.label_kinds()
     if has_var:
         raise ValueError("is_empty expects a variable-free automaton")
     if has_eps:
         a = remove_epsilon(a)
     targets = _targets(a)
-    letters = range(len(a.alphabet))
     # The search discovers at most every state, so the cap never refuses it.
     witness, _ = _search(
-        a.initial, lambda q: [(i, dst) for i in letters for dst in targets.get((q, i), ())],
-        a.finals.__contains__, a.alphabet, a.n_states,
+        a.initial, lambda q, i: targets.get((q, i), ()), a.alphabet, a.finals.__contains__,
+        a.n_states,
     )
     return witness is None, witness
 
 
 def _search(
     start: Hashable,
-    successors: Callable[[Hashable], Iterable[tuple[int, Hashable]]],
-    wanted: Callable[[Hashable], bool],
+    step: Callable[[Hashable, int], Iterable[Hashable]],
     alphabet: Alphabet,
+    wanted: Callable[[Hashable], bool],
     state_cap: int,
+    keep: Callable[[Hashable], bool] | None = None,
 ) -> tuple[str | None, int]:
-    """Breadth-first search from ``start`` for a ``wanted`` node, trying the
-    (letter index, node) pairs ``successors`` gives in their order.  Returns
-    the word of the first wanted node found (``None`` if there is none) and
-    the number of nodes discovered; raises
+    """Breadth-first search from ``start`` for a ``wanted`` node: the one
+    word search of the library.  From each node the letters are tried in
+    alphabet order, and on letter index i the successors ``step(node, i)``
+    gives in their order.  A node not yet discovered that ``keep`` refuses
+    is neither counted nor queued, and no wanted node may be behind one.
+
+    Returns the word of the first wanted node found (``None`` if there is
+    none) and the number of nodes discovered; raises
     :class:`~prx.errors.StateCapExceeded` once that would exceed
-    ``state_cap``."""
+    ``state_cap``.  When ``step`` is deterministic, one successor per
+    letter, the word is the shortlex-least word leading to a wanted node.
+    """
     if wanted(start):
         return "", 1
     parents: dict[Hashable, tuple[Hashable, int] | None] = {start: None}
     queue: deque[Hashable] = deque([start])
+    letters = range(len(alphabet))
     while queue:
         node = queue.popleft()
-        for i, nxt in successors(node):
-            if nxt in parents:
-                continue
-            if len(parents) >= state_cap:
-                raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
-            parents[nxt] = (node, i)
-            if wanted(nxt):
-                chars = []
-                link = parents[nxt]
-                while link is not None:
-                    node, i = link
-                    chars.append(alphabet.letters[i])
-                    link = parents[node]
-                return "".join(reversed(chars)), len(parents)
-            queue.append(nxt)
+        for i in letters:
+            for nxt in step(node, i):
+                if nxt in parents or keep is not None and not keep(nxt):
+                    continue
+                if len(parents) >= state_cap:
+                    raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
+                parents[nxt] = (node, i)
+                if wanted(nxt):
+                    chars = []
+                    link = parents[nxt]
+                    while link is not None:
+                        node, i = link
+                        chars.append(alphabet.letters[i])
+                        link = parents[node]
+                    return "".join(reversed(chars)), len(parents)
+                queue.append(nxt)
     return None, len(parents)
 
 

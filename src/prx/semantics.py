@@ -9,22 +9,30 @@ automaton under every valuation at once, on *mask states*.  Membership runs
 it once over the word; possibility membership of one word can also be
 decided without enumerating valuations, by binding variables as the word is
 read, or by plain reachability for simple star-free expressions.  Every
-other decision is one breadth-first search that stops at the first answer,
-over mask states of the automaton with its bisimilar states merged, or over
-pairs of them with the states of another automaton; no decision builds a
-product or a complement.  Certainty universality over letters takes its
-counterexample from the first instance that is not universal, searched on
-the mask states of that one valuation.  The possibility union glues the
-instances' edges in one pass without ε-edges, over letters relabelled
-straight from the compiled automaton.  The certainty automaton numbers the
-mask states of the automaton as compiled, on its states reachable from the
-start.  A reported valuation is the first one in enumeration order.  Nothing
-is approximated: caps make the exponential cases fail loudly instead.
+other decision runs the one breadth-first search of
+:func:`~prx.automata._search` and stops at the first answer.  It searches
+the states of an instance or of the possibility union
+(:func:`~prx.automata.is_empty`), mask states of the automaton with its
+bisimilar states merged, pairs of them, or pairs of the states of one
+automaton with mask states or the states of another
+(:func:`_pair_search`); no decision builds a product or a complement.
+Letters are tried in alphabet order.  A mask state has one successor per
+letter, so the searches of mask states and of their pairs find the
+shortlex-least witness; a state of an automaton may have several, and a
+pair search finds the witness an emptiness check of the product would
+find.  Certainty universality over letters takes its counterexample from
+the first instance that is not universal, searched on the mask states of
+that one valuation.  The possibility union glues the instances' edges in
+one pass without ε-edges, over letters relabelled straight from the
+compiled automaton.  The certainty automaton numbers the mask states of
+the automaton as compiled, on its states reachable from the start.  A
+reported valuation is the first one in enumeration order.  Nothing is
+approximated: caps make the exponential cases fail loudly instead.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
@@ -645,7 +653,7 @@ class _Masks:
         on_live = -1  # the live valuations in every field
         on_sure = sum(self.full << q * width for q in sure)
 
-        def step(state: _MaskState, i: int) -> _MaskState:
+        def step(state: _MaskState, i: int) -> tuple[_MaskState]:
             ahead = self.step(state, i) & on_live
             if on_sure:
                 done = self.fold(ahead & on_sure)
@@ -653,7 +661,7 @@ class _Masks:
                     ahead &= on_sure
                 elif done:
                     ahead &= on_sure | ~_tile(done, width, n)
-            return ahead
+            return (ahead,)
 
         def rejects(state: _MaskState) -> bool:
             nonlocal live, on_live
@@ -663,7 +671,7 @@ class _Masks:
                 on_live = _tile(live, width, n)
             return not live
 
-        _mask_search(self.start, step, alphabet, rejects, lambda s: True, state_cap)
+        _search(self.start, step, alphabet, rejects, state_cap)
         return None if live == self.full else live.bit_length()
 
 
@@ -687,51 +695,6 @@ def _instance_masks(e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Seq
     return _Masks(*_moves(base, choices, chain_per_edge), base.finals)
 
 
-def _mask_search(
-    start: Hashable,
-    step: Callable[[Hashable, int], Hashable],
-    alphabet: Alphabet,
-    wanted: Callable[[Hashable], bool],
-    keep: Callable[[Hashable], bool],
-    state_cap: int,
-) -> tuple[str | None, int]:
-    """Breadth-first search from ``start`` for a ``wanted`` node, with the
-    letters tried in alphabet order; a node ``keep`` refuses is neither
-    counted nor queued, and no wanted node may be behind one.  The nodes
-    are mask states of :class:`_Masks` (pairs of them for containment),
-    and the nodes discovered are what ``stats["states"]`` reports.
-
-    ``step`` is deterministic, so the word returned, that of the first
-    wanted node found, is the shortlex-least word leading to one.  Returns
-    it (``None`` if there is none) and the number of nodes discovered;
-    raises :class:`~prx.errors.StateCapExceeded` once that would exceed
-    ``state_cap``.
-    """
-    if wanted(start):
-        return "", 1
-    parents: dict[Hashable, tuple[Hashable, int] | None] = {start: None}
-    queue: deque[Hashable] = deque([start])
-    while queue:
-        node = queue.popleft()
-        for i in range(len(alphabet)):
-            nxt = step(node, i)
-            if nxt in parents or not keep(nxt):
-                continue
-            if len(parents) >= state_cap:
-                raise StateCapExceeded(f"search exceeded the cap of {state_cap} states")
-            parents[nxt] = (node, i)
-            if wanted(nxt):
-                chars = []
-                link = parents[nxt]
-                while link is not None:
-                    node, i = link
-                    chars.append(alphabet.letters[i])
-                    link = parents[node]
-                return "".join(reversed(chars)), len(parents)
-            queue.append(nxt)
-    return None, len(parents)
-
-
 def _pair_search(
     a: Nfa,
     start: Hashable,
@@ -739,30 +702,30 @@ def _pair_search(
     wanted: Callable[[Hashable], bool],
     state_cap: int,
 ) -> tuple[str | None, int]:
-    """Breadth-first search of the pairs (state of the ε-free automaton a,
-    node of the other side) for one where the state is final and the node
-    ``wanted``; ``step`` gives a node's successors on a letter index in
-    increasing order, and none from a dead node.  Pairs are tried in the
-    order in which the synchronized product of a with the other side
-    numbers them breadth-first, so the word returned (``None`` if none) is
-    the one :func:`~prx.automata.is_empty` finds in that product; when the
-    other side is deterministic, the product with the sides swapped numbers
-    them alike.  Also returns the number of pairs discovered."""
+    """:func:`~prx.automata._search` of the pairs (state of the ε-free
+    automaton a, node of the other side) for one where the state is final
+    and the node ``wanted``; ``step`` gives a node's successors on a letter
+    index in increasing order, and none from a dead node.  On each letter
+    the pairs are those of a's targets in increasing order, each with the
+    node's successors in order: the order in which the synchronized product
+    of a with the other side numbers them breadth-first, so the word
+    returned (``None`` if none) is the one :func:`~prx.automata.is_empty`
+    finds in that product; when the other side is deterministic, the
+    product with the sides swapped numbers them alike.  Also returns the
+    number of pairs discovered."""
     targets = _targets(a)
-    letters = range(len(a.alphabet))
 
-    def successors(pair: tuple[int, Hashable]) -> list[tuple[int, tuple[int, Hashable]]]:
+    def pairs(pair: tuple[int, Hashable], i: int) -> Sequence[tuple[int, Hashable]]:
         q, node = pair
-        out = []
-        for i in letters:
-            if ahead := targets.get((q, i)):
-                nexts = step(node, i)
-                out += [(i, (dst, nxt)) for dst in ahead for nxt in nexts]
-        return out
+        ahead = targets.get((q, i))
+        if not ahead:
+            return ()
+        nexts = step(node, i)
+        return [(dst, nxt) for dst in ahead for nxt in nexts]
 
     return _search(
-        (a.initial, start), successors, lambda pair: pair[0] in a.finals and wanted(pair[1]),
-        a.alphabet, state_cap,
+        (a.initial, start), pairs, a.alphabet,
+        lambda pair: pair[0] in a.finals and wanted(pair[1]), state_cap,
     )
 
 
@@ -967,11 +930,11 @@ def nonemptiness(
             stats={"valuations": n_vals, "states": combined.n_states},
         )
     side = _search_masks(regex_to_nfa(e, alphabet), space[1])
-    witness, n_states = _mask_search(
-        side.start, side.step, alphabet,
+    witness, n_states = _search(
+        side.start, lambda s, i: (side.step(s, i),), alphabet,
         wanted=lambda s: side.accepting(s) == side.full,
-        keep=side.alive,
         state_cap=state_cap,
+        keep=side.alive,
     )
     return DecisionReport(
         answer=witness is not None,
@@ -1020,10 +983,9 @@ def universality(
         nu = valuation_at(choices, first)
         instance = _Masks(*_moves(base, {name: (image,) for name, image in nu.items()}),
                           base.finals)
-        cex, n_states = _mask_search(
-            instance.start, instance.step, alphabet,
+        cex, n_states = _search(
+            instance.start, lambda s, i: (instance.step(s, i),), alphabet,
             wanted=lambda s: not instance.accepting(s),
-            keep=lambda s: True,
             state_cap=state_cap,
         )
         return DecisionReport(
@@ -1033,11 +995,10 @@ def universality(
             stats={"valuations": first + 1, "states": n_states},
         )
     side = _search_masks(base, choices)
-    cex, n_states = _mask_search(
-        side.start, side.step, alphabet,
+    cex, n_states = _search(
+        side.start, lambda s, i: (side.step(s, i),), alphabet,
         wanted=(lambda s: side.accepting(s) != side.full) if sem is BOX
         else (lambda s: not side.accepting(s)),
-        keep=lambda s: True,
         state_cap=state_cap,
     )
     return DecisionReport(
@@ -1093,15 +1054,15 @@ def containment(
         )
     lhs = _search_masks(regex_to_nfa(e1, alphabet), space[1])
     rhs = _search_masks(regex_to_nfa(e2, alphabet), rhs_space[1])
-    witness, n_states = _mask_search(
+    witness, n_states = _search(
         (lhs.start, rhs.start),
-        lambda pair, i: (lhs.step(pair[0], i), rhs.step(pair[1], i)),
+        lambda pair, i: ((lhs.step(pair[0], i), rhs.step(pair[1], i)),),
         alphabet,
         wanted=lambda pair: (
             lhs.accepting(pair[0]) == lhs.full and rhs.accepting(pair[1]) != rhs.full
         ),
-        keep=lambda pair: lhs.alive(pair[0]),
         state_cap=state_cap,
+        keep=lambda pair: lhs.alive(pair[0]),
     )
     return DecisionReport(
         answer=witness is None,

@@ -155,16 +155,6 @@ class TestNonempty:
         assert res.exit_code == 0
         assert res.output == "true\n00110\n"
 
-    def test_box_search_answers_at_its_state_count_and_not_below(self, runner):
-        # The search discovers 203 mask states on its way to the witness.
-        args = ["nonempty", "--alphabet", "01", "--semantics", "box",
-                "--expr", "(0|1)*$x1$x2$x3(0|1)*", "--witness", "--max-states"]
-        res = invoke(runner, *args, "203")
-        assert (res.exit_code, res.output) == (0, "true\n0001011100\n")
-        res = invoke(runner, *args, "202")
-        assert (res.exit_code, res.stdout) == (2, "")
-        assert res.stderr == "error: search exceeded the cap of 202 states\n"
-
     def test_fast_star_free(self, runner):
         res = invoke(runner, "nonempty", "--alphabet", "01", "--semantics", "box",
                      "--expr", "($x|0)($y|1)", "--fast", "--witness")
@@ -725,6 +715,29 @@ class TestErrorsAndStreams:
         assert res.stdout == ""
         if "--domains" in args:
             assert res.stderr == "error: search exceeded the cap of 4 states\n"
+
+    # Each search discovers ``states`` nodes on its way to the answer, so it
+    # answers under that cap and is refused under one less.  The possibility
+    # pair routes glue their union under the same cap first, and refuse
+    # with "union exceeded" instead.
+    @pytest.mark.parametrize("args,code,output,states", [
+        (["nonempty", "--semantics", "box", "--expr", "(0|1)*$x1$x2$x3(0|1)*"],
+         0, "true\n0001011100\n", 203),
+        (["contains", "--semantics", "box", "--lhs", "(0|1)*$x1$x2(0|1)*",
+          "--rhs", "(0|1)*$x1$x2$x3(0|1)*"], 1, "false\n00110\n", 34),
+        (["intersect", "--semantics", "box", "--expr", "(0|1)*$x1$x2$x3(0|1)*",
+          "--regular", "(0|1)*11"], 0, "true\n1100010111\n", 381),
+        (["universal", "--semantics", "diamond", "--expr", "(_|0|1)(_|0|1)|(0|1)*$x$x(0|1)*"],
+         1, "false\n010\n", 10),
+    ], ids=["nonempty-box", "contains-box", "intersect-box", "universal-diamond"])
+    def test_search_answers_at_its_state_count_and_not_below(self, runner, args, code,
+                                                             output, states):
+        args = [args[0], "--alphabet", "01", *args[1:], "--witness", "--max-states"]
+        res = invoke(runner, *args, str(states))
+        assert (res.exit_code, res.output) == (code, output)
+        res = invoke(runner, *args, str(states - 1))
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == f"error: search exceeded the cap of {states - 1} states\n"
 
     @pytest.mark.parametrize("args", [
         ["nonempty", "--expr", "$x$y", "--domains", '{"x": "0|1", "y": "00|11"}'],

@@ -1445,6 +1445,27 @@ class TestPairSearches:
             self.sweep(tally, AB, e, e2, r, route, choices, choices, spec, small_cap=4)
         assert min(tally.values()) >= 10, tally
 
+    # The whole report at the default cap: a change to the order the pairs
+    # are tried in moves the witness or the count of pairs discovered.
+    @pytest.mark.parametrize("decide,report", [
+        (lambda: nonempty_int_reg(family_box_subword(4), parse("(0|1)*", AB), AB, BOX),
+         (True, "0000100110101111000", 16, 13757)),
+        (lambda: nonempty_int_reg(family_diamond_power(3), parse("1(0|1)*0", AB), AB, DIAMOND),
+         (True, "100", 8, 13)),
+        (lambda: containment(family_diamond_power(3), parse("(00|11)*", AB), AB, DIAMOND),
+         (False, "000", 9, 18)),
+        (lambda: containment(parse("".join(f"$x{i}" for i in range(1, 12)), AB),
+                             parse("(0|1)*", AB), AB, DIAMOND),
+         (True, None, 2049, 22529)),
+    ], ids=["box-intersect", "diamond-intersect", "diamond-contains-false",
+            "diamond-contains-true"])
+    def test_reports_are_pinned(self, decide, report):
+        answer, witness, n_vals, n_states = report
+        assert decide().to_json() == {
+            "answer": answer, "witness": witness, "valuation": None,
+            "stats": {"valuations": n_vals, "states": n_states},
+        }
+
 
 # ---------------------------------------------------------------------------
 # the library's automata pass the checks they are built without
