@@ -26,7 +26,7 @@ import json
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import StateCapExceeded
 from .syntax import (
@@ -160,9 +160,13 @@ def _members(m: int) -> list[int]:
     return list(compress(range(shift, shift + len(bits)), bits))
 
 
-def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
+def regex_to_nfa(e: ParamRegex, alphabet: Alphabet,
+                 spell: Mapping[str, ParamRegex] | None = None) -> Nfa:
     """Compile an expression to an epsilon-free NFA over letters and
-    variable labels.
+    variable labels.  A variable that ``spell`` maps to a variable-free
+    expression is compiled as that expression, as if it were substituted
+    into e (see :func:`~prx.valuations.apply_to_regex`), without building
+    the substituted tree.
 
     The states are those of Thompson's construction: a start/end pair per
     subexpression other than a concatenation, numbered in the order the
@@ -185,6 +189,8 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
     :func:`_label_sort_key`), then target.  Both passes run over the nodes
     listed in entering order with an explicit stack, so nesting depth meets
     no recursion limit; a shared subtree is listed once per occurrence.
+    Each distinct edge set is decoded once and its edges reused by every
+    state that has it.
     """
     # The nodes in entering order: type, index of the right child, and the
     # leaves entered before it plus one, which is the bit of its first leaf.
@@ -201,6 +207,9 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
         if parent >= 0:
             right[parent] = i
         t = type(node)
+        if t is Var and spell and node.name in spell:
+            node = spell[node.name]
+            t = type(node)
         types.append(t)
         right.append(0)
         low.append(len(leaves) + 1)
@@ -255,6 +264,9 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
         rank = [ranks[label] for label, _ in leaves].__getitem__
     transitions: list[tuple[int, Label, int]] = []
     finals: list[int] = []
+    # Per edge set of two edges or more, where the first state with it has
+    # its edges in ``transitions``.
+    decoded: dict[int, slice] = {}
 
     def emit(q: int, edges: int) -> None:
         if edges & 1:
@@ -264,9 +276,14 @@ def regex_to_nfa(e: ParamRegex, alphabet: Alphabet) -> Nfa:
             if edges:
                 transitions.append((q, *leaves[edges.bit_length() - 1]))
             return
+        span = decoded.get(edges)
+        if span is not None:
+            transitions.extend([(q, label, dst) for _, label, dst in transitions[span]])
+            return
         js = _members(edges)
         if rank is not None:
             js.sort(key=rank)
+        decoded[edges] = slice(len(transitions), len(transitions) + len(js))
         transitions.extend([(q, *leaves[j]) for j in js])
 
     # Top-down, in state order: follow[i] is set by the node's parent.

@@ -11,10 +11,10 @@ decided without enumerating valuations, by binding variables as the word is
 read, or by plain reachability for simple star-free expressions.  Every
 other decision runs the one breadth-first search of
 :func:`~prx.automata._search` and stops at the first answer.  It searches
-the states of an instance or of the possibility union
-(:func:`~prx.automata.is_empty`), mask states of the automaton with its
-bisimilar states merged, pairs of them, or pairs of the states of one
-automaton with mask states or the states of another
+the states of an instance (:func:`~prx.automata.is_empty`) or of the
+possibility union (:class:`_UnionSource`), mask states of the automaton
+with its bisimilar states merged, pairs of them, or pairs of the states of
+one automaton or of the union with mask states or the states of another
 (:func:`_pair_search`); no decision builds a product or a complement.
 Letters are tried in alphabet order.  A mask state has one successor per
 letter, so the searches of mask states and of their pairs find the
@@ -22,20 +22,24 @@ shortlex-least witness; a state of an automaton may have several, and a
 pair search finds the witness an emptiness check of the product would
 find.  Certainty universality over letters takes its counterexample from
 the first instance that is not universal, searched on the mask states of
-that one valuation.  The possibility union glues the instances' edges in
-one pass without ε-edges, over letters relabelled straight from the
-compiled automaton.  The certainty automaton numbers the mask states of
-the automaton as compiled, on its states reachable from the start.  A
-reported valuation is the first one in enumeration order.  Nothing is
-approximated: caps make the exponential cases fail loudly instead.
+that one valuation.  Only :func:`construct_nfa` glues the possibility
+union, in one pass without ε-edges.  The searches read it lazily: its
+size, and so its cap, comes from the expression, and an instance is
+compiled only once a search needs its edges.  The certainty automaton
+numbers the mask states of the automaton as compiled, on its states
+reachable from the start.  A reported valuation is the first one in
+enumeration order.  Nothing is approximated: caps make the exponential
+cases fail loudly instead.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
+from itertools import accumulate, groupby, product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -50,7 +54,10 @@ from .automata import (
     regex_to_nfa,
 )
 from .errors import DomainNotFinite, PreconditionViolated, PrxError, StateCapExceeded
-from .syntax import Alphabet, ParamRegex, is_simple, star_height, variables
+from .syntax import (
+    Alphabet, Concat, Epsilon, ParamRegex, Star, Union, Var, _fold, is_simple,
+    star_height, variables, word_expr,
+)
 from .valuations import (
     DEFAULT_VALUATION_CAP,
     DEFAULT_WORD_CAP,
@@ -58,12 +65,10 @@ from .valuations import (
     Valuation,
     _tile,
     apply_to_nfa,
-    apply_to_regex,
     domain_choices,
     letter_choices,
     letter_masks,
     valuation_at,
-    valuations_from,
 )
 
 
@@ -92,7 +97,8 @@ class DecisionReport:
     automaton states.  Membership reports the states of the expression's
     own automaton, and so does certainty universality over letters when
     every instance is universal; possibility nonemptiness reports those of
-    the automaton it searched.
+    the automaton it searched, over domains the possibility union's size as
+    computed from the expression (see :class:`_UnionSource`).
     """
 
     answer: bool
@@ -172,25 +178,20 @@ def _construct(
     :func:`_valuation_space`), and the number of valuations combined; both
     constructions refuse past ``state_cap`` states.
 
-    Possibility glues the instances into one union without ε-edges (see
-    :func:`_union`): a new start 0 with the edges of every instance's start,
-    and the instances' states numbered after it in enumeration order.  Over
-    letters each instance is the compiled automaton with every variable
-    edge relabelled by its image letter; an enumerated one is compiled from
-    the substituted expression.  Certainty numbers the mask states of the
-    compiled automaton on its states reachable from the start (see
-    :func:`_instance_masks`), the tuples of the instances' subsets, and
-    drops those where some instance can no longer accept (see
-    :meth:`_Masks.coreachable`).  A finitary instance gives each word edge
-    a chain of its own, an enumerated one each occurrence of a variable.
+    Possibility glues the instances of :class:`_UnionSource` into one union
+    without ε-edges (see :func:`_union`), refused from its computed size
+    before any instance is compiled; no other function glues it.  Certainty
+    numbers the mask states of the compiled automaton on its states
+    reachable from the start (see :func:`_instance_masks`), the tuples of
+    the instances' subsets, and drops those where some instance can no
+    longer accept (see :meth:`_Masks.coreachable`).  A finitary instance
+    gives each word edge a chain of its own, an enumerated one each
+    occurrence of a variable.
     """
     route, choices = space
     if sem is DIAMOND:
-        base = regex_to_nfa(e, alphabet) if route == "letters" else None
-        return _union((
-            (base or regex_to_nfa(apply_to_regex(nu, e), alphabet), nu)
-            for nu in valuations_from(choices)
-        ), alphabet, state_cap)
+        source = _UnionSource(e, alphabet, choices, state_cap)
+        return _union(source), source.count
     masks = _instance_masks(e, alphabet, choices, chain_per_edge=route == "finitary")
     on_live = masks.coreachable()
     if masks.fold(masks.start & on_live) != masks.full:
@@ -216,12 +217,148 @@ def _construct(
     return Nfa._built(len(states), 0, finals, transitions, alphabet), masks.total
 
 
-def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet,
-           state_cap: int) -> tuple[Nfa, int]:
-    """The union of the ε-free instances, each a compiled automaton with the
-    valuation that relabels its variable edges, glued without ε-edges, and
-    the number of instances; refused before an instance would take its
-    states, start included, past ``state_cap`` (``union exceeded …``).
+class _UnionSource:
+    """The possibility union over the valuations of ``choices``, read rather
+    than built.  Node 0 is a start of its own; state q of instance k, the
+    k-th valuation's, is node ``offsets[k] + q``, as :func:`_union` numbers
+    the union it glues.
+
+    The size comes from the expression: an instance has the n states of the
+    compiled expression, and two more per letter after the first of each
+    variable occurrence's image, the states ``word_expr`` spells it with.
+    Past ``state_cap`` the union is refused here (``union exceeded …``),
+    before any instance is compiled.  Node 0 is final when some instance
+    accepts the empty word, which is when e does with every variable that
+    has the empty word as an image spelled as it.
+
+    An instance is compiled on first use.  When every image is one letter,
+    as over letters, it is the compiled automaton with each variable edge
+    relabelled by its image; otherwise it is e compiled with each variable
+    spelled as its image.  The searches read the union through
+    :meth:`step`, node 0 stepping along every instance's start edges, and
+    :attr:`finals`, which holds every final node once node 0 has been
+    stepped.
+    """
+
+    __slots__ = ("e", "alphabet", "base", "coded", "names", "images", "letters_only", "count",
+                 "size", "offsets", "finals", "rows", "compiled", "spelled")
+
+    def __init__(self, e: ParamRegex, alphabet: Alphabet,
+                 choices: Mapping[str, Sequence[str]], state_cap: int):
+        self.e, self.alphabet = e, alphabet
+        empty = {name for name, images in choices.items() if "" in images}
+
+        def shape(node: ParamRegex, *kids: tuple[int, bool]) -> tuple[int, bool]:
+            """The states a node compiles to, and whether it is nullable when
+            the variables in ``empty`` are; counts the variables' occurrences."""
+            t = type(node)
+            if t is Concat:
+                return kids[0][0] + kids[1][0], kids[0][1] and kids[1][1]
+            if t is Union:
+                return kids[0][0] + kids[1][0] + 2, kids[0][1] or kids[1][1]
+            if t is Star:
+                return kids[0][0] + 2, True
+            if t is Var:
+                occurrences[node.name] += 1
+                return 2, node.name in empty
+            return 2, t is Epsilon
+
+        occurrences: Counter[str] = Counter()
+        n, start_final = _fold(e, shape)
+        # Per variable, the states each of its images adds to an instance.
+        added = [[2 * occurrences[name] * max(len(w) - 1, 0) for w in images]
+                 for name, images in choices.items()]
+        self.count = count = prod(map(len, added))
+        self.size = 1 + count * n + sum(count // len(a) * sum(a) for a in added)
+        if self.size > state_cap:
+            raise StateCapExceeded(f"union exceeded the cap of {state_cap} states")
+        self.finals: set[int] = {0} if start_final else set()
+        self.offsets = list(accumulate((n + sum(extra) for extra in product(*added)), initial=1))
+        self.base: Nfa | None = None  # the compiled automaton, once an instance relabels it
+        self.coded: tuple[list[Label], list[tuple[int, int, int]]] | None = None
+        self.names = list(choices)
+        self.images = list(product(*choices.values()))
+        self.letters_only = all(len(w) == 1 for images in choices.values() for w in images)
+        # Per node, each letter's targets, once its instance is indexed; the
+        # other nodes are listed once node 0 is, as none is reached before.
+        self.rows: list[list[Sequence[int]] | None] = [None]
+        self.compiled: dict[int, Nfa] = {}
+        self.spelled: dict[str, ParamRegex] = {}
+
+    def instance(self, k: int) -> tuple[Nfa, dict[str, str] | None]:
+        """Instance k's automaton, and the image letter of each variable that
+        labels its edges, ``None`` when only letters do."""
+        images = self.images[k]
+        if self.letters_only or all(len(w) == 1 for w in images):
+            if self.base is None:
+                self.base = regex_to_nfa(self.e, self.alphabet)
+            return self.base, dict(zip(self.names, images))
+        a = self.compiled.get(k)
+        if a is None:
+            spelled = self.spelled  # one expression per image word
+            spell = {name: spelled.get(w) or spelled.setdefault(w, word_expr(w))
+                     for name, w in zip(self.names, images)}
+            a = self.compiled[k] = regex_to_nfa(self.e, self.alphabet, spell)
+        return a, None
+
+    def step(self, node: int, i: int) -> Sequence[int]:
+        """The nodes reached from ``node`` on letter index i, in increasing
+        order."""
+        row = self.rows[node]
+        if row is None:
+            self._index(bisect_right(self.offsets, node) - 1)
+            row = self.rows[node]
+        return row[i]
+
+    def _edges(self, k: int, index: dict[str, int]) -> tuple[Nfa, Iterable[tuple[int, int, int]]]:
+        """Instance k's automaton, and its edges as (source, letter index,
+        target) in order, read as they are iterated."""
+        a, nu = self.instance(k)
+        if nu is None:
+            return a, ((src, index[label], dst) for src, label, dst in a.transitions)
+        labels, coded = self.coded_base()
+        image = [index[nu[label.name] if isinstance(label, VarLabel) else label]
+                 for label in labels]
+        return a, ((src, image[code], dst) for src, code, dst in coded)
+
+    def coded_base(self) -> tuple[list[Label], list[tuple[int, int, int]]]:
+        """The labels of the compiled automaton the relabelled instances
+        share, and its edges with each label coded by its place there."""
+        if self.coded is None:
+            codes: dict[Label, int] = {}
+            coded = [(src, codes.setdefault(label, len(codes)), dst)
+                     for src, label, dst in self.base.transitions]
+            self.coded = list(codes), coded
+        return self.coded
+
+    def _index(self, k: int) -> None:
+        """Enter the targets of instance k's states, or with k = -1 those of
+        node 0, which also enters every instance's final states."""
+        index = {ch: i for i, ch in enumerate(self.alphabet.letters)}
+        if k < 0:
+            starts = []
+            for j, offset in enumerate(self.offsets[:-1]):
+                a, edges = self._edges(j, index)
+                self.finals.update(q + offset for q in a.finals)
+                for src, i, dst in edges:
+                    if src != a.initial:  # a compiled automaton lists its start's edges first
+                        break
+                    starts.append((i, dst + offset))
+            row: list[list[int]] = [[] for _ in index]
+            for i, dst in sorted(set(starts)):
+                row[i].append(dst)
+            self.rows = [row] + [None] * (self.size - 1)
+            return
+        a, edges = self._edges(k, index)
+        offset = self.offsets[k]
+        rows: list[list[Sequence[int]]] = [[()] * len(index) for _ in range(a.n_states)]
+        for (src, i), group in groupby(sorted(set(edges)), key=itemgetter(0, 1)):
+            rows[src][i] = [dst + offset for _, _, dst in group]
+        self.rows[offset:offset + a.n_states] = rows
+
+
+def _union(source: _UnionSource) -> Nfa:
+    """The union of the source's ε-free instances, glued without ε-edges.
 
     Node 0 has the edges of every instance's start, and is final when one
     of those starts is; each instance's states follow in turn.  The edges
@@ -234,36 +371,35 @@ def _union(instances: Iterable[tuple[Nfa, Valuation]], alphabet: Alphabet,
     starts: list[tuple[int, Label, int]] = []
     transitions: list[tuple[int, Label, int]] = []
     finals: list[int] = []
-    offset, n_vals, last = 1, 0, None
-    for a, nu in instances:
-        if offset + a.n_states > state_cap:
-            raise StateCapExceeded(f"union exceeded the cap of {state_cap} states")
-        if a is not last:  # each compiled automaton is coded once
-            last = a
-            labels: dict[Label, int] = {}
-            coded = [(src, labels.setdefault(label, len(labels)), dst)
-                     for src, label, dst in a.transitions]
-            out_of_start = [(code, dst) for src, code, dst in coded if src == a.initial]
-            # The (first, end) edge indices of each state to sort again.
-            runs: list[tuple[int, int]] = []
-            end = 0
-            for _, group in groupby(a.transitions, key=itemgetter(0)):
-                first, group = end, list(group)
-                end += len(group)
-                if len(group) > 1 and any(isinstance(label, VarLabel) for _, label, _ in group):
-                    runs.append((first, end))
-        image = [nu[label.name] if isinstance(label, VarLabel) else label for label in labels]
-        edges = [(src + offset, image[code], dst + offset) for src, code, dst in coded]
-        for first, end in reversed(runs):  # a shorter run moves only the edges after it
-            edges[first:end] = sorted(set(edges[first:end]))
+    offset, runs = 1, None
+    for k in range(source.count):
+        a, nu = source.instance(k)
+        if nu is None:
+            edges = [(src + offset, label, dst + offset) for src, label, dst in a.transitions]
+            starts += [(0, label, dst) for src, label, dst in edges if src == offset + a.initial]
+        else:
+            labels, coded = source.coded_base()
+            if runs is None:
+                out_of_start = [(code, dst) for src, code, dst in coded if src == a.initial]
+                # The (first, end) edge indices of each state to sort again.
+                runs = []
+                end = 0
+                for _, group in groupby(a.transitions, key=itemgetter(0)):
+                    first, group = end, list(group)
+                    end += len(group)
+                    if len(group) > 1 and any(isinstance(label, VarLabel) for _, label, _ in group):
+                        runs.append((first, end))
+            image = [nu[label.name] if isinstance(label, VarLabel) else label for label in labels]
+            edges = [(src + offset, image[code], dst + offset) for src, code, dst in coded]
+            for first, end in reversed(runs):  # a shorter run moves only the edges after it
+                edges[first:end] = sorted(set(edges[first:end]))
+            starts += [(0, image[code], dst + offset) for code, dst in out_of_start]
         transitions += edges
-        starts += [(0, image[code], dst + offset) for code, dst in out_of_start]
         if a.initial in a.finals:
             finals.append(0)
         finals += [q + offset for q in a.finals]
         offset += a.n_states
-        n_vals += 1
-    return Nfa._built(offset, 0, finals, sorted(set(starts)) + transitions, alphabet), n_vals
+    return Nfa._built(offset, 0, finals, sorted(set(starts)) + transitions, source.alphabet)
 
 
 def construct_nfa(
@@ -695,37 +831,41 @@ def _instance_masks(e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Seq
     return _Masks(*_moves(base, choices, chain_per_edge), base.finals)
 
 
-def _pair_search(
-    a: Nfa,
-    start: Hashable,
-    step: Callable[[Hashable, int], Sequence[Hashable]],
-    wanted: Callable[[Hashable], bool],
-    state_cap: int,
-) -> tuple[str | None, int]:
-    """:func:`~prx.automata._search` of the pairs (state of the ε-free
-    automaton a, node of the other side) for one where the state is final
-    and the node ``wanted``; ``step`` gives a node's successors on a letter
-    index in increasing order, and none from a dead node.  On each letter
-    the pairs are those of a's targets in increasing order, each with the
-    node's successors in order: the order in which the synchronized product
-    of a with the other side numbers them breadth-first, so the word
+def _states(a: Nfa) -> tuple:
+    """The states of an ε-free automaton over letters as a side of
+    :func:`_pair_search`: each letter's targets in increasing order, the
+    final states wanted."""
+    targets = _targets(a)
+    return a.initial, lambda q, i: targets.get((q, i), ()), a.finals.__contains__
+
+
+def _pair_search(left: tuple, right: tuple, alphabet: Alphabet,
+                 state_cap: int) -> tuple[str | None, int]:
+    """:func:`~prx.automata._search` of the pairs (node of the left side,
+    node of the right side) for one where both are wanted.  A side is its
+    start node, the successors ``step(node, i)`` gives a node on letter
+    index i in increasing order (none from a dead node), and the test of
+    the nodes it wants.  On each letter the pairs are those of the left
+    node's successors in order, each with the right node's successors in
+    order: the order in which the synchronized product of the left side's
+    automaton with the other side numbers them breadth-first, so the word
     returned (``None`` if none) is the one :func:`~prx.automata.is_empty`
-    finds in that product; when the other side is deterministic, the
+    finds in that product; when the right side is deterministic, the
     product with the sides swapped numbers them alike.  Also returns the
     number of pairs discovered."""
-    targets = _targets(a)
+    (start, step, wanted), (other_start, other_step, other_wanted) = left, right
 
-    def pairs(pair: tuple[int, Hashable], i: int) -> Sequence[tuple[int, Hashable]]:
+    def pairs(pair: tuple[Hashable, Hashable], i: int) -> Sequence[tuple[Hashable, Hashable]]:
         q, node = pair
-        ahead = targets.get((q, i))
+        ahead = step(q, i)
         if not ahead:
             return ()
-        nexts = step(node, i)
+        nexts = other_step(node, i)
         return [(dst, nxt) for dst in ahead for nxt in nexts]
 
     return _search(
-        (a.initial, start), pairs, a.alphabet,
-        lambda pair: pair[0] in a.finals and wanted(pair[1]), state_cap,
+        (start, other_start), pairs, alphabet,
+        lambda pair: wanted(pair[0]) and other_wanted(pair[1]), state_cap,
     )
 
 
@@ -904,9 +1044,11 @@ def nonemptiness(
 
     Over letters, possibility-nonemptiness does not depend on the valuation
     chosen (a path in one substituted automaton exists iff one exists in any
-    other), so only the first valuation is inspected — no cap applies; over
-    domains the union of the instances is built.  Certainty-nonemptiness
-    searches mask states breadth-first for one whose final states hold every
+    other), so only the first valuation is inspected — no cap applies.  Over
+    domains the union of the instances is searched as it is read, refused
+    past ``state_cap`` from its computed size, and answers the empty word
+    at once, compiling no instance, when its start is final (see
+    :class:`_UnionSource`).  Certainty-nonemptiness searches mask states breadth-first for one whose final states hold every
     valuation; a mask state that loses a valuation altogether is dead and
     dropped.  Its witness is the shortlex-least word of the language.
     """
@@ -922,12 +1064,12 @@ def nonemptiness(
         )
     space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap)
     if sem is DIAMOND:
-        combined, n_vals = _construct(e, alphabet, sem, space, state_cap)
-        empty, witness = is_empty(combined)
+        union = _UnionSource(e, alphabet, space[1], state_cap)
+        witness, _ = _search(0, union.step, alphabet, union.finals.__contains__, union.size)
         return DecisionReport(
-            answer=not empty,
+            answer=witness is not None,
             witness=witness,
-            stats={"valuations": n_vals, "states": combined.n_states},
+            stats={"valuations": union.count, "states": union.size},
         )
     side = _search_masks(regex_to_nfa(e, alphabet), space[1])
     witness, n_states = _search(
@@ -1041,16 +1183,17 @@ def containment(
     if domains is None:  # over letters each side has its own variables
         rhs_space = _valuation_space(e2, alphabet, sem, domains, valuation_cap, word_cap)
     if sem is DIAMOND:
-        lhs, n_lhs = _construct(e1, alphabet, sem, space, state_cap)
+        lhs = _UnionSource(e1, alphabet, space[1], state_cap)
         rhs = _search_masks(regex_to_nfa(e2, alphabet), rhs_space[1])
         witness, n_states = _pair_search(
-            lhs, rhs.start, lambda s, i: (rhs.step(s, i),), lambda s: not rhs.accepting(s),
-            state_cap,
+            (0, lhs.step, lhs.finals.__contains__),
+            (rhs.start, lambda s, i: (rhs.step(s, i),), lambda s: not rhs.accepting(s)),
+            alphabet, state_cap,
         )
         return DecisionReport(
             answer=witness is None,
             witness=witness,
-            stats={"valuations": n_lhs + rhs.total, "states": n_states},
+            stats={"valuations": lhs.count + rhs.total, "states": n_states},
         )
     lhs = _search_masks(regex_to_nfa(e1, alphabet), space[1])
     rhs = _search_masks(regex_to_nfa(e2, alphabet), rhs_space[1])
@@ -1095,18 +1238,18 @@ def nonempty_int_reg(
     space = _valuation_space(e, alphabet, sem, domains, valuation_cap, word_cap, covered=True)
     reg = regex_to_nfa(r, alphabet)
     if sem is DIAMOND:
-        lhs, n_vals = _construct(e, alphabet, sem, space, state_cap)
-        on_reg = _targets(reg)
+        lhs = _UnionSource(e, alphabet, space[1], state_cap)
+        n_vals = lhs.count
         witness, n_states = _pair_search(
-            lhs, reg.initial, lambda q, i: on_reg.get((q, i), ()), reg.finals.__contains__,
-            state_cap,
-        )
+            (0, lhs.step, lhs.finals.__contains__), _states(reg), alphabet, state_cap)
     else:
         side = _search_masks(regex_to_nfa(e, alphabet), space[1])
         n_vals = side.total
         witness, n_states = _pair_search(
-            reg, side.start, lambda s, i: (nxt,) if side.alive(nxt := side.step(s, i)) else (),
-            lambda s: side.accepting(s) == side.full, state_cap,
+            _states(reg),
+            (side.start, lambda s, i: (nxt,) if side.alive(nxt := side.step(s, i)) else (),
+             lambda s: side.accepting(s) == side.full),
+            alphabet, state_cap,
         )
     return DecisionReport(
         answer=witness is not None,

@@ -32,8 +32,8 @@ from prx.automata import (
 )
 from prx.errors import StateCapExceeded
 from prx.semantics import BOX, DIAMOND, construct_nfa
-from prx.syntax import Alphabet, parse, variables
-from prx.valuations import DomainSpec, Valuation, apply_to_nfa
+from prx.syntax import Alphabet, Var, _fold, parse, variables, word_expr
+from prx.valuations import DomainSpec, Valuation, apply_to_nfa, apply_to_regex
 from reference_automata import (
     Dfa, complement, determinize, dfa_to_nfa, is_universal, product, product_all, thompson,
     union_all,
@@ -109,6 +109,28 @@ def test_regex_to_nfa_is_thompson_with_its_epsilon_edges_removed():
             a = regex_to_nfa(e, alphabet)
             assert _as_tuple(a) == _as_tuple(remove_epsilon(thompson(e, alphabet))), e
             assert not a.label_kinds()[0]
+
+
+def test_a_spelled_variable_compiles_as_its_substituted_image():
+    """Compiling with variables spelled as image words gives the automaton
+    of the expression with those words substituted, for empty, one-letter
+    and longer images; a variable left unspelled stays a variable."""
+    rng = random.Random(2209)
+    images = ("", "0", "1", "01", "110", "ba")
+    for letters in ("01", "ba"):
+        alphabet = Alphabet(letters)
+        words = [w for w in images if set(w) <= set(letters)]
+        for _ in range(600):
+            e = random_expr(rng, alphabet, ["x", "y", "z"], rng.randint(1, 30), var_prob=0.4)
+            nu = {name: rng.choice(words) for name in variables(e) if rng.random() < 0.8}
+            spell = {name: word_expr(w) for name, w in nu.items()}
+            got = regex_to_nfa(e, alphabet, spell)
+            tree = _fold(e, lambda node, *kids: spell.get(node.name, node) if isinstance(
+                node, Var) else type(node)(*kids) if kids else node)
+            assert _as_tuple(got) == _as_tuple(regex_to_nfa(tree, alphabet)), (e, nu)
+            if len(nu) == len(variables(e)):
+                want = regex_to_nfa(apply_to_regex(Valuation(nu), e), alphabet)
+                assert _as_tuple(got) == _as_tuple(want), (e, nu)
 
 
 _DEEP = {

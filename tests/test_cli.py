@@ -759,6 +759,20 @@ class TestErrorsAndStreams:
                                  [*args, "--semantics", "diamond", "--max-states", "17"])
             assert (res.exit_code, res.stdout) == (0, "true\n")
 
+    def test_an_empty_witness_read_off_the_union_still_honours_the_state_cap(
+            self, runner, tmp_path):
+        # The union's start is final, as x and y may both stand for the
+        # empty word, so the search answers _ at once.  Its instances have
+        # the 4 states of $x$y, 2 more where x stands for 01: 4 + 4 + 6 + 6
+        # and the start, 21 states.
+        args = ["nonempty", "--semantics", "diamond", "--expr", "$x$y", "--witness"]
+        domains = '{"x": "_|01", "y": "_|1"}'
+        res = invoke_over_01(runner, tmp_path, domains, [*args, "--max-states", "21"])
+        assert (res.exit_code, res.output) == (0, "true\n_\n")
+        res = invoke_over_01(runner, tmp_path, domains, [*args, "--max-states", "20"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == "error: union exceeded the cap of 20 states\n"
+
     def test_universal_box_checks_the_valuation_cap_before_searching(self, runner):
         # At --max-states 1 the search itself would be refused; the 8
         # valuations are refused first.

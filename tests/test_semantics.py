@@ -10,6 +10,8 @@ import pytest
 
 from prx.automata import (
     Nfa,
+    _search,
+    _targets,
     accepts,
     is_empty,
     regex_to_nfa,
@@ -32,7 +34,8 @@ from prx.semantics import (
     universality,
 )
 from prx.semantics import (
-    _construct, _merge, _moves, _reachable, _step, _valuation_space,
+    _construct, _merge, _moves, _reachable, _search_masks, _step, _union, _UnionSource,
+    _valuation_space,
 )
 from prx.syntax import (
     Alphabet, Concat, EmptySet, Epsilon, Lit, Star, Union, Var, parse, variables,
@@ -1359,6 +1362,27 @@ class TestCombinedOnMaskStates:
 # the pair searches against the emptiness of the products they replaced
 
 
+PINNED_PAIR_REPORTS = [
+    (lambda: nonempty_int_reg(family_box_subword(4), parse("(0|1)*", AB), AB, BOX),
+     (True, "0000100110101111000", 16, 13757)),
+    (lambda: nonempty_int_reg(family_diamond_power(3), parse("1(0|1)*0", AB), AB, DIAMOND),
+     (True, "100", 8, 13)),
+    (lambda: containment(family_diamond_power(3), parse("(00|11)*", AB), AB, DIAMOND),
+     (False, "000", 9, 18)),
+    (lambda: containment(parse("".join(f"$x{i}" for i in range(1, 12)), AB),
+                         parse("(0|1)*", AB), AB, DIAMOND),
+     (True, None, 2049, 22529)),
+]
+
+
+def assert_pinned(decide, report):
+    answer, witness, n_vals, n_states = report
+    assert decide().to_json() == {
+        "answer": answer, "witness": witness, "valuation": None,
+        "stats": {"valuations": n_vals, "states": n_states},
+    }
+
+
 class TestPairSearches:
     """Intersection with a regular language under both semantics, and
     possibility containment, searched pair by pair, against is_empty of the
@@ -1447,24 +1471,202 @@ class TestPairSearches:
 
     # The whole report at the default cap: a change to the order the pairs
     # are tried in moves the witness or the count of pairs discovered.
-    @pytest.mark.parametrize("decide,report", [
-        (lambda: nonempty_int_reg(family_box_subword(4), parse("(0|1)*", AB), AB, BOX),
-         (True, "0000100110101111000", 16, 13757)),
-        (lambda: nonempty_int_reg(family_diamond_power(3), parse("1(0|1)*0", AB), AB, DIAMOND),
-         (True, "100", 8, 13)),
-        (lambda: containment(family_diamond_power(3), parse("(00|11)*", AB), AB, DIAMOND),
-         (False, "000", 9, 18)),
-        (lambda: containment(parse("".join(f"$x{i}" for i in range(1, 12)), AB),
-                             parse("(0|1)*", AB), AB, DIAMOND),
-         (True, None, 2049, 22529)),
-    ], ids=["box-intersect", "diamond-intersect", "diamond-contains-false",
-            "diamond-contains-true"])
+    @pytest.mark.parametrize("decide,report", PINNED_PAIR_REPORTS,
+                             ids=["box-intersect", "diamond-intersect", "diamond-contains-false",
+                                  "diamond-contains-true"])
     def test_reports_are_pinned(self, decide, report):
-        answer, witness, n_vals, n_states = report
-        assert decide().to_json() == {
-            "answer": answer, "witness": witness, "valuation": None,
-            "stats": {"valuations": n_vals, "states": n_states},
+        assert_pinned(decide, report)
+
+
+# ---------------------------------------------------------------------------
+# the possibility union read by the searches against the union glued first
+
+
+def glued_report(problem, alphabet, e, other, route, choices, other_choices, cap):
+    """A possibility search as it runs on the union glued first: the union
+    of the reference instances, refused past the cap, and searched whole,
+    for nonemptiness, intersection with the regular expression ``other`` or
+    containment in ``other`` (on the valuations of ``other_choices``)."""
+    instances = reference_instances(e, alphabet, route, choices)
+    union = capped(union_all(instances, alphabet), cap)
+    if problem == "nonempty":
+        empty, witness = is_empty(union)
+        return DecisionReport(not empty, witness, None,
+                              {"valuations": len(instances), "states": union.n_states})
+    if problem == "intersect":
+        reg = regex_to_nfa(other, alphabet)
+        on_reg = _targets(reg)
+        start, step = reg.initial, lambda q, i: on_reg.get((q, i), ())
+        wanted = reg.finals.__contains__
+        n_vals = len(instances)
+    else:
+        rhs = _search_masks(regex_to_nfa(other, alphabet), other_choices)
+        start, step = rhs.start, lambda s, i: (rhs.step(s, i),)
+        wanted = lambda s: not rhs.accepting(s)  # noqa: E731
+        n_vals = len(instances) + rhs.total
+    targets = _targets(union)
+
+    def pairs(pair, i):
+        q, node = pair
+        ahead = targets.get((q, i))
+        return [(d, nxt) for d in ahead for nxt in step(node, i)] if ahead else ()
+
+    witness, n = _search((union.initial, start), pairs, alphabet,
+                         lambda pair: pair[0] in union.finals and wanted(pair[1]), cap)
+    answer = witness is None if problem == "contains" else witness is not None
+    return DecisionReport(answer, witness, None, {"valuations": n_vals, "states": n})
+
+
+def refuse_to_glue(*args):
+    raise AssertionError("the union was glued")
+
+
+def has_image_kinds(choices):
+    """The image kinds among the valuations: empty, one letter, longer."""
+    return {min(len(w), 2) for images in choices.values() for w in images}
+
+
+class TestUnionIsRead:
+    """The possibility union the searches read (:class:`_UnionSource`)
+    against the union glued by ``_union`` and by the reference: its
+    computed size, the finality of its start, and every node's targets on
+    every letter; and the reports of the searches on it, with ``_union``
+    refusing to run, against the same searches on the glued union."""
+
+    def compare_union(self, tally, e, alphabet, route, choices):
+        source = _UnionSource(e, alphabet, choices, 65536)
+        start_final = 0 in source.finals  # before any instance is compiled
+        glued = _union(source)
+        want = union_all(reference_instances(e, alphabet, route, choices), alphabet)
+        assert (source.size, start_final) == (glued.n_states, 0 in glued.finals) == (
+            want.n_states, 0 in want.finals), (e, choices)
+        targets = _targets(want)
+        for node in range(want.n_states):
+            for i in range(len(alphabet)):
+                assert list(source.step(node, i)) == targets.get((node, i), []), (e, node, i)
+        assert source.finals == want.finals
+        tally["start final" if start_final else "start not final"] += 1
+        for kind in has_image_kinds(choices) if route != "letters" else ():
+            tally[("empty", "one letter", "longer")[kind] + " image"] += 1
+        refused = f"union exceeded the cap of {source.size - 1} states"
+        with pytest.raises(StateCapExceeded, match=refused):
+            _UnionSource(e, alphabet, choices, source.size - 1)
+
+    def test_size_and_start_over_letters(self):
+        rng = random.Random(4161)
+        tally = collections.Counter()
+        for alphabet, count in ((AB, 200), (ABC, 100), (Alphabet("ba"), 100)):
+            for _ in range(count):
+                e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 14),
+                                        var_prob=0.4)
+                choices = _valuation_space(e, alphabet, DIAMOND, None, 10**6, 10**4)[1]
+                self.compare_union(tally, e, alphabet, "letters", choices)
+        assert min(tally.values()) >= 10, tally
+
+    def test_size_and_start_over_domains(self):
+        rng = random.Random(4163)
+        tally = collections.Counter()
+        cases = [(parse(text, AB), DomainSpec.from_json(mapping, AB))
+                 for text, mapping in SHARED_CHAINS if "*" not in str(mapping)]
+        for _ in range(400):
+            e, spec, _, _ = random_domain_case(rng, infinite=False)
+            cases.append((e, spec))
+        for e, spec in cases:
+            self.compare_union(tally, e, AB, "enumerate", domain_choices(spec))
+        assert len(tally) == 5 and min(tally.values()) >= 10, tally
+
+    def compare_reports(self, tally, problem, alphabet, e, other, choices, other_choices,
+                        spec, small_cap):
+        route = "letters" if spec is None else "enumerate"
+        decide = {
+            "nonempty": lambda cap: nonemptiness(e, alphabet, DIAMOND, state_cap=cap,
+                                                 domains=spec),
+            "intersect": lambda cap: nonempty_int_reg(e, other, alphabet, DIAMOND,
+                                                      state_cap=cap, domains=spec),
+            "contains": lambda cap: containment(e, other, alphabet, DIAMOND, state_cap=cap,
+                                                domains=spec),
+        }[problem]
+        for cap in (65536, small_cap):
+            got = outcome(lambda: decide(cap))
+            want = outcome(lambda: glued_report(problem, alphabet, e, other, route, choices,
+                                                other_choices, cap))
+            if isinstance(want, str):
+                assert got == want, (problem, e)
+                tally[problem + " refused"] += 1
+            else:
+                assert got.to_json() == want.to_json(), (problem, e)
+                tally[problem] += 1
+
+    def test_searches_over_letters(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_union", refuse_to_glue)
+        rng = random.Random(4165)
+        tally = collections.Counter()
+        # The generators of TestCombinedOnMaskStates and TestPairSearches.
+        for alphabet, count in ((AB, 200), (ABC, 100), (Alphabet("ba"), 100)):
+            universal = parse(f"({'|'.join(alphabet.letters)})*", alphabet)
+            for _ in range(count):
+                e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 14),
+                                        var_prob=0.4)
+                choices = _valuation_space(e, alphabet, DIAMOND, None, 10**6, 10**4)[1]
+                self.compare_reports(tally, "intersect", alphabet, e, universal, choices,
+                                     None, None, small_cap=4)
+        for alphabet, count in ((AB, 150), (ABC, 60), (Alphabet("ba"), 60)):
+            for _ in range(count):
+                e, e2 = (
+                    oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 12),
+                                        var_prob=0.4)
+                    for _ in range(2)
+                )
+                r = oracles.random_expr(rng, alphabet, (), rng.randint(2, 8))
+                choices, rhs_choices = (
+                    _valuation_space(side, alphabet, BOX, None, 10**6, 10**4)[1]
+                    for side in (e, e2)
+                )
+                self.compare_reports(tally, "intersect", alphabet, e, r, choices, None, None,
+                                     small_cap=6)
+                self.compare_reports(tally, "contains", alphabet, e, e2, choices, rhs_choices,
+                                     None, small_cap=6)
+        assert min(tally.values()) >= 10, tally
+
+    def test_searches_over_domains(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_union", refuse_to_glue)
+        rng = random.Random(4167)
+        tally = collections.Counter()
+        cases = [(parse(text, AB), DomainSpec.from_json(mapping, AB))
+                 for text, mapping in SHARED_CHAINS if "*" not in str(mapping)]
+        for _ in range(400):
+            e, spec, _, _ = random_domain_case(rng, infinite=False)
+            cases.append((e, spec))
+        for e, spec in cases:
+            self.compare_reports(tally, "nonempty", AB, e, None, domain_choices(spec), None,
+                                 spec, small_cap=3)
+        for _ in range(200):
+            e, spec, _, _ = random_domain_case(rng, infinite=False)
+            e2 = oracles.random_expr(rng, AB, spec.names, rng.randint(2, 9), var_prob=0.45)
+            r = oracles.random_expr(rng, AB, (), rng.randint(2, 8))
+            choices = domain_choices(spec)
+            for problem, other in (("nonempty", None), ("intersect", r), ("contains", e2)):
+                self.compare_reports(tally, problem, AB, e, other, choices, choices, spec,
+                                     small_cap=4)
+        assert min(tally.values()) >= 10, tally
+
+    @pytest.mark.parametrize("decide,report", PINNED_PAIR_REPORTS[1:],
+                             ids=["diamond-intersect", "diamond-contains-false",
+                                  "diamond-contains-true"])
+    def test_pinned_reports_do_not_glue(self, monkeypatch, decide, report):
+        monkeypatch.setattr(semantics, "_union", refuse_to_glue)
+        assert_pinned(decide, report)
+
+    def test_only_construct_nfa_glues(self, monkeypatch):
+        monkeypatch.setattr(semantics, "_union", refuse_to_glue)
+        spec = DomainSpec.from_json({"x": "_|01", "y": "1"}, AB)
+        e = parse("$x$y 0*", AB)
+        assert nonemptiness(e, AB, DIAMOND, domains=spec).to_json() == {
+            "answer": True, "witness": "1", "valuation": None,
+            "stats": {"valuations": 2, "states": 19},
         }
+        with pytest.raises(AssertionError, match="the union was glued"):
+            construct_nfa(e, AB, DIAMOND, domains=spec)
 
 
 # ---------------------------------------------------------------------------
