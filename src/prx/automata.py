@@ -450,6 +450,15 @@ def _targets(a: Nfa) -> dict[tuple[int, int], list[int]]:
     return {key: sorted(dsts) for key, dsts in targets.items()}
 
 
+def _states(a: Nfa) -> tuple:
+    """The states of an ε-free automaton over letters as a side of
+    :func:`_search` (and of :func:`~prx.semantics._pair_search`): the
+    start, each letter's targets in increasing order, the final states
+    wanted."""
+    targets = _targets(a)
+    return a.initial, lambda q, i: targets.get((q, i), ()), a.finals.__contains__
+
+
 def is_empty(a: Nfa) -> tuple[bool, str | None]:
     """(emptiness, witness): witness is a shortest accepted word, found by
     :func:`_search` over the states, each letter's targets in increasing
@@ -462,12 +471,9 @@ def is_empty(a: Nfa) -> tuple[bool, str | None]:
         raise ValueError("is_empty expects a variable-free automaton")
     if has_eps:
         a = remove_epsilon(a)
-    targets = _targets(a)
+    start, step, wanted = _states(a)
     # The search discovers at most every state, so the cap never refuses it.
-    witness, _ = _search(
-        a.initial, lambda q, i: targets.get((q, i), ()), a.alphabet, a.finals.__contains__,
-        a.n_states,
-    )
+    witness, _ = _search(start, step, a.alphabet, wanted, a.n_states)
     return witness is None, witness
 
 

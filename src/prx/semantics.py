@@ -25,16 +25,17 @@ the first instance that is not universal, searched on the mask states of
 that one valuation.  Only :func:`construct_nfa` glues the possibility
 union, in one pass without ε-edges.  The searches read it lazily: its
 size, and so its cap, comes from the expression, and an instance is
-compiled only once a search needs its edges.  The certainty automaton
-numbers the mask states of the automaton as compiled, on its states
-reachable from the start.  A reported valuation is the first one in
+compiled only once a search needs its edges.  Both read an instance's
+edges through one reader, :meth:`_UnionSource.edges`.  The certainty
+automaton numbers the mask states of the automaton as compiled, on its
+states reachable from the start.  A reported valuation is the first one in
 enumeration order.  Nothing is approximated: caps make the exponential
 cases fail loudly instead.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,7 +50,7 @@ from .automata import (
     Nfa,
     VarLabel,
     _search,
-    _targets,
+    _states,
     is_empty,
     regex_to_nfa,
 )
@@ -220,8 +221,7 @@ def _construct(
 class _UnionSource:
     """The possibility union over the valuations of ``choices``, read rather
     than built.  Node 0 is a start of its own; state q of instance k, the
-    k-th valuation's, is node ``offsets[k] + q``, as :func:`_union` numbers
-    the union it glues.
+    k-th valuation's, is node ``offsets[k] + q``.
 
     The size comes from the expression: an instance has the n states of the
     compiled expression, and two more per letter after the first of each
@@ -234,13 +234,14 @@ class _UnionSource:
     An instance is compiled on first use.  When every image is one letter,
     as over letters, it is the compiled automaton with each variable edge
     relabelled by its image; otherwise it is e compiled with each variable
-    spelled as its image.  The searches read the union through
-    :meth:`step`, node 0 stepping along every instance's start edges, and
-    :attr:`finals`, which holds every final node once node 0 has been
-    stepped.
+    spelled as its image.  :meth:`edges` is the one reader of an instance's
+    edges, and :meth:`start_edges`, node 0's, is built on it; :func:`_union`
+    glues what they read, and the searches step it through :meth:`step`
+    and :attr:`finals`, which holds every final node once node 0's edges
+    have been read.
     """
 
-    __slots__ = ("e", "alphabet", "base", "coded", "names", "images", "letters_only", "count",
+    __slots__ = ("e", "alphabet", "relabel", "names", "images", "longer", "count",
                  "size", "offsets", "finals", "rows", "compiled", "spelled")
 
     def __init__(self, e: ParamRegex, alphabet: Alphabet,
@@ -274,132 +275,111 @@ class _UnionSource:
             raise StateCapExceeded(f"union exceeded the cap of {state_cap} states")
         self.finals: set[int] = {0} if start_final else set()
         self.offsets = list(accumulate((n + sum(extra) for extra in product(*added)), initial=1))
-        self.base: Nfa | None = None  # the compiled automaton, once an instance relabels it
-        self.coded: tuple[list[Label], list[tuple[int, int, int]]] | None = None
+        # Once an instance relabels it, the compiled automaton; its edges,
+        # each label coded by the place of its image in the instance's
+        # images followed by the letters; and the (first, end) edge indices
+        # of each state whose edges relabelling can reorder.
+        self.relabel: tuple[Nfa, list[tuple[int, int, int]], list[tuple[int, int]]] | None = None
         self.names = list(choices)
         self.images = list(product(*choices.values()))
-        self.letters_only = all(len(w) == 1 for images in choices.values() for w in images)
+        self.longer = {w for images in choices.values() for w in images if len(w) != 1}
         # Per node, each letter's targets, once its instance is indexed; the
         # other nodes are listed once node 0 is, as none is reached before.
-        self.rows: list[list[Sequence[int]] | None] = [None]
+        self.rows: list[list[list[int]] | None] = [None]
         self.compiled: dict[int, Nfa] = {}
         self.spelled: dict[str, ParamRegex] = {}
 
-    def instance(self, k: int) -> tuple[Nfa, dict[str, str] | None]:
-        """Instance k's automaton, and the image letter of each variable that
-        labels its edges, ``None`` when only letters do."""
-        images = self.images[k]
-        if self.letters_only or all(len(w) == 1 for w in images):
-            if self.base is None:
-                self.base = regex_to_nfa(self.e, self.alphabet)
-            return self.base, dict(zip(self.names, images))
+    def edges(self, k: int, start_only: bool = False) -> tuple[Nfa, list[tuple[int, str, int]]]:
+        """Instance k's automaton, and its edges at its offset ordered by
+        source, letter (in code-point order) and target, without duplicates;
+        with ``start_only`` only its start's, which come first.
+
+        A compiled automaton's edges are in that order already, its start's
+        (state 0's) first (see :func:`~prx.automata.regex_to_nfa`), and the
+        edges of one state go to distinct targets.  Relabelling can only
+        reorder the edges of a state with two or more of them, one a
+        variable edge, so only those are sorted again.
+        """
+        images, offset = self.images[k], self.offsets[k]
+        if self.longer.isdisjoint(images):  # every image one letter
+            if self.relabel is None:
+                base = regex_to_nfa(self.e, self.alphabet)
+                place = {name: j for j, name in enumerate(self.names)}
+                index, shift = self.alphabet._index, len(place)
+                coded = [(src, place[label.name] if isinstance(label, VarLabel)
+                          else shift + index[label], dst)
+                         for src, label, dst in base.transitions]
+                runs, end = [], 0
+                for _, group in groupby(coded, key=itemgetter(0)):
+                    first, group = end, list(group)
+                    end += len(group)
+                    if len(group) > 1 and any(j < shift for _, j, _ in group):
+                        runs.append((first, end))
+                self.relabel = base, coded, runs
+            base, coded, runs = self.relabel
+            if start_only:
+                coded = coded[:bisect_left(coded, (1,))]
+            image = images + self.alphabet.letters
+            edges = [(src + offset, image[j], dst + offset) for src, j, dst in coded]
+            for first, end in runs:  # past the start's edges, an empty slice
+                edges[first:end] = sorted(edges[first:end])
+            return base, edges
         a = self.compiled.get(k)
         if a is None:
             spelled = self.spelled  # one expression per image word
             spell = {name: spelled.get(w) or spelled.setdefault(w, word_expr(w))
                      for name, w in zip(self.names, images)}
             a = self.compiled[k] = regex_to_nfa(self.e, self.alphabet, spell)
-        return a, None
+        edges = a.transitions[:bisect_left(a.transitions, (1,))] if start_only else a.transitions
+        return a, [(src + offset, label, dst + offset) for src, label, dst in edges]
+
+    def start_edges(self) -> list[tuple[int, str, int]]:
+        """Node 0's edges, in order: those of every instance's start.  Enters
+        every instance's final nodes."""
+        out: list[tuple[int, str, int]] = []
+        for k, offset in enumerate(self.offsets[:-1]):
+            a, edges = self.edges(k, start_only=True)
+            self.finals.update([q + offset for q in a.finals])
+            out += [(0, letter, dst) for _, letter, dst in edges]
+        out.sort()
+        return out
 
     def step(self, node: int, i: int) -> Sequence[int]:
         """The nodes reached from ``node`` on letter index i, in increasing
         order."""
         row = self.rows[node]
         if row is None:
-            self._index(bisect_right(self.offsets, node) - 1)
+            self._index(node)
             row = self.rows[node]
         return row[i]
 
-    def _edges(self, k: int, index: dict[str, int]) -> tuple[Nfa, Iterable[tuple[int, int, int]]]:
-        """Instance k's automaton, and its edges as (source, letter index,
-        target) in order, read as they are iterated."""
-        a, nu = self.instance(k)
-        if nu is None:
-            return a, ((src, index[label], dst) for src, label, dst in a.transitions)
-        labels, coded = self.coded_base()
-        image = [index[nu[label.name] if isinstance(label, VarLabel) else label]
-                 for label in labels]
-        return a, ((src, image[code], dst) for src, code, dst in coded)
-
-    def coded_base(self) -> tuple[list[Label], list[tuple[int, int, int]]]:
-        """The labels of the compiled automaton the relabelled instances
-        share, and its edges with each label coded by its place there."""
-        if self.coded is None:
-            codes: dict[Label, int] = {}
-            coded = [(src, codes.setdefault(label, len(codes)), dst)
-                     for src, label, dst in self.base.transitions]
-            self.coded = list(codes), coded
-        return self.coded
-
-    def _index(self, k: int) -> None:
-        """Enter the targets of instance k's states, or with k = -1 those of
-        node 0, which also enters every instance's final states."""
-        index = {ch: i for i, ch in enumerate(self.alphabet.letters)}
-        if k < 0:
-            starts = []
-            for j, offset in enumerate(self.offsets[:-1]):
-                a, edges = self._edges(j, index)
-                self.finals.update(q + offset for q in a.finals)
-                for src, i, dst in edges:
-                    if src != a.initial:  # a compiled automaton lists its start's edges first
-                        break
-                    starts.append((i, dst + offset))
-            row: list[list[int]] = [[] for _ in index]
-            for i, dst in sorted(set(starts)):
-                row[i].append(dst)
-            self.rows = [row] + [None] * (self.size - 1)
-            return
-        a, edges = self._edges(k, index)
-        offset = self.offsets[k]
-        rows: list[list[Sequence[int]]] = [[()] * len(index) for _ in range(a.n_states)]
-        for (src, i), group in groupby(sorted(set(edges)), key=itemgetter(0, 1)):
-            rows[src][i] = [dst + offset for _, _, dst in group]
-        self.rows[offset:offset + a.n_states] = rows
+    def _index(self, node: int) -> None:
+        """Enter each letter's targets of node 0, or of the states of the
+        node's instance, dealing the edges read out to the letters in
+        order."""
+        if node == 0:
+            offset, n, edges = 0, 1, self.start_edges()
+            self.rows = [None] * self.size
+        else:
+            k = bisect_right(self.offsets, node) - 1
+            a, edges = self.edges(k)
+            offset, n = self.offsets[k], a.n_states
+        index = self.alphabet._index
+        rows = [[[] for _ in index] for _ in range(n)]
+        for src, letter, dst in edges:
+            rows[src - offset][index[letter]].append(dst)
+        self.rows[offset:offset + n] = rows
 
 
 def _union(source: _UnionSource) -> Nfa:
-    """The union of the source's ε-free instances, glued without ε-edges.
-
-    Node 0 has the edges of every instance's start, and is final when one
-    of those starts is; each instance's states follow in turn.  The edges
-    come out ordered by source, letter and target, without duplicates: a
-    compiled automaton's edges are in that order already (see
-    :func:`~prx.automata.regex_to_nfa`), and relabelling can only
-    reorder, or make equal, the edges of a state with two or more of them,
-    one a variable edge, so only those are sorted again.
-    """
-    starts: list[tuple[int, Label, int]] = []
-    transitions: list[tuple[int, Label, int]] = []
-    finals: list[int] = []
-    offset, runs = 1, None
+    """The union of the source's ε-free instances, glued without ε-edges:
+    node 0's edges (see :meth:`_UnionSource.start_edges`), then each
+    instance's (see :meth:`_UnionSource.edges`), so ordered by source,
+    letter and target, without duplicates."""
+    transitions = source.start_edges()
     for k in range(source.count):
-        a, nu = source.instance(k)
-        if nu is None:
-            edges = [(src + offset, label, dst + offset) for src, label, dst in a.transitions]
-            starts += [(0, label, dst) for src, label, dst in edges if src == offset + a.initial]
-        else:
-            labels, coded = source.coded_base()
-            if runs is None:
-                out_of_start = [(code, dst) for src, code, dst in coded if src == a.initial]
-                # The (first, end) edge indices of each state to sort again.
-                runs = []
-                end = 0
-                for _, group in groupby(a.transitions, key=itemgetter(0)):
-                    first, group = end, list(group)
-                    end += len(group)
-                    if len(group) > 1 and any(isinstance(label, VarLabel) for _, label, _ in group):
-                        runs.append((first, end))
-            image = [nu[label.name] if isinstance(label, VarLabel) else label for label in labels]
-            edges = [(src + offset, image[code], dst + offset) for src, code, dst in coded]
-            for first, end in reversed(runs):  # a shorter run moves only the edges after it
-                edges[first:end] = sorted(set(edges[first:end]))
-            starts += [(0, image[code], dst + offset) for code, dst in out_of_start]
-        transitions += edges
-        if a.initial in a.finals:
-            finals.append(0)
-        finals += [q + offset for q in a.finals]
-        offset += a.n_states
-    return Nfa._built(offset, 0, finals, sorted(set(starts)) + transitions, source.alphabet)
+        transitions += source.edges(k)[1]
+    return Nfa._built(source.size, 0, source.finals, transitions, source.alphabet)
 
 
 def construct_nfa(
@@ -829,14 +809,6 @@ def _instance_masks(e: ParamRegex, alphabet: Alphabet, choices: Mapping[str, Seq
     compiled automaton."""
     base = _reachable(regex_to_nfa(e, alphabet))
     return _Masks(*_moves(base, choices, chain_per_edge), base.finals)
-
-
-def _states(a: Nfa) -> tuple:
-    """The states of an ε-free automaton over letters as a side of
-    :func:`_pair_search`: each letter's targets in increasing order, the
-    final states wanted."""
-    targets = _targets(a)
-    return a.initial, lambda q, i: targets.get((q, i), ()), a.finals.__contains__
 
 
 def _pair_search(left: tuple, right: tuple, alphabet: Alphabet,

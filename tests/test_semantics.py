@@ -1530,21 +1530,49 @@ class TestUnionIsRead:
     """The possibility union the searches read (:class:`_UnionSource`)
     against the union glued by ``_union`` and by the reference: its
     computed size, the finality of its start, and every node's targets on
-    every letter; and the reports of the searches on it, with ``_union``
-    refusing to run, against the same searches on the glued union."""
+    every letter; the glue of a source already stepped, and the compiles
+    both readers share; and the reports of the searches on it, with
+    ``_union`` refusing to run, against the same searches on the glued
+    union."""
 
-    def compare_union(self, tally, e, alphabet, route, choices):
+    @staticmethod
+    def count_compiles(monkeypatch):
+        """Count the library's compiles, per expression and spelling."""
+        calls = collections.Counter()
+        compile_ = semantics.regex_to_nfa
+
+        def counted(e, alphabet, spell=None):
+            calls[id(e), spell and tuple(spell.items())] += 1
+            return compile_(e, alphabet, spell)
+
+        monkeypatch.setattr(semantics, "regex_to_nfa", counted)
+        return calls
+
+    def compare_union(self, calls, tally, e, alphabet, route, choices, spec=None):
+        calls.clear()
+        glued = built(lambda: construct_nfa(e, alphabet, DIAMOND, domains=spec))
+        # Each instance is compiled once however often its edges are read:
+        # node 0's and then its own.
+        assert max(calls.values(), default=0) == 1, (e, calls)
+        want = union_all(reference_instances(e, alphabet, route, choices), alphabet)
+        assert glued == built(lambda: want), (e, choices)
+        calls.clear()
         source = _UnionSource(e, alphabet, choices, 65536)
         start_final = 0 in source.finals  # before any instance is compiled
-        glued = _union(source)
-        want = union_all(reference_instances(e, alphabet, route, choices), alphabet)
-        assert (source.size, start_final) == (glued.n_states, 0 in glued.finals) == (
-            want.n_states, 0 in want.finals), (e, choices)
+        assert (source.size, start_final) == (want.n_states, 0 in want.finals), (e, choices)
+        # Glued after node 0 and the last instance have been indexed, and
+        # again after every node has, the union is the same, and still no
+        # instance has been compiled twice.
+        source.step(0, 0)
+        source.step(source.offsets[-2], 0)
+        assert built(lambda: _union(source)) == glued, (e, choices)
         targets = _targets(want)
         for node in range(want.n_states):
             for i in range(len(alphabet)):
                 assert list(source.step(node, i)) == targets.get((node, i), []), (e, node, i)
         assert source.finals == want.finals
+        assert built(lambda: _union(source)) == glued, (e, choices)
+        assert max(calls.values()) == 1, (e, calls)
         tally["start final" if start_final else "start not final"] += 1
         for kind in has_image_kinds(choices) if route != "letters" else ():
             tally[("empty", "one letter", "longer")[kind] + " image"] += 1
@@ -1552,27 +1580,29 @@ class TestUnionIsRead:
         with pytest.raises(StateCapExceeded, match=refused):
             _UnionSource(e, alphabet, choices, source.size - 1)
 
-    def test_size_and_start_over_letters(self):
+    def test_size_and_start_over_letters(self, monkeypatch):
         rng = random.Random(4161)
         tally = collections.Counter()
+        calls = self.count_compiles(monkeypatch)
         for alphabet, count in ((AB, 200), (ABC, 100), (Alphabet("ba"), 100)):
             for _ in range(count):
                 e = oracles.random_expr(rng, alphabet, ("x", "y", "z"), rng.randint(3, 14),
                                         var_prob=0.4)
                 choices = _valuation_space(e, alphabet, DIAMOND, None, 10**6, 10**4)[1]
-                self.compare_union(tally, e, alphabet, "letters", choices)
+                self.compare_union(calls, tally, e, alphabet, "letters", choices)
         assert min(tally.values()) >= 10, tally
 
-    def test_size_and_start_over_domains(self):
+    def test_size_and_start_over_domains(self, monkeypatch):
         rng = random.Random(4163)
         tally = collections.Counter()
+        calls = self.count_compiles(monkeypatch)
         cases = [(parse(text, AB), DomainSpec.from_json(mapping, AB))
                  for text, mapping in SHARED_CHAINS if "*" not in str(mapping)]
         for _ in range(400):
             e, spec, _, _ = random_domain_case(rng, infinite=False)
             cases.append((e, spec))
         for e, spec in cases:
-            self.compare_union(tally, e, AB, "enumerate", domain_choices(spec))
+            self.compare_union(calls, tally, e, AB, "enumerate", domain_choices(spec), spec)
         assert len(tally) == 5 and min(tally.values()) >= 10, tally
 
     def compare_reports(self, tally, problem, alphabet, e, other, choices, other_choices,
